@@ -28,7 +28,7 @@ for rec in result.records:
           f"u = {rec.u_sigma:.6f}   p = [{p_str}]")
 
 for c in (2.0, 1.0 / 3.0):
-    r = scaling_residual(n, lam, q, c)
+    r = scaling_residual(result.records, c)
     print(f"\nquasi-homogeneity residual at c = {c:.3f}: {r:.2e}")
 
 print("row-factorisation identity (symbolic, exact):", uv_identity_check(n))

@@ -2,7 +2,8 @@
 
 Subcommands: commute | mirror | critical | eigen | classical-limit |
 virasoro | all.  Exit code 0 when every residual passes its tolerance, 1 on
-failure, 2 on invalid input.  Reports serialize deterministically (same
+failure (a solver failure in `critical` is reported as a `failure` row), 2 on
+invalid input.  Reports serialize deterministically (same
 config and seed give the same content) with rationals as "num/den" strings
 and complex numbers as [re, im] pairs.
 """
@@ -85,6 +86,10 @@ class RunConfig:
             raise InvalidInput("format must be json or text")
         if self.threads < 1:
             raise InvalidInput("thread count must be >= 1")
+        if self.task == "eigen" and self.n > 2:
+            raise InvalidInput("eigen quadrature supports n <= 2")
+        if self.chart is not None and self.chart not in mi.all_k_sequences(self.n):
+            raise InvalidInput(f"{list(self.chart)} is not a k-sequence for n = {self.n}")
 
 
 @dataclass
@@ -205,7 +210,16 @@ def run_critical(cfg: RunConfig):
     q = cfg.q or _default_q(cfg.n, cfg.seed)
     lam_f = [float(x) for x in lam]
     q_f = [float(x) for x in q]
-    census = cr.census(cfg.n, lam_f, q_f)
+    stage = "census"
+    try:
+        census = cr.census(cfg.n, lam_f, q_f)
+        stage = "quasi_homogeneity"
+        scaling = max(cr.scaling_residual(census.records, c) for c in (2.0, 1.0 / 3.0))
+    except (cr.ContinuationError, cr.CriticalPointError, cr.DegenerateParameterError) as exc:
+        chart = list(exc.chart) if exc.chart is not None else None
+        failure = {"stage": stage, "chart": chart, "error": type(exc).__name__,
+                   "message": str(exc)}
+        return [{"failure": failure}], [], False, []
     results = []
     for rec in census.records:
         row = rec.report()
@@ -217,7 +231,6 @@ def run_critical(cfg: RunConfig):
         "min_pairwise_distance": census.min_pairwise_distance,
         "all_nondegenerate": census.all_nondegenerate,
     })
-    scaling = max(cr.scaling_residual(cfg.n, lam_f, q_f, c) for c in (2.0, 1.0 / 3.0))
     results.append({"check": "quasi_homogeneity", "residual": scaling})
     uv = cr.uv_identity_check(cfg.n) if cfg.n <= 4 else None
     results.append({"check": "uv_identity", "pass": uv})
@@ -435,12 +448,15 @@ def _apply_config_file(args: argparse.Namespace, argv: Sequence[str]) -> None:
             if key in explicit or not hasattr(args, key):
                 continue
             current = getattr(args, key)
-            if isinstance(current, int) and not isinstance(current, bool):
-                setattr(args, key, int(value))
-            elif isinstance(current, float):
-                setattr(args, key, float(value))
-            else:
-                setattr(args, key, value)
+            try:
+                if isinstance(current, int) and not isinstance(current, bool):
+                    setattr(args, key, int(value))
+                elif isinstance(current, float):
+                    setattr(args, key, float(value))
+                else:
+                    setattr(args, key, value)
+            except ValueError as exc:
+                raise InvalidInput(f"config value for {key} is not valid: {value!r}") from exc
 
 
 def config_from_args(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
@@ -449,11 +465,17 @@ def config_from_args(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig
         threads_n = int(threads)
     except ValueError as exc:
         raise InvalidInput(f"TODAMIRROR_THREADS must be an integer: {threads!r}") from exc
+    try:
+        lam = _fractions(args.lam) if args.lam else None
+        q = _fractions(args.q) if args.q else None
+        chart = tuple(int(x) for x in args.chart.split(",")) if args.chart else None
+    except ValueError as exc:
+        raise InvalidInput(f"cannot parse a number: {exc}") from exc
     return RunConfig(
         task=args.task,
         n=args.n,
-        lam=_fractions(args.lam) if args.lam else None,
-        q=_fractions(args.q) if args.q else None,
+        lam=lam,
+        q=q,
         hbar=args.hbar,
         truncation=args.truncation,
         stirling_order=args.stirling_order,
@@ -464,7 +486,7 @@ def config_from_args(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig
         tol_factorization=args.tol_factorization,
         tol_scaling=args.tol_scaling,
         tol_cp1=args.tol_cp1,
-        chart=tuple(int(x) for x in args.chart.split(",")) if args.chart else None,
+        chart=chart,
         seed=args.seed,
         output=args.output,
         fmt=args.fmt,
@@ -484,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _apply_config_file(args, argv)
         cfg = config_from_args(args, ["todamirror"] + argv)
         report = run(cfg)
-    except (InvalidInput, ValueError, OSError) as exc:
+    except (InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = emit_report(report, cfg.fmt)

@@ -2,7 +2,8 @@
 
 Each chart contributes exactly one critical point, found by Newton
 continuation along the ray tau * q from the explicit tau = 0 limit
-w_ij = -sigma(i, j).  Records carry Hessians in both chart coordinates w and
+w_ij = -sigma(i, j); the charts of a fiber are tracked together, one lane of
+a lockstep batch each.  Records carry Hessians in both chart coordinates w and
 log coordinates s = ln w (the volume form is translation-invariant in s, so
 the log Hessian is the one entering stationary-phase prefactors), the
 critical value, and all edge values for chart-independent comparisons.
@@ -10,7 +11,6 @@ critical value, and all edge values for chart-independent comparisons.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,7 +21,6 @@ from .exact import LaurentPolynomial
 from .mirror import (
     Edge,
     MirrorGraph,
-    NumericChartPhase,
     SigmaChart,
     all_k_sequences,
     make_chart,
@@ -30,15 +29,23 @@ from .mirror import (
 from . import operators as ops
 
 
-class DegenerateParameterError(ValueError):
+class _ChartFailure:
+    """Mixin for solver failures: `chart` is the k-sequence at fault, if any."""
+
+    def __init__(self, message: str = "", chart: Optional[Sequence[int]] = None):
+        super().__init__(message)
+        self.chart = tuple(chart) if chart is not None else None
+
+
+class DegenerateParameterError(_ChartFailure, ValueError):
     """lambda is too degenerate for the requested construction."""
 
 
-class ContinuationError(RuntimeError):
+class ContinuationError(_ChartFailure, RuntimeError):
     """Newton continuation failed (divergence or a caustic on the path)."""
 
 
-class CriticalPointError(RuntimeError):
+class CriticalPointError(_ChartFailure, RuntimeError):
     """The computed critical-point set is defective (collision/degeneracy)."""
 
 
@@ -48,6 +55,9 @@ class CriticalPointError(RuntimeError):
 # the default complex lift misses folds generically.  The order is fixed so
 # results stay deterministic.
 DETOUR_BUMPS: Tuple[float, ...] = (0.12, -0.12, 0.3, -0.3, 0.45, -0.45, 0.0)
+
+# Two records closer than this (sup-distance of all edge values) are one point.
+COLLISION_DISTANCE = 1e-6
 
 
 @dataclass
@@ -66,6 +76,7 @@ class CriticalPointRecord:
     chart: SigmaChart
     lam: Tuple[float, ...]
     q: Tuple[float, ...]
+    bump: float                        # detour height of the tracked path
     s: np.ndarray                      # log coordinates of the solution
     coordinates: np.ndarray            # chart coordinates w = exp(s)
     u_sigma: complex                   # critical value of f_q (rho ln q included)
@@ -77,12 +88,12 @@ class CriticalPointRecord:
     sqrt_log_hessian_det: complex      # branch continued from q -> 0
     nondegenerate: bool
     edge_values: Dict[str, complex]
-    converged: bool
 
     def report(self) -> dict:
         return {
             "k_sequence": list(self.chart.kseq),
             "permutation": list(self.chart.permutation),
+            "bump": self.bump,
             "coordinates": [[z.real, z.imag] for z in self.coordinates.tolist()],
             "u_sigma": [self.u_sigma.real, self.u_sigma.imag],
             "hessian_det": [self.hessian_det.real, self.hessian_det.imag],
@@ -100,6 +111,13 @@ def _check_lambda(lam: Sequence[float], n: int) -> Tuple[float, ...]:
     return lam
 
 
+def _check_q(q: Sequence[float], n: int) -> Tuple[float, ...]:
+    q = tuple(float(x) for x in q)
+    if len(q) != n or any(x <= 0 for x in q):
+        raise DegenerateParameterError("q must be a positive vector of length n")
+    return q
+
+
 def start_point(chart: SigmaChart, lam: Sequence[float]) -> np.ndarray:
     """Log coordinates of the q = 0 critical point: w_ij = -sigma(i, j).
 
@@ -107,119 +125,359 @@ def start_point(chart: SigmaChart, lam: Sequence[float]) -> np.ndarray:
     starts there; a vanishing exponent makes the start degenerate.
     """
     lam = _check_lambda(lam, chart.n)
-    s = np.zeros(len(chart.positions), dtype=complex)
-    for k, p in enumerate(chart.positions):
-        c = float(chart.sigma[p].evaluate(lam))
+    sigma = np.array([float(chart.sigma[p].evaluate(lam)) for p in chart.positions])
+    _check_start(chart, sigma, lam)
+    return np.log((-sigma).astype(complex))
+
+
+def _check_start(chart: SigmaChart, sigma: np.ndarray, lam: Tuple[float, ...]) -> None:
+    for p, c in zip(chart.positions, sigma):
         if abs(c) < 1e-12:
             raise DegenerateParameterError(
                 f"exponent sigma{p} vanishes at lambda={lam}; "
-                "critical start point undefined (choose generic lambda)")
-        s[k] = cmath.log(complex(-c))
-    return s
+                "critical start point undefined (choose generic lambda)", chart.kseq)
 
 
-def _newton(num: NumericChartPhase, s: np.ndarray, lnq: np.ndarray,
-            tol: float, maxit: int = 100) -> Tuple[np.ndarray, float, np.ndarray]:
-    """Damped Newton on the gradient of f; backtracks on the residual norm."""
-    g = num.gradient(s, lnq)
-    for _ in range(maxit):
-        gnorm = float(np.max(np.abs(g)))
-        if not np.isfinite(gnorm):
-            raise ContinuationError("Newton iterate escaped to non-finite values")
-        if gnorm <= tol:
-            return s, gnorm, num.hessian(s, lnq)
-        h = num.hessian(s, lnq)
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError as exc:
-            raise ContinuationError(f"singular Hessian on the path: {exc}") from exc
-        size = float(np.max(np.abs(step)))
-        if size > 0.5:
-            step = step * (0.5 / size)
-        t = 1.0
-        while True:
-            s_try = s + t * step
-            g_try = num.gradient(s_try, lnq)
-            g_try_norm = float(np.max(np.abs(g_try)))
-            if np.isfinite(g_try_norm) and (g_try_norm < gnorm or g_try_norm <= tol):
-                s, g = s_try, g_try
-                break
-            t /= 2
-            if t < 1.0 / 2 ** 20:
-                raise ContinuationError("Newton line search failed")
-    raise ContinuationError(f"Newton did not reach tol={tol}")
+# ---------------------------------------------------------------------------
+# Lockstep continuation.  A lane is one chart's phase at one (lambda, q) on
+# one detour path.  All lanes of a batch share the dimension d and the 2d
+# monomials, so the phase data stack into (L, 2d, d) arrays.  Every tick
+# evaluates gradients on every running lane, and each lane then takes the next
+# move of exactly the control logic of a single track: predictor, step
+# halving, det-ratio and jump rejection, damped Newton line search.  Lanes
+# never wait for each other inside a Newton solve, so a batch costs about as
+# many ticks as its busiest lane takes Newton steps.
+# ---------------------------------------------------------------------------
+
+# A Newton solve takes at most _NEWTON_STEPS steps; its line search tries
+# t = 1, 1/2, ..., 2^-20 before it gives up.
+_NEWTON_STEPS = 100
+_TRIALS = 21
+_STEPS = 0.5 ** np.arange(_TRIALS)
 
 
-def _track_path(chart: SigmaChart, num: NumericChartPhase, lam: Sequence[float],
-                lnq_target: np.ndarray, steps: int, tol: float,
-                bump: float) -> Tuple[np.ndarray, float, np.ndarray, complex]:
-    """Track the critical point along tau(theta) = theta + i*bump*sin(pi theta).
+def _solve(h: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacked h x = rhs; the second result flags exactly singular lanes."""
+    try:
+        return np.linalg.solve(h, rhs[..., None])[..., 0], np.zeros(len(h), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(rhs)
+        singular = np.zeros(len(h), dtype=bool)
+        for k in range(len(h)):
+            try:
+                x[k] = np.linalg.solve(h[k], rhs[k])
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return x, singular
 
-    Returns the endpoint solution, its gradient norm and log-Hessian, plus the
-    continuously tracked log of det(log-Hessian) for branch-consistent square
-    roots.
-    """
-    s = start_point(chart, lam)
-    h0 = np.diag([-complex(chart.sigma[p].evaluate(lam)) for p in chart.positions])
-    prev_det = complex(np.linalg.det(h0))
-    log_det = cmath.log(prev_det)
 
-    def tau_of(theta: float) -> complex:
-        if bump == 0.0:
-            return complex(theta)
-        return complex(theta, bump * math.sin(math.pi * theta))
+def _tau(theta: np.ndarray, bump: np.ndarray) -> np.ndarray:
+    return theta + 1j * (bump * np.sin(np.pi * theta))
 
-    def lnq_of(theta: float) -> np.ndarray:
-        return lnq_target + cmath.log(tau_of(theta))
 
-    def predict(s_cur: np.ndarray, theta_cur: float, dtheta: float) -> np.ndarray:
-        if theta_cur <= 0.0:
-            return s_cur
-        tau = tau_of(theta_cur)
-        dtau = 1.0 + (1j * bump * math.pi * math.cos(math.pi * theta_cur) if bump else 0.0)
-        lnq_cur = lnq_of(theta_cur)
-        vals = num.exponentials(s_cur, lnq_cur)
-        qdeg = num.B.sum(axis=1)
-        dg = num.A.T @ (vals * qdeg) * (dtau / tau)
-        try:
-            ds = np.linalg.solve(num.hessian(s_cur, lnq_cur), -dg)
-        except np.linalg.LinAlgError:
-            return s_cur
-        if not np.all(np.isfinite(ds)) or np.max(np.abs(ds)) * dtheta > 1.0:
-            return s_cur
-        return s_cur + dtheta * ds
+@dataclass
+class _Endpoints:
+    """Per-lane result of `_Lanes.track`: which lane on which detour, the
+    solution, its gradient norm and log-Hessian, the continued log det of
+    that Hessian, and None or the reason the lane failed."""
 
-    theta = 0.0
-    step = 1.0 / max(int(steps), 1)
-    while theta < 1.0:
-        theta_next = min(1.0, theta + step)
-        lnq = lnq_of(theta_next)
-        try:
-            s_next, gnorm, h = _newton(num, predict(s, theta, theta_next - theta), lnq, tol)
-        except ContinuationError:
-            step /= 2
-            if step < 1e-13:
-                raise ContinuationError(
-                    f"step halving exhausted at theta={theta} for chart {chart.kseq}")
-            continue
-        det = complex(np.linalg.det(h))
-        if det == 0:
-            raise ContinuationError(f"Hessian singular at theta={theta_next} (caustic)")
-        ratio = det / prev_det
-        jump = float(np.max(np.abs(s_next - s)))
-        if (abs(cmath.log(ratio)) > 1.5 or jump > 1.5) and step > 1e-11:
-            step /= 2
-            continue
-        log_det += cmath.log(ratio)
-        prev_det = det
-        s, theta = s_next, theta_next
-        if theta < 1.0:
-            step = min(step * 1.5, 1.0 - theta)
+    idx: np.ndarray
+    bumps: np.ndarray
+    s: np.ndarray
+    gnorm: np.ndarray
+    h: np.ndarray
+    log_det: np.ndarray
+    errors: List[Optional[str]]
 
-    s, gnorm, h_s = _newton(num, s, lnq_target, tol)
-    det_s = complex(np.linalg.det(h_s))
-    log_det += cmath.log(det_s / prev_det)
-    return s, gnorm, h_s, log_det
+
+class _Running:
+    """State of the running lanes of one track, one row per lane; rows are
+    dropped as lanes finish."""
+
+    def __init__(self, **arrays: np.ndarray):
+        self.__dict__.update(arrays)
+
+    def keep(self, rows: np.ndarray) -> None:
+        for name, value in vars(self).items():
+            setattr(self, name, value[rows])
+
+
+class _Lanes:
+    """The phases of some charts at one (lambda, q), stacked as lanes.
+
+    f(s) = sum_m exp(A s + B ln q)_m + sigma . s (+ rho . ln q); along the
+    path ln q becomes ln q + ln tau, which adds ln tau times the q-degree of
+    each monomial."""
+
+    def __init__(self, charts: Sequence[SigmaChart], lam: Sequence[float],
+                 q: Sequence[float]):
+        self.charts = list(charts)
+        n = self.charts[0].n
+        self.lam = _check_lambda(lam, n)
+        self.q = _check_q(q, n)
+        nums = [phase_in_chart(ch).numeric(self.lam) for ch in self.charts]
+        for ch, num in zip(self.charts, nums):
+            _check_start(ch, num.sigma, self.lam)
+        self.A = np.stack([num.A for num in nums])          # (L, 2d, d)
+        B = np.stack([num.B for num in nums])               # (L, 2d, n)
+        self.sigma = np.stack([num.sigma for num in nums])  # (L, d)
+        self.rho = np.stack([num.rho for num in nums])      # (L, n)
+        self.lnq = np.log(np.array(self.q))
+        self.bq = B @ self.lnq
+        self.qdeg = B.sum(axis=2)
+
+    def track(self, idx: Sequence[int], bumps: Sequence[float], steps: int,
+              tol: float) -> _Endpoints:
+        """Track lanes idx along tau(theta) = theta + i*bump*sin(pi theta) from
+        the explicit q = 0 start to the target q.
+
+        Per lane: Euler predictor, damped Newton (each step backtracking on
+        the gradient norm), step halving on Newton failure
+        and on a jump of det(log-Hessian) or of the solution.  The log of that
+        determinant is continued along the path, so square roots stay on the
+        branch that is positive at a positive q = 0 limit.
+        """
+        idx = np.asarray(idx, dtype=int)
+        count, dim = len(idx), self.A.shape[2]
+        ends = _Endpoints(idx, np.asarray(bumps, dtype=float),
+                          np.zeros((count, dim), dtype=complex), np.full(count, np.inf),
+                          np.zeros((count, dim, dim), dtype=complex),
+                          np.zeros(count, dtype=complex), [None] * count)
+        A = self.A[idx].astype(complex)
+        start = np.log((-self.sigma[idx]).astype(complex))
+        det0 = np.linalg.det(np.stack([np.diag(-x.astype(complex)) for x in self.sigma[idx]]))
+        run = _Running(
+            lane=np.arange(count), A=A, At=np.ascontiguousarray(A.transpose(0, 2, 1)),
+            bq=self.bq[idx], qdeg=self.qdeg[idx], sigma=self.sigma[idx],
+            bump=ends.bumps,
+            # path: accepted point, its theta, next step, det tracking, predictor
+            path=start, theta=np.zeros(count), step=np.full(count, 1.0 / max(int(steps), 1)),
+            prev_det=det0, log_det=np.log(det0), final=np.zeros(count, dtype=bool),
+            pred=np.zeros((count, dim), dtype=complex), pred_norm=np.full(count, np.inf),
+            # Newton solve at theta_next: start point y, iterate s, direction
+            # dirn and the next line-search step t
+            th_next=np.zeros(count), c=np.zeros(self.bq[idx].shape, dtype=complex),
+            y=start.copy(), s=start.copy(), gnorm=np.full(count, np.inf),
+            dirn=np.zeros((count, dim), dtype=complex), t=np.ones(count),
+            it=np.zeros(count, dtype=int), fresh=np.zeros(count, dtype=bool))
+        self._attempt(run, np.ones(count, dtype=bool))
+        with np.errstate(all="ignore"):
+            while run.lane.size:
+                finished = self._tick(run, ends, idx, tol)
+                if finished is not None and finished.any():
+                    run.keep(~finished)
+        return ends
+
+    @staticmethod
+    def _attempt(run: _Running, rows: np.ndarray) -> None:
+        """Start a Newton solve at theta + step from the predicted point."""
+        theta = run.theta[rows]
+        th_next = np.minimum(1.0, theta + run.step[rows])
+        dtheta = th_next - theta
+        use = run.pred_norm[rows] * dtheta <= 1.0
+        path = run.path[rows]
+        run.y[rows] = np.where(use[:, None], path + dtheta[:, None] * run.pred[rows], path)
+        run.th_next[rows] = th_next
+        run.c[rows] = (run.bq[rows]
+                       + np.log(_tau(th_next, run.bump[rows]))[:, None] * run.qdeg[rows])
+        run.fresh[rows] = True
+        run.it[rows] = -1   # taking the start point counts as step 0
+
+    def _tick(self, run: _Running, ends: _Endpoints, idx: np.ndarray,
+              tol: float) -> Optional[np.ndarray]:
+        """One round of gradient evaluations on every running lane and the
+        move that follows; returns the rows whose lanes finished, or None.
+
+        A fresh Newton start evaluates its start point.  A lane in a line
+        search evaluates a window of its next trial steps t, t/2, t/4, ... at
+        once and moves to the first one that lowers the gradient norm: the
+        point a one-by-one backtracking search would accept."""
+        count = run.lane.size
+        width = min(_TRIALS, max(4, 64 // count))
+        fresh = run.fresh
+        any_fresh = fresh.any()
+        t = run.t[:, None] * _STEPS[:width]
+        trial = run.dirn[:, None, :] * t[:, :, None]
+        trial += run.s[:, None, :]
+        if any_fresh:
+            trial[fresh, 0] = run.y[fresh]
+        z = np.matmul(trial, run.At)
+        z += run.c[:, None, :]
+        vals = np.exp(z, out=z)
+        g = np.matmul(vals, run.A)
+        g += run.sigma[:, None, :]
+        norm = np.abs(g).max(axis=2)
+        # NaN compares false, so a non-finite trial point is never taken
+        ok = norm < run.gnorm[:, None]
+        ok |= norm <= tol
+        ok &= t >= _STEPS[-1]
+        if any_fresh:
+            ok[fresh] = _STEPS[:width] == 1.0
+        rows = np.arange(count)
+        pick = ok.argmax(axis=1)
+        acc = ok[rows, pick]
+        vals, g, norm = vals[rows, pick], g[rows, pick], norm[rows, pick]
+        np.copyto(run.s, trial[rows, pick], where=acc[:, None])
+        np.copyto(run.gnorm, norm, where=acc)
+        run.it += acc
+        if any_fresh:
+            run.fresh = np.zeros(count, dtype=bool)
+        # no step in the window lowered the norm: move the window on
+        miss = ~acc
+        np.multiply(run.t, 0.5 ** width, out=run.t, where=miss)
+        stalled = miss & (run.t < _STEPS[-1])
+        bad = (run.it >= _NEWTON_STEPS) | (acc & ~np.isfinite(norm))
+        conv = acc & (norm <= tol) & ~bad
+        more = acc & ~conv & ~bad
+
+        # one stacked solve: next Newton directions, and the Euler predictor
+        # ds/dtheta = -H^{-1} d(grad f)/dtheta at every converged path point
+        h = np.matmul(run.At * vals[:, None, :], run.A)
+        newton = more.nonzero()[0]
+        conv_path = (conv & ~run.final).nonzero()[0]
+        singular = None
+        if conv_path.size:
+            theta, bump = run.th_next[conv_path], run.bump[conv_path]
+            dtau = 1.0 + 1j * bump * np.pi * np.cos(np.pi * theta)
+            dg = np.matmul((vals[conv_path] * run.qdeg[conv_path])[:, None, :],
+                           run.A[conv_path])[:, 0] * (dtau / _tau(theta, bump))[:, None]
+            x, sing = _solve(h[np.concatenate((newton, conv_path))],
+                             -np.concatenate((g[newton], dg)))
+            dirn, ds, singular = x[:newton.size], x[newton.size:], sing[:newton.size]
+            ds_ok = ~sing[newton.size:] & np.isfinite(ds).all(axis=1)
+        elif newton.size:
+            dirn, singular = _solve(h[newton], -g[newton])
+        if newton.size:
+            size = np.abs(dirn).max(axis=1)
+            run.dirn[newton] = dirn * np.where(size > 0.5, 0.5 / size, 1.0)[:, None]
+            run.t[newton] = 1.0
+            if singular.any():
+                bad[newton[singular]] = True
+
+        if not (conv.any() or bad.any() or stalled.any()):
+            return None
+        finished = np.zeros(count, dtype=bool)
+        restart = np.zeros(count, dtype=bool)
+
+        # Newton failures: halve the path step, or give up at the target
+        for r in (bad | stalled).nonzero()[0]:
+            kseq = self.charts[idx[run.lane[r]]].kseq
+            if run.final[r]:
+                if stalled[r]:
+                    why = "Newton line search failed"
+                elif not np.isfinite(norm[r]):
+                    why = "Newton iterate escaped to non-finite values"
+                elif run.it[r] >= _NEWTON_STEPS:
+                    why = f"Newton did not reach tol={tol}"
+                else:
+                    why = "singular Hessian on the path"
+                ends.errors[run.lane[r]] = f"{why} at the target q for chart {kseq}"
+                finished[r] = True
+                continue
+            run.step[r] /= 2
+            if run.step[r] < 1e-13:
+                ends.errors[run.lane[r]] = (f"step halving exhausted at theta={run.theta[r]} "
+                                            f"for chart {kseq}")
+                finished[r] = True
+            else:
+                restart[r] = True
+
+        # converged at the target q: the lane is done
+        done = (conv & run.final).nonzero()[0]
+        if done.size:
+            lane = run.lane[done]
+            ends.s[lane], ends.gnorm[lane], ends.h[lane] = run.s[done], run.gnorm[done], h[done]
+            ends.log_det[lane] = run.log_det[done] + np.log(np.linalg.det(h[done])
+                                                            / run.prev_det[done])
+            finished[done] = True
+
+        if conv_path.size:
+            # converged on the path: accept theta_next unless det(H) or s jumped
+            rows = conv_path
+            det = np.linalg.det(h[rows])
+            for r, at in zip(rows[det == 0], run.th_next[rows[det == 0]]):
+                kseq = self.charts[idx[run.lane[r]]].kseq
+                ends.errors[run.lane[r]] = (f"Hessian singular at theta={at} (caustic) "
+                                            f"for chart {kseq}")
+                finished[r] = True
+            ratio = det / run.prev_det[rows]
+            jump = np.abs(run.s[rows] - run.path[rows]).max(axis=1)
+            reject = ((np.abs(np.log(ratio)) > 1.5) | (jump > 1.5)) & (run.step[rows] > 1e-11)
+            reject &= det != 0
+            run.step[rows[reject]] /= 2
+            restart[rows[reject]] = True
+            take = ~reject & (det != 0)
+            rows, ds, ds_ok = rows[take], ds[take], ds_ok[take]
+            run.log_det[rows] += np.log(ratio[take])
+            run.prev_det[rows] = det[take]
+            run.path[rows] = run.s[rows]
+            run.theta[rows] = run.th_next[rows]
+            inner = run.theta[rows] < 1.0
+            grow = rows[inner]
+            run.step[grow] = np.minimum(run.step[grow] * 1.5, 1.0 - run.theta[grow])
+            run.pred[grow] = np.where(ds_ok[inner, None], ds[inner], 0.0)
+            run.pred_norm[grow] = np.where(ds_ok[inner], np.abs(ds[inner]).max(axis=1), np.inf)
+            restart[grow] = True
+            # theta = 1: polish at the target q itself, from the point reached
+            last = rows[~inner]
+            run.final[last] = True
+            run.c[last] = run.bq[last]
+            run.y[last] = run.path[last]
+            run.fresh[last] = True
+            run.it[last] = -1
+        if restart.any():
+            self._attempt(run, restart)
+        return finished
+
+    def _exponentials(self, idx: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return np.exp(np.matmul(self.A[idx], s[..., None])[..., 0] + self.bq[idx])
+
+    def critical_values(self, idx: Sequence[int], s: np.ndarray) -> np.ndarray:
+        """u_sigma = f(s) + rho . ln q per lane."""
+        idx = np.asarray(idx, dtype=int)
+        vals = self._exponentials(idx, s)
+        return vals.sum(axis=1) + np.sum(self.sigma[idx] * s, axis=1) + self.rho[idx] @ self.lnq
+
+    def records(self, ends: _Endpoints) -> List[Optional[CriticalPointRecord]]:
+        """The record of every tracked lane that arrived, None for the others."""
+        arrived = [j for j, e in enumerate(ends.errors) if e is None]
+        out: List[Optional[CriticalPointRecord]] = [None] * len(ends.errors)
+        if not arrived:
+            return out
+        lanes = ends.idx[arrived]
+        s, h_s, dim = ends.s[arrived], ends.h[arrived], ends.s.shape[1]
+        vals = self._exponentials(lanes, s)
+        grad = np.matmul(vals[:, None, :], self.A[lanes])[:, 0] + self.sigma[lanes]
+        w = vals[:, :dim]  # the first d monomials are the chart variables
+        # w-coordinate Hessian: e^{-s_k-s_l} (H_s - diag(grad_s)) at the solution
+        inv_w = 1.0 / w
+        h_w = (h_s - grad[:, :, None] * np.eye(dim)) * inv_w[:, :, None] * inv_w[:, None, :]
+        det_s = np.linalg.det(h_s)
+        det_w = np.linalg.det(h_w)
+        u = self.critical_values(lanes, s)
+        # Nondegeneracy on the row-scaled log-Hessian.  The log coordinates
+        # are the translation-invariant ones (the volume form is flat there),
+        # so this measure is blind to the spread of the w values themselves;
+        # a chart with one tiny w would otherwise fail the threshold with a
+        # perfectly regular critical point.
+        scale = np.max(np.abs(h_s), axis=2)
+        scale[scale == 0] = 1.0
+        det_scaled = np.linalg.det(h_s / scale[:, :, None])
+        for k, (j, lane) in enumerate(zip(arrived, lanes)):
+            chart = self.charts[lane]
+            names = [chart.chart_edges[p] for p in chart.positions]
+            names += [chart.partner_edges[p] for p in chart.positions]
+            out[j] = CriticalPointRecord(
+                chart=chart, lam=self.lam, q=self.q, bump=float(ends.bumps[j]),
+                s=s[k], coordinates=w[k], u_sigma=complex(u[k]),
+                gradient_norm=float(ends.gnorm[j]),
+                hessian=h_w[k], hessian_det=complex(det_w[k]),
+                log_hessian=h_s[k], log_hessian_det=complex(det_s[k]),
+                sqrt_log_hessian_det=complex(np.exp(ends.log_det[j] / 2)),
+                nondegenerate=bool(abs(det_scaled[k]) > 1e-8),
+                edge_values={nm: complex(v) for nm, v in zip(names, vals[k])},
+            )
+        return out
 
 
 def continue_to(chart: SigmaChart, lam: Sequence[float], q_target: Sequence[float],
@@ -235,73 +493,30 @@ def continue_to(chart: SigmaChart, lam: Sequence[float], q_target: Sequence[floa
     with the positive root at the real q = 0 limit when that determinant is
     positive and the principal root otherwise.
     """
-    lam = _check_lambda(lam, chart.n)
-    q_target = tuple(float(x) for x in q_target)
-    if len(q_target) != chart.n or any(x <= 0 for x in q_target):
-        raise DegenerateParameterError("q must be a positive vector of length n")
+    lanes = _Lanes([chart], lam, q_target)
+    error = None
+    for b in (DETOUR_BUMPS if bump is None else (bump,)):
+        ends = lanes.track([0], [b], steps, tol)
+        error = ends.errors[0]
+        if error is None:
+            return lanes.records(ends)[0]
+    raise ContinuationError(f"continuation failed for chart {chart.kseq}: {error}",
+                            chart.kseq)
 
-    phase = phase_in_chart(chart)
-    num = phase.numeric(lam)
-    lnq_target = np.log(np.array(q_target))
 
-    candidates = DETOUR_BUMPS if bump is None else (bump,)
-    last_exc: Optional[ContinuationError] = None
-    for b in candidates:
-        try:
-            s, gnorm, h_s, log_det = _track_path(chart, num, lam, lnq_target,
-                                                 steps, tol, b)
-            break
-        except ContinuationError as exc:
-            last_exc = exc
-    else:
-        raise ContinuationError(
-            f"continuation failed for chart {chart.kseq}: {last_exc}")
-
-    lnq = lnq_target
-    det_s = complex(np.linalg.det(h_s))
-    sqrt_det = cmath.exp(log_det / 2)
-
-    w = np.exp(s)
-    grad = num.gradient(s, lnq)
-    # w-coordinate Hessian: e^{-s_k-s_l} (H_s - diag(grad_s)) at the solution
-    inv_w = 1.0 / w
-    h_w = (h_s - np.diag(grad)) * np.outer(inv_w, inv_w)
-    det_w = complex(np.linalg.det(h_w))
-
-    f_sigma = num.value(s, lnq)
-    u_sigma = complex(f_sigma + num.rho_log_q(lnq))
-
-    # Nondegeneracy on the row-scaled log-Hessian.  The log coordinates are
-    # the translation-invariant ones (the volume form is flat there), so this
-    # measure is blind to the spread of the w values themselves; a chart with
-    # one tiny w would otherwise fail the threshold with a perfectly regular
-    # critical point.
-    scale = np.max(np.abs(h_s), axis=1)
-    scale[scale == 0] = 1.0
-    det_scaled = complex(np.linalg.det(h_s / scale[:, None]))
-    nondeg = abs(det_scaled) > 1e-8
-
-    edge_values: Dict[str, complex] = {}
-    for p, name in chart.chart_edges.items():
-        edge_values[name] = complex(w[chart.position_index[p]])
-    for name, mono in chart.eliminated.items():
-        val = complex(1.0)
-        for pos, e in mono.w_exps:
-            val *= complex(w[chart.position_index[pos]]) ** e
-        for k, e in enumerate(mono.q_exps):
-            if e:
-                val *= q_target[k] ** e
-        edge_values[name] = val
-
-    return CriticalPointRecord(
-        chart=chart, lam=lam, q=q_target, s=s, coordinates=w,
-        u_sigma=u_sigma, gradient_norm=float(gnorm),
-        hessian=h_w, hessian_det=det_w,
-        log_hessian=h_s, log_hessian_det=det_s,
-        sqrt_log_hessian_det=sqrt_det,
-        nondegenerate=nondeg, edge_values=edge_values,
-        converged=True,
-    )
+def _sup_distances(records: Sequence[CriticalPointRecord]) -> np.ndarray:
+    """Sup-distance of every pair a < b of records over all edge values, as a
+    C x C matrix with inf on and below the diagonal."""
+    names = sorted(records[0].edge_values)
+    edges = np.array([[r.edge_values[nm] for nm in names] for r in records])
+    count = len(edges)
+    dist = np.full((count, count), np.inf)
+    # row blocks keep the broadcast near 2^20 entries: one block up to n = 4
+    rows = max(1, (1 << 20) // max(1, edges.size))
+    for a in range(0, count, rows):
+        dist[a:a + rows] = np.abs(edges[a:a + rows, None, :] - edges[None, :, :]).max(axis=2)
+    dist[np.tril_indices(count)] = np.inf
+    return dist
 
 
 def all_critical_points(n: int, lam: Sequence[float], q: Sequence[float],
@@ -309,69 +524,71 @@ def all_critical_points(n: int, lam: Sequence[float], q: Sequence[float],
                         graph: Optional[MirrorGraph] = None) -> List[CriticalPointRecord]:
     """One record per chart, merged in k-sequence order.
 
-    Records must be pairwise distinct as points of the mirror torus.  When
-    the ray passes a fold, two tracks can land on the same sheet; colliding
-    charts are then re-run on the next detour variant until the full fiber is
-    recovered.  Exhausting the variants raises CriticalPointError.
+    All charts are tracked as one batch on the first detour variant; lanes
+    that fail are rerun together on their next variant.  Records must be
+    pairwise distinct as points of the mirror torus.  When the ray passes a
+    fold, two tracks can land on the same sheet; colliding charts are then
+    re-run on the next detour variant until the full fiber is recovered.
+    Exhausting the variants raises CriticalPointError.
     """
     graph = graph or MirrorGraph(n)
     kseqs = all_k_sequences(n)
-    charts = {k: make_chart(graph, k) for k in kseqs}
-    variant: Dict[Tuple[int, ...], int] = {}
-    records: Dict[Tuple[int, ...], CriticalPointRecord] = {}
+    lanes = _Lanes([make_chart(graph, k) for k in kseqs], lam, q)
+    variant: Dict[int, int] = {}
+    records: Dict[int, CriticalPointRecord] = {}
 
-    def run(kseq: Tuple[int, ...], start_variant: int) -> None:
-        last: Optional[Exception] = None
-        for vi in range(start_variant, len(DETOUR_BUMPS)):
-            try:
-                records[kseq] = continue_to(charts[kseq], lam, q, steps=steps,
-                                            tol=tol, bump=DETOUR_BUMPS[vi])
-                variant[kseq] = vi
-                return
-            except ContinuationError as exc:
-                last = exc
-        raise CriticalPointError(
-            f"no continuation variant succeeded for chart {kseq}: {last}")
+    def run(start: Dict[int, int]) -> None:
+        """Track each lane from its start variant on until one succeeds."""
+        pending, exhausted = dict(start), {}
+        while pending:
+            idx = sorted(pending)
+            bumps = [DETOUR_BUMPS[pending[k]] for k in idx]
+            ends = lanes.track(idx, bumps, steps, tol)
+            retry = {}
+            for k, rec, error in zip(idx, lanes.records(ends), ends.errors):
+                if rec is not None:
+                    records[k], variant[k] = rec, pending[k]
+                elif pending[k] + 1 < len(DETOUR_BUMPS):
+                    retry[k] = pending[k] + 1
+                else:
+                    exhausted[k] = error
+            pending = retry
+        if exhausted:
+            k = min(exhausted)
+            raise CriticalPointError(
+                f"no continuation variant succeeded for chart {kseqs[k]}: {exhausted[k]}",
+                kseqs[k])
 
-    for kseq in kseqs:
-        run(kseq, 0)
-
-    def edge_vec(rec: CriticalPointRecord) -> np.ndarray:
-        names = sorted(rec.edge_values)
-        return np.array([rec.edge_values[nm] for nm in names])
+    run({k: 0 for k in range(len(kseqs))})
 
     for _ in range(4 * len(kseqs)):
-        vecs = {k: edge_vec(records[k]) for k in kseqs}
-        pair = None
-        for a in range(len(kseqs)):
-            for b in range(a + 1, len(kseqs)):
-                if float(np.max(np.abs(vecs[kseqs[a]] - vecs[kseqs[b]]))) < 1e-6:
-                    pair = (kseqs[a], kseqs[b])
-                    break
-            if pair:
-                break
-        if pair is None:
-            return [records[k] for k in kseqs]
-        first, second = pair
+        ordered = [records[k] for k in range(len(kseqs))]
+        close = np.argwhere(_sup_distances(ordered) < COLLISION_DISTANCE)
+        if not close.size:
+            return ordered
+        first, second = (int(x) for x in close[0])
         if variant[second] + 1 < len(DETOUR_BUMPS):
-            run(second, variant[second] + 1)
+            run({second: variant[second] + 1})
         elif variant[first] + 1 < len(DETOUR_BUMPS):
-            run(first, variant[first] + 1)
+            run({first: variant[first] + 1})
         else:
             raise CriticalPointError(
-                f"charts {first} and {second} collide on every continuation variant")
+                f"charts {kseqs[first]} and {kseqs[second]} collide on every "
+                "continuation variant", kseqs[second])
     raise CriticalPointError("collision repair did not converge")
 
 
 def pairwise_min_distance(records: Sequence[CriticalPointRecord]) -> float:
     """Minimal sup-distance between records in ambient edge coordinates."""
-    names = sorted(records[0].edge_values)
-    vecs = [np.array([r.edge_values[nm] for nm in names]) for r in records]
-    best = math.inf
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            best = min(best, float(np.max(np.abs(vecs[i] - vecs[j]))))
-    return best
+    return float(np.min(_sup_distances(records), initial=math.inf))
+
+
+def distinct_count(records: Sequence[CriticalPointRecord]) -> int:
+    """Records that are not within COLLISION_DISTANCE of an earlier record."""
+    if not records:
+        return 0
+    repeats = np.any(_sup_distances(records) <= COLLISION_DISTANCE, axis=0)
+    return len(records) - int(repeats.sum())
 
 
 @dataclass
@@ -387,7 +604,7 @@ class CensusResult:
     @property
     def ok(self) -> bool:
         return (self.count == self.expected and self.all_nondegenerate
-                and self.min_pairwise_distance > 1e-6)
+                and self.min_pairwise_distance > COLLISION_DISTANCE)
 
 
 def census(n: int, lam: Sequence[float], q: Sequence[float], steps: int = 8,
@@ -397,7 +614,7 @@ def census(n: int, lam: Sequence[float], q: Sequence[float], steps: int = 8,
     lagr = max(to_lagrangian(r).max_residual for r in records)
     return CensusResult(
         records=records,
-        count=sum(1 for r in records if r.converged),
+        count=distinct_count(records),
         expected=math.factorial(n + 1),
         all_nondegenerate=all(r.nondegenerate for r in records),
         min_pairwise_distance=pairwise_min_distance(records),
@@ -471,34 +688,29 @@ def to_lagrangian(record: CriticalPointRecord) -> LagrangianPoint:
     return LagrangianPoint(p=p, q=[complex(x) for x in q], residuals=residuals)
 
 
-def scaling_residual(n: int, lam: Sequence[float], q: Sequence[float], c: float,
+def scaling_residual(records: Sequence[CriticalPointRecord], c: float,
                      steps: int = 8, tol: float = 1e-12) -> float:
-    """Relative failure of u_sigma(c^2 q, c lam) = c u_sigma(q, lam), all charts.
+    """Relative failure of u_sigma(c^2 q, c lam) = c u_sigma(q, lam) over the
+    records of one fiber.
 
-    Both runs are forced onto the same detour variant: the scaled problem has
-    its folds at identical ray parameters, so matching paths stay on
-    corresponding branches.
+    w -> c w and q -> c^2 q scale every monomial of the phase by c, so the
+    scaled problem's gradient and Hessian are c times the base ones and its
+    path is the base path shifted by ln c.  Each scaled chart is therefore
+    tracked, as one batch, on its record's own detour: an independent track
+    whose critical value is checked against c * u_sigma.
     """
-    graph = MirrorGraph(n)
-    worst = 0.0
-    lam2 = [c * x for x in lam]
-    q2 = [c * c * x for x in q]
-    for k in all_k_sequences(n):
-        chart = make_chart(graph, k)
-        base = scaled = None
-        last: Optional[Exception] = None
-        for b in DETOUR_BUMPS[:-1]:  # complex variants only: fold-free paths
-            try:
-                base = continue_to(chart, lam, q, steps=steps, tol=tol, bump=b)
-                scaled = continue_to(chart, lam2, q2, steps=steps, tol=tol, bump=b)
-                break
-            except ContinuationError as exc:
-                last = exc
-        if base is None or scaled is None:
-            raise ContinuationError(f"scaling check failed for chart {k}: {last}")
-        expect = c * base.u_sigma
-        worst = max(worst, abs(scaled.u_sigma - expect) / max(1.0, abs(expect)))
-    return worst
+    base = records[0]
+    lanes = _Lanes([r.chart for r in records], [c * x for x in base.lam],
+                   [c * c * x for x in base.q])
+    idx = range(len(records))
+    ends = lanes.track(idx, [r.bump for r in records], steps, tol)
+    for r, error in zip(records, ends.errors):
+        if error is not None:
+            raise ContinuationError(
+                f"scaling check failed for chart {r.chart.kseq}: {error}", r.chart.kseq)
+    scaled = lanes.critical_values(idx, ends.s)
+    expect = c * np.array([r.u_sigma for r in records])
+    return float(np.max(np.abs(scaled - expect) / np.maximum(1.0, np.abs(expect))))
 
 
 # ---------------------------------------------------------------------------

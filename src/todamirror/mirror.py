@@ -40,7 +40,8 @@ class LambdaForm:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction]):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
     def __setattr__(self, *a):
         raise AttributeError("LambdaForm is immutable")
@@ -56,17 +57,17 @@ class LambdaForm:
         return cls(c)
 
     def __add__(self, other: "LambdaForm") -> "LambdaForm":
-        return LambdaForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return LambdaForm([a + b if b else a for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "LambdaForm") -> "LambdaForm":
-        return LambdaForm([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return LambdaForm([a - b if b else a for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "LambdaForm":
         return LambdaForm([-a for a in self.coeffs])
 
     def scale(self, c) -> "LambdaForm":
         c = Fraction(c)
-        return LambdaForm([c * a for a in self.coeffs])
+        return LambdaForm([c * a if a else a for a in self.coeffs])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LambdaForm) and self.coeffs == other.coeffs
@@ -248,31 +249,6 @@ def assign_weights(n: int) -> Dict[str, LambdaForm]:
     return MirrorGraph(n).weights
 
 
-class VertexPhase:
-    """The phase function in vertex coordinates.
-
-    Wraps the graph's symbolic gradients (one linear combination of edge
-    symbols plus a lambda-form per vertex) and numeric evaluation at positive
-    arguments.
-    """
-
-    def __init__(self, graph: MirrorGraph):
-        self.graph = graph
-
-    def gradient(self, k: int, i: int) -> Tuple[Dict[str, int], LambdaForm]:
-        if k == 0:
-            return self.graph.top_gradient(i)
-        return self.graph.gradient_at(k, i)
-
-    def value(self, t_coords: Mapping[Tuple[int, int], float],
-              lam: Sequence[float]) -> float:
-        return self.graph.phase_value(t_coords, lam)
-
-
-def build_phase(graph: MirrorGraph) -> VertexPhase:
-    return VertexPhase(graph)
-
-
 # ---------------------------------------------------------------------------
 # Sigma-charts.
 # ---------------------------------------------------------------------------
@@ -386,10 +362,10 @@ class SigmaChart:
         vindex = {v: k for k, v in enumerate(graph.vertices)}
         ncols = len(self.positions) + n
 
-        def as_column(tvec: Mapping[Tuple[int, int], int]) -> List[Fraction]:
-            col = [Fraction(0)] * len(vindex)
+        def as_column(tvec: Mapping[Tuple[int, int], int]) -> List[int]:
+            col = [0] * len(vindex)
             for v, c in tvec.items():
-                col[vindex[v]] = Fraction(c)
+                col[vindex[v]] = c
             return col
 
         cols = [as_column(graph.edge_t_vector(self.chart_edges[p])) for p in self.positions]
@@ -397,24 +373,29 @@ class SigmaChart:
         targets = {p: as_column(graph.edge_t_vector(self.partner_edges[p]))
                    for p in self.positions}
 
-        # exact Gaussian elimination on the augmented system
+        # Gauss-Jordan elimination in integers.  Every column is the
+        # head-minus-tail incidence vector of an edge of a directed graph, so
+        # the system is totally unimodular: each pivot is +-1 and no fraction
+        # ever appears.  A larger pivot means the graph itself is wrong.
         nrows = len(vindex)
         aug = [[cols[c][r] for c in range(ncols)] + [targets[p][r] for p in self.positions]
                for r in range(nrows)]
-        pivots = []
         row = 0
         for col in range(ncols):
             piv = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
             if piv is None:
                 raise MonomialSolveError(f"chart {self.kseq}: rank deficiency at column {col}")
             aug[row], aug[piv] = aug[piv], aug[row]
-            inv = 1 / aug[row][col]
-            aug[row] = [x * inv for x in aug[row]]
+            unit = aug[row][col]
+            if unit not in (1, -1):
+                raise MonomialSolveError(
+                    f"chart {self.kseq}: non-unit pivot {unit} at column {col}")
+            if unit == -1:
+                aug[row] = [-x for x in aug[row]]
             for r in range(nrows):
                 if r != row and aug[r][col] != 0:
                     f = aug[r][col]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-            pivots.append(col)
             row += 1
         for r in range(row, nrows):
             if any(x != 0 for x in aug[r][ncols:]):
@@ -422,14 +403,12 @@ class SigmaChart:
 
         out: Dict[str, ChartMonomial] = {}
         for t, p in enumerate(self.positions):
-            sol = [aug[r][ncols + t] for r in range(len(pivots))]
-            if any(x.denominator != 1 for x in sol):
-                raise MonomialSolveError(f"chart {self.kseq}: non-integer monomial solution")
+            sol = [aug[r][ncols + t] for r in range(ncols)]
             w_exps = tuple(
-                (self.positions[c], int(sol[c]))
+                (self.positions[c], sol[c])
                 for c in range(len(self.positions)) if sol[c] != 0
             )
-            q_exps = tuple(int(sol[len(self.positions) + k]) for k in range(n))
+            q_exps = tuple(sol[len(self.positions) + k] for k in range(n))
             out[self.partner_edges[p]] = ChartMonomial(w_exps, q_exps)
         return out
 
@@ -583,13 +562,6 @@ class NumericChartPhase:
     def hessian(self, s, lnq):
         vals = self.exponentials(s, lnq)
         return (self.A * vals[:, None]).T @ self.A
-
-    def value_grad_hess(self, s, lnq):
-        vals = self.exponentials(s, lnq)
-        f = vals.sum() + self.sigma @ s
-        g = self.A.T @ vals + self.sigma
-        h = (self.A * vals[:, None]).T @ self.A
-        return f, g, h
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,9 @@ def test_criterion_8_quasi_homogeneity():
     worst = 0.0
     for n, lam, q in ((1, (0.5, -0.5), (1.0,)),
                       (2, (0.25, 0.125, -0.375), (1.0, 1.0))):
+        records = cr.all_critical_points(n, lam, q)
         for c in (2.0, 1.0 / 3.0):
-            worst = max(worst, cr.scaling_residual(n, lam, q, c))
+            worst = max(worst, cr.scaling_residual(records, c))
     _report("criterion 8: u(c^2 q, c lam) = c u(q, lam) to 1e-8, "
             "n <= 2, all charts, c in {2, 1/3}", worst < 1e-8, f"worst {worst:.2e}")
 

@@ -53,6 +53,43 @@ def test_exit_code_on_unknown_task():
     assert run_cli(["no-such-task"]) == 2
 
 
+def test_exit_code_on_unparsable_or_unsupported_input():
+    assert run_cli(["critical", "--n", "1", "--lambda", "1/x,-1/x"]) == 2
+    assert run_cli(["eigen", "--n", "3"]) == 2
+    assert run_cli(["eigen", "--n", "1", "--chart", "5"]) == 2
+
+
+def test_critical_solver_failure_is_a_report(monkeypatch, capsys):
+    from todamirror import critical as cr
+    track = cr._Lanes.track
+
+    def never_arrives(self, *args, **kwargs):
+        ends = track(self, *args, **kwargs)
+        ends.errors = ["forced failure"] * len(ends.errors)
+        return ends
+
+    monkeypatch.setattr(cr._Lanes, "track", never_arrives)
+    assert run_cli(["critical", "--n", "2", "--lambda", "1/4,1/8,-3/8", "--q", "1,1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    failure = doc["results"][0]["failure"]
+    assert failure["stage"] == "census" and failure["chart"] == [0, 0]
+    assert failure["error"] == "CriticalPointError" and "forced failure" in failure["message"]
+
+
+def test_scaling_failure_is_a_report(monkeypatch, capsys):
+    from todamirror import critical as cr
+
+    def broken(records, c, **kwargs):
+        raise cr.ContinuationError("forced failure", records[1].chart.kseq)
+
+    monkeypatch.setattr(cr, "scaling_residual", broken)
+    assert run_cli(["critical", "--n", "2", "--lambda", "1/4,1/8,-3/8", "--q", "1,1"]) == 1
+    failure = json.loads(capsys.readouterr().out)["results"][0]["failure"]
+    assert failure == {"stage": "quasi_homogeneity", "chart": [0, 1],
+                       "error": "ContinuationError", "message": "forced failure"}
+
+
 def test_failure_exit_code(monkeypatch, capsys):
     def always_fail(cfg):
         return [{"forced": True}], [1.0], False, []

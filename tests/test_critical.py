@@ -1,6 +1,7 @@
 """Critical-point continuation, spectral identity, Lagrangian map, UV identity."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -101,9 +102,44 @@ def test_nonequivariant_point_satisfies_unshifted_relations():
 
 
 def test_scaling_law():
+    fiber1 = cr.all_critical_points(1, LAM1, (1.0,))
+    fiber2 = cr.all_critical_points(2, (0.25, 0.125, -0.375), (1.0, 1.0))
     for c in (2.0, 1.0 / 3.0):
-        assert cr.scaling_residual(1, LAM1, (1.0,), c) < 1e-8
-        assert cr.scaling_residual(2, (0.25, 0.125, -0.375), (1.0, 1.0), c) < 1e-8
+        assert cr.scaling_residual(fiber1, c) < 1e-8
+        assert cr.scaling_residual(fiber2, c) < 1e-8
+
+
+def test_scaling_check_fails_on_a_wrong_critical_value():
+    records = cr.all_critical_points(2, (0.25, 0.125, -0.375), (1.0, 1.0))
+    assert cr.scaling_residual(records, 2.0) < 1e-8
+    records[3] = dataclasses.replace(records[3], u_sigma=records[3].u_sigma + 1e-6)
+    assert cr.scaling_residual(records, 2.0) > 1e-8
+
+
+def test_batched_lanes_match_single_tracks():
+    # one lane on a later detour variant must not disturb the others
+    n, lam, q = 3, (0.4, 0.1, -0.2, -0.3), (0.7, 1.1, 0.9)
+    graph = mi.build_graph(n)
+    charts = [mi.make_chart(graph, k) for k in mi.all_k_sequences(n)]
+    bumps = [cr.DETOUR_BUMPS[0]] * len(charts)
+    bumps[5] = cr.DETOUR_BUMPS[3]
+    lanes = cr._Lanes(charts, lam, q)
+    idx = range(len(charts))
+    ends = lanes.track(idx, bumps, steps=8, tol=1e-12)
+    assert ends.errors == [None] * len(charts)
+    for ch, b, rec in zip(charts, bumps, lanes.records(ends)):
+        single = cr.continue_to(ch, lam, q, bump=b)
+        assert single.bump == rec.bump == b
+        assert abs(rec.u_sigma - single.u_sigma) < 1e-10
+        assert np.max(np.abs(rec.s - single.s)) < 1e-10
+        assert abs(rec.sqrt_log_hessian_det - single.sqrt_log_hessian_det) < 1e-10
+
+
+def test_census_counts_distinct_points():
+    records = cr.all_critical_points(2, (0.25, 0.125, -0.375), (1.0, 1.0))
+    assert cr.distinct_count(records) == 6
+    assert cr.distinct_count(records + [records[2]]) == 6
+    assert cr.pairwise_min_distance(records + [records[2]]) == 0.0
 
 
 def test_rejects_bad_q():

@@ -103,6 +103,16 @@ def test_eliminated_monomials_satisfy_relations():
             assert mi.make_chart(g, k).relations_hold()
 
 
+def test_non_unit_pivot_is_rejected(monkeypatch):
+    # a doubled incidence vector breaks total unimodularity
+    g = mi.build_graph(2)
+    incidence = g.edge_t_vector
+    monkeypatch.setattr(g, "edge_t_vector",
+                        lambda name: {v: 2 * c for v, c in incidence(name).items()})
+    with pytest.raises(mi.MonomialSolveError, match="non-unit pivot"):
+        mi.make_chart(g, (0, 0))
+
+
 def test_eliminated_monomials_have_q_factor():
     for n in (1, 2, 3):
         g = mi.build_graph(n)
