@@ -2,8 +2,9 @@
 
 For n = 1 the integral over the positive contour reduces, after u = sqrt(q)
 e^s, to a modified Bessel function of the second kind, which gives an
-independent oracle.  The operators are applied through central finite
-differences; every residual |D_i I - sigma_i I| / |I| should be tiny.
+independent oracle.  The operators act by differentiation under the
+integral sign, as exact amplitudes summed over the converged grid; every
+residual |D_i I - sigma_i I| / |I| should be tiny.
 """
 
 import math

@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import random
 import shlex
 import sys
@@ -48,19 +47,15 @@ class RunConfig:
     hbar: float = -1.0
     truncation: int = 4
     stirling_order: int = 4
-    tol_exact: float = 0.0
     tol_spectral: float = 1e-8
-    tol_eigen_n1: float = 1e-6
-    tol_eigen_n2: float = 1e-3
+    tol_eigen_n1: float = 1e-8
+    tol_eigen_n2: float = 1e-8
     tol_oracle: float = 1e-8
-    tol_factorization: float = 1e-3
     tol_scaling: float = 1e-8
-    tol_cp1: float = 1e-8
     chart: Optional[Tuple[int, ...]] = None
     seed: int = 0
     output: Optional[str] = None
     fmt: str = "json"
-    threads: int = 1
     argv: List[str] = field(default_factory=list)
 
     def validate(self) -> None:
@@ -84,8 +79,6 @@ class RunConfig:
             raise InvalidInput("hbar must be negative")
         if self.fmt not in ("json", "text"):
             raise InvalidInput("format must be json or text")
-        if self.threads < 1:
-            raise InvalidInput("thread count must be >= 1")
         if self.task == "eigen" and self.n > 2:
             raise InvalidInput("eigen quadrature supports n <= 2")
         if self.chart is not None and self.chart not in mi.all_k_sequences(self.n):
@@ -232,10 +225,10 @@ def run_critical(cfg: RunConfig):
         "all_nondegenerate": census.all_nondegenerate,
     })
     results.append({"check": "quasi_homogeneity", "residual": scaling})
-    uv = cr.uv_identity_check(cfg.n) if cfg.n <= 4 else None
+    uv = cr.uv_identity_check(cfg.n)
     results.append({"check": "uv_identity", "pass": uv})
     residuals = [census.max_spectral_residual, census.max_lagrangian_residual, scaling]
-    passed = (census.ok and uv is not False
+    passed = (census.ok and uv
               and census.max_spectral_residual < cfg.tol_spectral
               and census.max_lagrangian_residual < cfg.tol_spectral
               and scaling < cfg.tol_scaling)
@@ -268,8 +261,7 @@ def run_eigen(cfg: RunConfig):
         residuals.append(rel)
         passed = passed and rel < cfg.tol_oracle
     results.append({"quadrature": {"nodes_per_axis": rep.nodes_per_axis,
-                                   "evaluations": rep.evaluations,
-                                   "h_step": rep.h_step}})
+                                   "evaluations": rep.evaluations}})
     return results, residuals, passed, warnings
 
 
@@ -378,15 +370,12 @@ def run(cfg: RunConfig) -> VerificationReport:
         "truncation": cfg.truncation,
         "stirling_order": cfg.stirling_order,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "tolerances": {
             "spectral": cfg.tol_spectral,
             "eigen_n1": cfg.tol_eigen_n1,
             "eigen_n2": cfg.tol_eigen_n2,
             "oracle": cfg.tol_oracle,
-            "factorization": cfg.tol_factorization,
             "scaling": cfg.tol_scaling,
-            "cp1": cfg.tol_cp1,
         },
         "command": " ".join(shlex.quote(a) for a in cfg.argv),
     }
@@ -421,10 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", type=str, default=None)
         p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-        for name, default in (("tol-spectral", 1e-8), ("tol-eigen-n1", 1e-6),
-                              ("tol-eigen-n2", 1e-3), ("tol-oracle", 1e-8),
-                              ("tol-factorization", 1e-3), ("tol-scaling", 1e-8),
-                              ("tol-cp1", 1e-8)):
+        for name, default in (("tol-spectral", 1e-8), ("tol-eigen-n1", 1e-8),
+                              ("tol-eigen-n2", 1e-8), ("tol-oracle", 1e-8),
+                              ("tol-scaling", 1e-8)):
             p.add_argument(f"--{name}", type=float, default=default)
     return parser
 
@@ -460,11 +448,6 @@ def _apply_config_file(args: argparse.Namespace, argv: Sequence[str]) -> None:
 
 
 def config_from_args(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
-    threads = os.environ.get("TODAMIRROR_THREADS", "1")
-    try:
-        threads_n = int(threads)
-    except ValueError as exc:
-        raise InvalidInput(f"TODAMIRROR_THREADS must be an integer: {threads!r}") from exc
     try:
         lam = _fractions(args.lam) if args.lam else None
         q = _fractions(args.q) if args.q else None
@@ -483,14 +466,11 @@ def config_from_args(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig
         tol_eigen_n1=args.tol_eigen_n1,
         tol_eigen_n2=args.tol_eigen_n2,
         tol_oracle=args.tol_oracle,
-        tol_factorization=args.tol_factorization,
         tol_scaling=args.tol_scaling,
-        tol_cp1=args.tol_cp1,
         chart=chart,
         seed=args.seed,
         output=args.output,
         fmt=args.fmt,
-        threads=threads_n,
         argv=list(argv),
     )
 

@@ -811,8 +811,6 @@ def uv_identity_check(n: int, kseq: Optional[Sequence[int]] = None) -> bool:
     eliminated edges of a chart by their monomials (so the box relations
     hold identically) and lam_n by -(lam_0 + ... + lam_{n-1}).
     """
-    if n > 4:
-        raise ValueError("uv_identity_check is desk scale; n <= 4")
     if not uv_factorization_exact(n):
         return False
     graph = MirrorGraph(n)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import LaurentPolynomial
+from .exact import LaurentPolynomial, elementary_symmetric_sigma
 from .mirror import (
     MirrorGraph,
     NumericChartPhase,
@@ -76,7 +76,7 @@ class QuadratureResult:
 
 @dataclass
 class GridGeometry:
-    """Frozen integration window reused across a finite-difference stencil."""
+    """Peak-centred integration box, its node count and the reference f_ref."""
     center: np.ndarray
     halfwidth: np.ndarray
     nodes: int
@@ -160,9 +160,9 @@ def _axis_halfwidths(num: NumericChartPhase, lnq: np.ndarray, s_star: np.ndarray
     return out
 
 
-def _tensor_integral(num: NumericChartPhase, lnq: np.ndarray, geom: GridGeometry,
-                     hbar: float) -> Tuple[float, int]:
-    """Trapezoid tensor integral of exp((f - f_ref)/hbar) on the frozen box."""
+def _weight_grid(num: NumericChartPhase, lnq: np.ndarray, geom: GridGeometry,
+                 hbar: float) -> Tuple[List[np.ndarray], np.ndarray, float]:
+    """Axes, trapezoid-weighted exp((f - f_ref)/hbar) and cell volume of the box."""
     d = num.dim
     m = geom.nodes
     axes = [np.linspace(geom.center[k] - geom.halfwidth[k],
@@ -195,7 +195,14 @@ def _tensor_integral(num: NumericChartPhase, lnq: np.ndarray, geom: GridGeometry
         sl[k] = m - 1
         f_grid[tuple(sl)] *= 0.5
     steps = [(2.0 * geom.halfwidth[k]) / (m - 1) for k in range(d)]
-    return float(f_grid.sum()) * math.prod(steps), m ** d
+    return axes, f_grid, math.prod(steps)
+
+
+def _tensor_integral(num: NumericChartPhase, lnq: np.ndarray, geom: GridGeometry,
+                     hbar: float) -> Tuple[float, int]:
+    """Trapezoid tensor integral of exp((f - f_ref)/hbar) on the box."""
+    _, grid, cell = _weight_grid(num, lnq, geom, hbar)
+    return float(grid.sum()) * cell, geom.nodes ** num.dim
 
 
 def _converged_geometry(num: NumericChartPhase, lnq: np.ndarray, hbar: float,
@@ -250,41 +257,49 @@ def evaluate(task: IntegralTask) -> QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue residuals by finite differences.
+# Eigenvalue residuals by exact amplitudes.
 # ---------------------------------------------------------------------------
+#
+# In chart coordinates F(s, x) = sum_m e_m + sigma . s + rho . x with
+# e_m = exp(A_m . s + B_m . x) and x = ln q, and s does not depend on x, so
+# (hbar d/dt_j)(g e^{F/hbar}) = (hbar d/dt_j g + pi_j g) e^{F/hbar} with
+# pi_j = dF/dt_j = sum_m (B_m . T_j) e_m + rho . T_j, where T_j is
+# d/dt_j = d/dx_j - d/dx_{j+1} in x.  An amplitude is a finite sum
+# sum_k c_k e^k, e^k = prod_m e_m^{k_m}, stored as {k: c_k}.
 
-def _central_weights(order: int, h: float) -> Dict[int, float]:
-    """Second-order central difference weights for d^order/dx^order."""
-    if order == 0:
-        return {0: 1.0}
-    if order == 1:
-        return {-1: -0.5 / h, 1: 0.5 / h}
-    if order == 2:
-        return {-1: 1.0 / h ** 2, 0: -2.0 / h ** 2, 1: 1.0 / h ** 2}
-    if order == 3:
-        return {-2: -0.5 / h ** 3, -1: 1.0 / h ** 3, 1: -1.0 / h ** 3, 2: 0.5 / h ** 3}
-    raise ValueError(f"unsupported derivative order {order}")
+Amplitude = Dict[Tuple[int, ...], float]
 
 
-def _p_to_x_expansion(kappa: Sequence[int], n: int) -> Dict[Tuple[int, ...], int]:
-    """Expand prod_j (d/dx_j - d/dx_{j+1})^{kappa_j} into x-multi-indices.
+def _t_derivative(amp: Amplitude, bt: List[float], rt: float, hbar: float) -> Amplitude:
+    """(hbar d/dt_j + pi_j) amp, with bt_m = B_m . T_j and rt = rho . T_j."""
+    out: Amplitude = {}
+    for k, c in amp.items():
+        out[k] = out.get(k, 0.0) + c * (hbar * sum(e * b for e, b in zip(k, bt)) + rt)
+        for m, b in enumerate(bt):
+            if b:
+                km = k[:m] + (k[m] + 1,) + k[m + 1:]
+                out[km] = out.get(km, 0.0) + c * b
+    return out
 
-    x_i = t_i - t_{i-1} for i = 1..n; d/dt_j = d/dx_j - d/dx_{j+1} with the
-    out-of-range terms dropped.
-    """
-    acc: Dict[Tuple[int, ...], int] = {(0,) * n: 1}
-    for j, k in enumerate(kappa):
-        for _ in range(k):
-            nxt: Dict[Tuple[int, ...], int] = {}
-            for beta, c in acc.items():
-                for axis, sign in ((j, +1), (j + 1, -1)):
-                    if 1 <= axis <= n:
-                        b = list(beta)
-                        b[axis - 1] += 1
-                        key = tuple(b)
-                        nxt[key] = nxt.get(key, 0) + sign * c
-            acc = {k2: v for k2, v in nxt.items() if v != 0}
-    return acc
+
+def _operator_amplitude(poly: Dict[Tuple[int, ...], LaurentPolynomial],
+                        num: NumericChartPhase, x: np.ndarray, hbar: float) -> Amplitude:
+    """The amplitude P with D e^{F/hbar} = P e^{F/hbar}, coefficients taken at q = e^x."""
+    n = len(x)
+    t_dirs = np.eye(n + 1, n, k=-1) - np.eye(n + 1, n)   # row j: d/dt_j in x
+    bt, rt = (num.B @ t_dirs.T).T.tolist(), (num.rho @ t_dirs.T).tolist()
+    q_assign = {f"q{i}": math.exp(x[i - 1]) for i in range(1, n + 1)}
+    total: Amplitude = {}
+    for kappa, coeff in poly.items():
+        c = complex(coeff.evaluate(q_assign)).real if coeff.variables \
+            else float(coeff.as_constant())
+        amp: Amplitude = {(0,) * len(num.B): c}
+        for j, power in enumerate(kappa):
+            for _ in range(power):
+                amp = _t_derivative(amp, bt[j], rt[j], hbar)
+        for k, v in amp.items():
+            total[k] = total.get(k, 0.0) + v
+    return total
 
 
 @dataclass
@@ -293,7 +308,6 @@ class EigenReport:
     lam: Tuple[float, ...]
     q: Tuple[float, ...]
     hbar: float
-    h_step: float
     residuals: List[float]
     base_value: float
     evaluations: int
@@ -304,17 +318,14 @@ class EigenReport:
 
 
 def eigen_residual(n: int, lam: Sequence[float], hbar: float,
-                   t_base: Sequence[float], h_step: float = 1e-2,
-                   rel_tol: float = 1e-11, richardson: bool = True,
+                   t_base: Sequence[float], rel_tol: float = 1e-11,
                    chart: Optional[SigmaChart] = None,
                    max_doublings: int = 12) -> EigenReport:
     """Relative residuals |D_i I - sigma_i I| / |I| at t_base.
 
-    Derivatives act through second-order central differences in the
-    independent variables x_i = t_i - t_{i-1}; every stencil point is
-    integrated on one frozen grid geometry so quadrature errors correlate
-    and cancel in the differences.  One Richardson level (h and h/2) is
-    applied when `richardson` is set.
+    Each D_i - sigma_i acts on e^{F/hbar} as multiplication by an exact
+    amplitude (differentiation under the integral sign), so every residual
+    is one pass over the converged trapezoid grid of the base integral.
     """
     if n > 2:
         raise ValueError("iterated quadrature is desk scale; n <= 2")
@@ -324,76 +335,35 @@ def eigen_residual(n: int, lam: Sequence[float], hbar: float,
         raise ValueError("t must sum to zero")
     graph = MirrorGraph(n)
     chart = chart or make_chart(graph, (0,) * n)
-    x_base = np.array([t_base[i] - t_base[i - 1] for i in range(1, n + 1)])
+    x = np.array([t_base[i] - t_base[i - 1] for i in range(1, n + 1)])
 
-    phase = phase_in_chart(chart)
-    num = phase.numeric(lam)
-    lnq_base = x_base.copy()
-
-    geom, raw, err, evals, ok = _converged_geometry(
-        num, lnq_base, hbar, rel_tol, 1e-300, max_doublings)
+    num = phase_in_chart(chart).numeric(lam)
+    geom, _, _, evals, ok = _converged_geometry(num, x, hbar, rel_tol, 1e-300, max_doublings)
     if not ok:
         raise QuadratureError("base-point quadrature did not converge")
+    axes, grid, cell = _weight_grid(num, x, geom, hbar)
 
-    cache: Dict[Tuple[int, ...], float] = {}
-    total_evals = evals
+    zero = (0,) * len(num.B)
 
-    def integral_at(offsets: Tuple[int, ...], h: float) -> float:
-        key = offsets
-        if key in cache:
-            return cache[key]
-        lnq = lnq_base + h * np.array(offsets, dtype=float) / 2.0
-        raw_v, ev = _tensor_integral(num, lnq, geom, hbar)
-        nonlocal total_evals
-        total_evals += ev
-        value = math.exp(geom.f_ref / hbar + num.rho_log_q(lnq) / hbar) * raw_v
-        cache[key] = value
-        return value
+    def moment(k: Tuple[int, ...]) -> float:
+        """Grid sum of weight * e^k; e^k is separable in s."""
+        ka = np.array(k, dtype=float)
+        out = grid
+        for axis, a in reversed(list(enumerate(ka @ num.A))):
+            out = out @ np.exp(a * axes[axis])
+        return float(out) * math.exp(float(ka @ num.B @ x))
 
-    # offsets are measured in half-steps so the h and h/2 stencils share points
-    def fd_derivative(beta: Tuple[int, ...], half_steps: int) -> float:
-        """Mixed partial d^beta I at x_base with step half_steps * h/2."""
-        weight_tables = [_central_weights(b, h_step * half_steps / 2.0) for b in beta]
-        total = 0.0
-        def rec(axis: int, offs: List[int], w: float):
-            nonlocal total
-            if axis == len(beta):
-                total += w * integral_at(tuple(offs), h_step)
-                return
-            for o, wt in weight_tables[axis].items():
-                offs.append(o * half_steps)
-                rec(axis + 1, offs, w * wt)
-                offs.pop()
-        rec(0, [], 1.0)
-        return total
-
-    def apply_operator(poly: Dict[Tuple[int, ...], LaurentPolynomial],
-                       half_steps: int) -> float:
-        q_assign = {f"q{i}": math.exp(x_base[i - 1]) for i in range(1, n + 1)}
-        out = 0.0
-        for kappa, coeff in poly.items():
-            c = complex(coeff.evaluate(q_assign)).real if coeff.variables \
-                else float(coeff.as_constant())
-            c = c * hbar ** sum(kappa)
-            for beta, mult in _p_to_x_expansion(kappa, n).items():
-                out += c * mult * fd_derivative(beta, half_steps)
-        return out
-
-    base_value = integral_at((0,) * n, h_step)
-    sigmas = np.poly(np.array(lam))[1:]
-    residuals = []
-    for i, poly in enumerate(ops.toda_polynomials(n)):
-        d_coarse = apply_operator(poly, 2)
-        if richardson:
-            d_fine = apply_operator(poly, 1)
-            d_val = (4.0 * d_fine - d_coarse) / 3.0
-        else:
-            d_val = d_coarse
-        residuals.append(abs(d_val - float(sigmas[i].real) * base_value) / abs(base_value))
-
-    return EigenReport(n=n, lam=lam, q=tuple(math.exp(x) for x in x_base), hbar=hbar,
-                       h_step=h_step, residuals=residuals, base_value=base_value,
-                       evaluations=total_evals, nodes_per_axis=geom.nodes)
+    amplitudes = [_operator_amplitude(poly, num, x, hbar)
+                  for poly in ops.toda_polynomials(n)]
+    moments = {k: moment(k) for k in {zero}.union(*amplitudes)}
+    base = moments[zero]
+    residuals = [abs(sum(c * moments[k] for k, c in amp.items()) - sigma * base) / abs(base)
+                 for amp, sigma in zip(amplitudes, elementary_symmetric_sigma(lam))]
+    base_value = math.exp((geom.f_ref + num.rho_log_q(x)) / hbar) * base * cell
+    return EigenReport(n=n, lam=lam, q=tuple(math.exp(v) for v in x), hbar=hbar,
+                       residuals=residuals, base_value=base_value,
+                       evaluations=evals + geom.nodes ** num.dim,
+                       nodes_per_axis=geom.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -485,54 +455,42 @@ class Cp1Report:
     pairing_residual: float
 
 
-def _closed_form_value(lam0: float, p: float) -> complex:
-    # complex logs: the p_- branch makes both arguments negative, and the
-    # principal branch stays continuous for q > 0, so t-derivatives are safe
-    import cmath
+def _closed_form_derivative(lam0: float, p: float, q: float) -> complex:
+    """d/dt of 2p + lam0 ln(lam1 + p) + lam1 ln(lam0 + p) with lam1 = -lam0,
+    t = ln q and dp/dt = q/(2p), by the chain rule."""
     lam1 = -lam0
-    return 2.0 * p + lam0 * cmath.log(complex(lam1 + p)) \
-        + lam1 * cmath.log(complex(lam0 + p))
+    return (2.0 + lam0 / complex(lam1 + p) + lam1 / complex(lam0 + p)) * q / (2.0 * p)
 
 
-def cp1_example_check(lam0: float, q_grid: Sequence[float],
-                      fd_step: float = 1e-3) -> Cp1Report:
+def cp1_example_check(lam0: float, q_grid: Sequence[float]) -> Cp1Report:
     """Critical values of the n = 1 phase against the closed form.
 
     With p = +/- sqrt(lam0^2 + q) the closed form 2p + lam0 ln(lam1 + p)
     + lam1 ln(lam0 + p) matches u_sigma up to a q-independent constant, and
-    du/dt = p (t = ln q).  Derivatives are Richardson-extrapolated central
-    differences on ln q.
+    du/dt = p (t = ln q).  By the envelope identity du_sigma/dt is dF/dt at
+    the critical point, sum_m B_m e_m + rho, so no difference quotient is
+    taken.
     """
     if lam0 == 0:
         raise ValueError("lam0 must be nonzero")
     graph = MirrorGraph(1)
     lam = (lam0, -lam0)
 
-    def u_of(kseq, q):
-        return crit.continue_to(make_chart(graph, kseq), lam, (q,),
-                                bump=crit.DETOUR_BUMPS[0]).u_sigma
-
-    def ddt(fn, q):
-        h = fd_step
-        def at(loghshift):
-            return fn(q * math.exp(loghshift))
-        d_h = (at(h) - at(-h)) / (2 * h)
-        d_h2 = (at(h / 2) - at(-h / 2)) / h
-        return (4.0 * d_h2 - d_h) / 3.0
-
     derivative_match = 0.0
     momentum_match = 0.0
     # assign each chart the momentum branch that matches its du/dt
     for kseq in ((0,), (1,)):
+        chart = make_chart(graph, kseq)
+        num = phase_in_chart(chart).numeric(lam)
         for q in q_grid:
-            du = ddt(lambda qq: u_of(kseq, qq), q)
-            branches = {+1: math.sqrt(lam0 ** 2 + q), -1: -math.sqrt(lam0 ** 2 + q)}
-            sign = min(branches, key=lambda s: abs(du - branches[s]))
-            p = branches[sign]
+            rec = crit.continue_to(chart, lam, (q,), bump=crit.DETOUR_BUMPS[0])
+            lnq = np.array([math.log(q)])
+            du = complex((num.B.T @ num.exponentials(rec.s, lnq) + num.rho)[0])
+            root = math.sqrt(lam0 ** 2 + q)
+            p = min((root, -root), key=lambda v: abs(du - v))
             momentum_match = max(momentum_match, abs(du - p))
-            dclosed = ddt(lambda qq, s=sign: _closed_form_value(
-                lam0, s * math.sqrt(lam0 ** 2 + qq)), q)
-            derivative_match = max(derivative_match, abs(du - dclosed))
+            derivative_match = max(derivative_match,
+                                   abs(du - _closed_form_derivative(lam0, p, q)))
 
     # eigenvector check for the fundamental-solution matrix at each grid point
     eig_res = 0.0

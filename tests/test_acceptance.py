@@ -88,14 +88,14 @@ def test_criterion_5_eigenvalue_equations():
     rep = ig.eigen_residual(1, (lam0, -lam0), -1.0, t)
     oracle = ig.whittaker_closed_form(lam0, q, -1.0)
     rel = abs(rep.base_value - oracle) / abs(oracle)
-    ok = ok and max(rep.residuals) < 1e-6 and rel < 1e-8
+    ok = ok and max(rep.residuals) < 1e-8 and rel < 1e-8
     det.append(f"n=1 residual {max(rep.residuals):.2e} oracle {rel:.2e}")
     # n = 2 at one generic point
     rep2 = ig.eigen_residual(2, (0.25, 0.125, -0.375), -1.0, (0.0, 0.0, 0.0))
-    ok = ok and all(r < 1e-3 for r in rep2.residuals)
+    ok = ok and all(r < 1e-8 for r in rep2.residuals)
     det.append(f"n=2 residuals {['%.1e' % r for r in rep2.residuals]}")
-    _report("criterion 5: eigenvalue equations (n=1 < 1e-6 + oracle < 1e-8; "
-            "n=2 < 1e-3)", ok, "; ".join(det))
+    _report("criterion 5: eigenvalue equations (n=1 < 1e-8 + oracle < 1e-8; "
+            "n=2 < 1e-8)", ok, "; ".join(det))
 
 
 def test_criterion_6_q_to_zero_factorization():

@@ -141,15 +141,6 @@ def test_empty_results_vacuous_pass_flagged(monkeypatch, capsys):
     assert any("vacuous" in w for w in doc["warnings"])
 
 
-def test_thread_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("TODAMIRROR_THREADS", "3")
-    run_cli(["commute", "--n", "1"])
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["params"]["threads"] == 3
-    monkeypatch.setenv("TODAMIRROR_THREADS", "zebra")
-    assert run_cli(["commute", "--n", "1"]) == 2
-
-
 def test_rationals_serialized_as_num_den(capsys):
     run_cli(["critical", "--n", "1", "--lambda", "1/2,-1/2", "--q", "1"])
     doc = json.loads(capsys.readouterr().out)

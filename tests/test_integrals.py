@@ -61,14 +61,29 @@ def test_eigen_residuals_n1_grid():
             t = (-math.log(q) / 2, math.log(q) / 2)
             rep = ig.eigen_residual(1, (lam0, -lam0), -1.0, t)
             assert rep.residuals[0] == 0.0
-            assert rep.residuals[1] < 1e-6
+            assert rep.residuals[1] < 1e-8
             oracle = ig.whittaker_closed_form(lam0, q, -1.0)
             assert abs(rep.base_value - oracle) < 1e-8 * oracle
 
 
 def test_eigen_residuals_n2_generic_point():
     rep = ig.eigen_residual(2, (0.25, 0.125, -0.375), -1.0, (0.0, 0.0, 0.0))
-    assert all(r < 1e-3 for r in rep.residuals)
+    assert all(r < 1e-8 for r in rep.residuals)
+    # the doubling loop from 17 nodes per axis, then one pass on the converged grid
+    levels = [17]
+    while levels[-1] < rep.nodes_per_axis:
+        levels.append(2 * levels[-1] - 1)
+    assert rep.evaluations == sum(m ** 3 for m in levels) + rep.nodes_per_axis ** 3
+
+
+@pytest.mark.parametrize("n, lam", [(1, (0.25, -0.25)), (2, (0.25, 0.125, -0.375))])
+def test_eigen_residual_detects_shifted_eigenvalues(monkeypatch, n, lam):
+    delta = 1e-6
+    exact_sigma = ig.elementary_symmetric_sigma
+    monkeypatch.setattr(ig, "elementary_symmetric_sigma",
+                        lambda lams: [s + delta for s in exact_sigma(lams)])
+    rep = ig.eigen_residual(n, lam, -1.0, (0.0,) * (n + 1))
+    assert all(abs(r - delta) < 0.1 * delta for r in rep.residuals)
 
 
 def test_one_variable_factors():
