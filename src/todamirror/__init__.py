@@ -16,9 +16,6 @@ from .exact import (
     Rational,
     bernoulli,
     elementary_symmetric_sigma,
-    series_exp,
-    series_log,
-    series_mul,
 )
 from .operators import (
     DifferentialOperator,
@@ -30,11 +27,11 @@ from .operators import (
     toda_polynomials,
 )
 from .mirror import (
+    ChartPhase,
     LambdaForm,
     MirrorGraph,
     SigmaChart,
     all_k_sequences,
-    assign_weights,
     build_graph,
     enumerate_charts,
     make_chart,
@@ -50,7 +47,6 @@ from .critical import (
     continue_to,
     scaling_residual,
     spectral_check,
-    start_point,
     to_lagrangian,
     uv_identity_check,
 )

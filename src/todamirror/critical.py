@@ -19,6 +19,8 @@ import numpy as np
 
 from .exact import LaurentPolynomial
 from .mirror import (
+    ChartFailure,
+    DegenerateParameterError,
     Edge,
     MirrorGraph,
     SigmaChart,
@@ -29,23 +31,11 @@ from .mirror import (
 from . import operators as ops
 
 
-class _ChartFailure:
-    """Mixin for solver failures: `chart` is the k-sequence at fault, if any."""
-
-    def __init__(self, message: str = "", chart: Optional[Sequence[int]] = None):
-        super().__init__(message)
-        self.chart = tuple(chart) if chart is not None else None
-
-
-class DegenerateParameterError(_ChartFailure, ValueError):
-    """lambda is too degenerate for the requested construction."""
-
-
-class ContinuationError(_ChartFailure, RuntimeError):
+class ContinuationError(ChartFailure, RuntimeError):
     """Newton continuation failed (divergence or a caustic on the path)."""
 
 
-class CriticalPointError(_ChartFailure, RuntimeError):
+class CriticalPointError(ChartFailure, RuntimeError):
     """The computed critical-point set is defective (collision/degeneracy)."""
 
 
@@ -118,26 +108,6 @@ def _check_q(q: Sequence[float], n: int) -> Tuple[float, ...]:
     return q
 
 
-def start_point(chart: SigmaChart, lam: Sequence[float]) -> np.ndarray:
-    """Log coordinates of the q = 0 critical point: w_ij = -sigma(i, j).
-
-    x + c ln x has its unique critical point at x = -c, so each chart factor
-    starts there; a vanishing exponent makes the start degenerate.
-    """
-    lam = _check_lambda(lam, chart.n)
-    sigma = np.array([float(chart.sigma[p].evaluate(lam)) for p in chart.positions])
-    _check_start(chart, sigma, lam)
-    return np.log((-sigma).astype(complex))
-
-
-def _check_start(chart: SigmaChart, sigma: np.ndarray, lam: Tuple[float, ...]) -> None:
-    for p, c in zip(chart.positions, sigma):
-        if abs(c) < 1e-12:
-            raise DegenerateParameterError(
-                f"exponent sigma{p} vanishes at lambda={lam}; "
-                "critical start point undefined (choose generic lambda)", chart.kseq)
-
-
 # ---------------------------------------------------------------------------
 # Lockstep continuation.  A lane is one chart's phase at one (lambda, q) on
 # one detour path.  All lanes of a batch share the dimension d and the 2d
@@ -205,9 +175,8 @@ class _Running:
 class _Lanes:
     """The phases of some charts at one (lambda, q), stacked as lanes.
 
-    f(s) = sum_m exp(A s + B ln q)_m + sigma . s (+ rho . ln q); along the
-    path ln q becomes ln q + ln tau, which adds ln tau times the q-degree of
-    each monomial."""
+    Along the path ln q becomes ln q + ln tau, which adds ln tau times the
+    q-degree of each monomial to the exponents B ln q of the chart phase."""
 
     def __init__(self, charts: Sequence[SigmaChart], lam: Sequence[float],
                  q: Sequence[float]):
@@ -215,13 +184,11 @@ class _Lanes:
         n = self.charts[0].n
         self.lam = _check_lambda(lam, n)
         self.q = _check_q(q, n)
-        nums = [phase_in_chart(ch).numeric(self.lam) for ch in self.charts]
-        for ch, num in zip(self.charts, nums):
-            _check_start(ch, num.sigma, self.lam)
-        self.A = np.stack([num.A for num in nums])          # (L, 2d, d)
-        B = np.stack([num.B for num in nums])               # (L, 2d, n)
-        self.sigma = np.stack([num.sigma for num in nums])  # (L, d)
-        self.rho = np.stack([num.rho for num in nums])      # (L, n)
+        self.phases = [phase_in_chart(ch, self.lam) for ch in self.charts]
+        self.start = np.stack([ph.start_point() for ph in self.phases])   # (L, d)
+        self.A = np.stack([ph.A for ph in self.phases])                  # (L, 2d, d)
+        B = np.stack([ph.B for ph in self.phases])                       # (L, 2d, n)
+        self.sigma = np.stack([ph.sigma for ph in self.phases])          # (L, d)
         self.lnq = np.log(np.array(self.q))
         self.bq = B @ self.lnq
         self.qdeg = B.sum(axis=2)
@@ -244,7 +211,7 @@ class _Lanes:
                           np.zeros((count, dim, dim), dtype=complex),
                           np.zeros(count, dtype=complex), [None] * count)
         A = self.A[idx].astype(complex)
-        start = np.log((-self.sigma[idx]).astype(complex))
+        start = self.start[idx]
         det0 = np.linalg.det(np.stack([np.diag(-x.astype(complex)) for x in self.sigma[idx]]))
         run = _Running(
             lane=np.arange(count), A=A, At=np.ascontiguousarray(A.transpose(0, 2, 1)),
@@ -429,14 +396,10 @@ class _Lanes:
             self._attempt(run, restart)
         return finished
 
-    def _exponentials(self, idx: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return np.exp(np.matmul(self.A[idx], s[..., None])[..., 0] + self.bq[idx])
-
     def critical_values(self, idx: Sequence[int], s: np.ndarray) -> np.ndarray:
         """u_sigma = f(s) + rho . ln q per lane."""
-        idx = np.asarray(idx, dtype=int)
-        vals = self._exponentials(idx, s)
-        return vals.sum(axis=1) + np.sum(self.sigma[idx] * s, axis=1) + self.rho[idx] @ self.lnq
+        return np.array([self.phases[k].value(x, self.lnq) + self.phases[k].rho @ self.lnq
+                         for k, x in zip(idx, s)])
 
     def records(self, ends: _Endpoints) -> List[Optional[CriticalPointRecord]]:
         """The record of every tracked lane that arrived, None for the others."""
@@ -446,8 +409,8 @@ class _Lanes:
             return out
         lanes = ends.idx[arrived]
         s, h_s, dim = ends.s[arrived], ends.h[arrived], ends.s.shape[1]
-        vals = self._exponentials(lanes, s)
-        grad = np.matmul(vals[:, None, :], self.A[lanes])[:, 0] + self.sigma[lanes]
+        vals = np.array([self.phases[k].exponentials(x, self.lnq) for k, x in zip(lanes, s)])
+        grad = np.array([self.phases[k].gradient(x, self.lnq) for k, x in zip(lanes, s)])
         w = vals[:, :dim]  # the first d monomials are the chart variables
         # w-coordinate Hessian: e^{-s_k-s_l} (H_s - diag(grad_s)) at the solution
         inv_w = 1.0 / w

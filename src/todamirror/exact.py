@@ -107,30 +107,10 @@ class LaurentPolynomial:
     def is_constant(self) -> bool:
         return not self.variables
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def constant_term(self) -> Fraction:
-        zero_key = (0,) * len(self.variables)
-        return self.terms.get(zero_key, Fraction(0))
-
     def as_constant(self) -> Fraction:
         if self.variables:
             raise ExactAlgebraError(f"not a constant: {self}")
         return self.terms.get((), Fraction(0))
-
-    def degree_in(self, name: str) -> int:
-        """Highest exponent of `name` (0 if absent)."""
-        if name not in self.variables:
-            return 0
-        i = self.variables.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
-    def min_degree_in(self, name: str) -> int:
-        if name not in self.variables:
-            return 0
-        i = self.variables.index(name)
-        return min((e[i] for e in self.terms), default=0)
 
     # ---- alignment ----
     def _aligned(self, other: "LaurentPolynomial"):
@@ -499,18 +479,6 @@ def _as_series(x, order: int) -> HbarSeries:
     if isinstance(x, HbarSeries):
         return x
     return HbarSeries.constant(x, order)
-
-
-def series_mul(a: HbarSeries, b: HbarSeries) -> HbarSeries:
-    return a * b
-
-
-def series_exp(a: HbarSeries) -> HbarSeries:
-    return a.exp()
-
-
-def series_log(a: HbarSeries) -> HbarSeries:
-    return a.log()
 
 
 # ---------------------------------------------------------------------------

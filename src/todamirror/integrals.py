@@ -18,8 +18,8 @@ import numpy as np
 
 from .exact import LaurentPolynomial, elementary_symmetric_sigma
 from .mirror import (
+    ChartPhase,
     MirrorGraph,
-    NumericChartPhase,
     SigmaChart,
     all_k_sequences,
     make_chart,
@@ -33,15 +33,17 @@ class QuadratureError(RuntimeError):
     """Non-convergence or integrand divergence at a boundary face."""
 
 
+# Absolute floor of the doubling test; the relative tolerance governs.
+ABS_TOL = 1e-300
+
+
 @dataclass
 class IntegralTask:
     n: int
     lam: Tuple[float, ...]
     hbar: float
     chart: SigmaChart
-    t: Optional[Tuple[float, ...]] = None      # t_0..t_n with sum 0
-    q: Optional[Tuple[float, ...]] = None      # alternative to t
-    abs_tol: float = 1e-300
+    q: Tuple[float, ...]
     rel_tol: float = 1e-10
     max_doublings: int = 12
     include_prefactor: bool = True             # multiply by prod q_i^{rho/hbar}
@@ -54,11 +56,6 @@ class IntegralTask:
             raise ValueError("lambda must sum to zero")
         if self.hbar >= 0:
             raise ValueError("hbar must be negative")
-        if self.q is None:
-            if self.t is None:
-                raise ValueError("provide t or q")
-            t = tuple(float(x) for x in self.t)
-            self.q = tuple(math.exp(t[i] - t[i - 1]) for i in range(1, self.n + 1))
         self.q = tuple(float(x) for x in self.q)
         if any(x <= 0 for x in self.q):
             raise ValueError("q must be positive")
@@ -75,32 +72,40 @@ class QuadratureResult:
 
 
 @dataclass
-class GridGeometry:
-    """Peak-centred integration box, its node count and the reference f_ref."""
-    center: np.ndarray
-    halfwidth: np.ndarray
-    nodes: int
+class WeightGrid:
+    """The converged trapezoid grid of exp((f - f_ref)/hbar) on a peak-centred
+    box: its axes, the weighted integrand values, the cell volume, the
+    integral (grid sum times cell), its doubling error, and the integrand
+    evaluations of the whole doubling loop."""
+    axes: List[np.ndarray]
+    weights: np.ndarray
+    cell: float
     f_ref: float
+    value: float
+    error: float
+    evaluations: int
+
+    @property
+    def nodes(self) -> int:
+        return len(self.axes[0])
 
 
-def _real_peak(num: NumericChartPhase, lnq: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _real_peak(phase: ChartPhase, lnq: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Unique real minimum of the convex phase f(s)."""
-    s = np.zeros(num.dim)
+    s = np.zeros(phase.dim)
     for _ in range(200):
-        vals = np.exp(num.A @ s + num.B @ lnq)
-        g = num.A.T @ vals + num.sigma
+        g = phase.gradient(s, lnq)
         if np.max(np.abs(g)) < tol:
             return s
-        h = (num.A * vals[:, None]).T @ num.A
         try:
-            step = np.linalg.solve(h, -g)
+            step = np.linalg.solve(phase.hessian(s, lnq), -g)
         except np.linalg.LinAlgError as exc:
             raise QuadratureError(f"singular Hessian at the peak search: {exc}") from exc
-        f0 = vals.sum() + num.sigma @ s
+        f0 = phase.value(s, lnq)
         t = 1.0
         while t > 1e-14:
             s_try = s + t * step
-            f_try = np.exp(num.A @ s_try + num.B @ lnq).sum() + num.sigma @ s_try
+            f_try = phase.value(s_try, lnq)
             if np.isfinite(f_try) and f_try < f0:
                 s = s_try
                 break
@@ -114,10 +119,10 @@ def _real_peak(num: NumericChartPhase, lnq: np.ndarray, tol: float = 1e-12) -> n
     raise QuadratureError("peak search did not converge")
 
 
-def _decay_check(num: NumericChartPhase, lnq: np.ndarray, s_star: np.ndarray,
+def _decay_check(phase: ChartPhase, lnq: np.ndarray, s_star: np.ndarray,
                  f_star: float, reach: float = 40.0) -> None:
     """Verify f grows along every boundary ray; report the offending face."""
-    d = num.dim
+    d = phase.dim
     dirs: List[Tuple[str, np.ndarray]] = []
     for k in range(d):
         for sgn in (+1.0, -1.0):
@@ -129,23 +134,22 @@ def _decay_check(num: NumericChartPhase, lnq: np.ndarray, s_star: np.ndarray,
         v = rng.standard_normal(d)
         dirs.append((f"ray {i}", v / np.linalg.norm(v)))
     for name, e in dirs:
-        f_far = float(np.exp(num.A @ (s_star + reach * e) + num.B @ lnq).sum()
-                      + num.sigma @ (s_star + reach * e))
+        f_far = float(phase.value(s_star + reach * e, lnq))
         if not np.isfinite(f_far) or f_far < f_star + 1.0:
             raise QuadratureError(
                 f"integrand fails to decay at boundary face ({name})")
 
 
-def _axis_halfwidths(num: NumericChartPhase, lnq: np.ndarray, s_star: np.ndarray,
+def _axis_halfwidths(phase: ChartPhase, lnq: np.ndarray, s_star: np.ndarray,
                      f_star: float, threshold: float) -> np.ndarray:
     """Per-axis S with f(s* +/- S e_k) - f* >= threshold (tail bound)."""
-    d = num.dim
+    d = phase.dim
     out = np.zeros(d)
 
     def excess(k: int, t: float) -> float:
         s = s_star.copy()
         s[k] += t
-        return float(np.exp(num.A @ s + num.B @ lnq).sum() + num.sigma @ s) - f_star
+        return float(phase.value(s, lnq)) - f_star
 
     for k in range(d):
         width = 0.0
@@ -160,31 +164,32 @@ def _axis_halfwidths(num: NumericChartPhase, lnq: np.ndarray, s_star: np.ndarray
     return out
 
 
-def _weight_grid(num: NumericChartPhase, lnq: np.ndarray, geom: GridGeometry,
+def _weight_grid(phase: ChartPhase, lnq: np.ndarray, center: np.ndarray,
+                 halfwidth: np.ndarray, m: int, f_ref: float,
                  hbar: float) -> Tuple[List[np.ndarray], np.ndarray, float]:
-    """Axes, trapezoid-weighted exp((f - f_ref)/hbar) and cell volume of the box."""
-    d = num.dim
-    m = geom.nodes
-    axes = [np.linspace(geom.center[k] - geom.halfwidth[k],
-                        geom.center[k] + geom.halfwidth[k], m) for k in range(d)]
+    """Axes, trapezoid-weighted exp((f - f_ref)/hbar) and cell volume of the
+    box center +/- halfwidth with m nodes per axis."""
+    d = phase.dim
+    axes = [np.linspace(center[k] - halfwidth[k], center[k] + halfwidth[k], m)
+            for k in range(d)]
     # accumulate f on the grid monomial by monomial (broadcasted 1-D phases)
     shape = tuple([m] * d)
     f_grid = np.zeros(shape)
-    for idx in range(num.A.shape[0]):
-        a = num.A[idx]
-        b_ln = float(num.B[idx] @ lnq)
-        phase = np.full(shape, b_ln)
+    for idx in range(phase.A.shape[0]):
+        a = phase.A[idx]
+        b_ln = float(phase.B[idx] @ lnq)
+        term = np.full(shape, b_ln)
         for k in range(d):
             view = [None] * d
             view[k] = slice(None)
-            phase = phase + a[k] * axes[k][tuple(view)]
-        np.exp(phase, out=phase)
-        f_grid += phase
+            term = term + a[k] * axes[k][tuple(view)]
+        np.exp(term, out=term)
+        f_grid += term
     for k in range(d):
         view = [None] * d
         view[k] = slice(None)
-        f_grid = f_grid + num.sigma[k] * axes[k][tuple(view)]
-    f_grid -= geom.f_ref
+        f_grid = f_grid + phase.sigma[k] * axes[k][tuple(view)]
+    f_grid -= f_ref
     f_grid /= hbar
     np.exp(f_grid, out=f_grid)
     # trapezoid weights: 1/2 at the two endpoints of each axis
@@ -194,42 +199,33 @@ def _weight_grid(num: NumericChartPhase, lnq: np.ndarray, geom: GridGeometry,
         f_grid[tuple(sl)] *= 0.5
         sl[k] = m - 1
         f_grid[tuple(sl)] *= 0.5
-    steps = [(2.0 * geom.halfwidth[k]) / (m - 1) for k in range(d)]
+    steps = [(2.0 * halfwidth[k]) / (m - 1) for k in range(d)]
     return axes, f_grid, math.prod(steps)
 
 
-def _tensor_integral(num: NumericChartPhase, lnq: np.ndarray, geom: GridGeometry,
-                     hbar: float) -> Tuple[float, int]:
-    """Trapezoid tensor integral of exp((f - f_ref)/hbar) on the box."""
-    _, grid, cell = _weight_grid(num, lnq, geom, hbar)
-    return float(grid.sum()) * cell, geom.nodes ** num.dim
-
-
-def _converged_geometry(num: NumericChartPhase, lnq: np.ndarray, hbar: float,
-                        rel_tol: float, abs_tol: float,
-                        max_doublings: int) -> Tuple[GridGeometry, float, float, int, bool]:
-    s_star = _real_peak(num, lnq)
-    f_star = float(np.exp(num.A @ s_star + num.B @ lnq).sum() + num.sigma @ s_star)
-    _decay_check(num, lnq, s_star, f_star)
+def _converged_grid(phase: ChartPhase, lnq: np.ndarray, hbar: float,
+                    rel_tol: float, max_doublings: int) -> WeightGrid:
+    """Double the nodes per axis from 17 until two trapezoid sums agree to
+    rel_tol; each unconverged grid is dropped before the next is built."""
+    s_star = _real_peak(phase, lnq)
+    f_star = float(phase.value(s_star, lnq))
+    _decay_check(phase, lnq, s_star, f_star)
     # e^{(f - f*)/hbar} <= eps once f - f* >= |hbar| ln(1/eps)
     threshold = abs(hbar) * math.log(1e22)
-    widths = _axis_halfwidths(num, lnq, s_star, f_star, threshold)
-    nodes = 17
-    geom = GridGeometry(center=s_star, halfwidth=widths, nodes=nodes, f_ref=f_star)
-    prev, total_evals = None, 0
+    widths = _axis_halfwidths(phase, lnq, s_star, f_star, threshold)
+    nodes, prev, total_evals = 17, None, 0
     for _ in range(max_doublings):
-        raw, ev = _tensor_integral(num, lnq, geom, hbar)
-        total_evals += ev
+        axes, grid, cell = _weight_grid(phase, lnq, s_star, widths, nodes, f_star, hbar)
+        raw = float(grid.sum()) * cell
+        total_evals += nodes ** phase.dim
         if prev is not None:
             err = abs(raw - prev)
-            if err <= max(abs_tol, rel_tol * abs(raw)):
-                return geom, raw, err, total_evals, True
+            if err <= max(ABS_TOL, rel_tol * abs(raw)):
+                return WeightGrid(axes, grid, cell, f_star, raw, err, total_evals)
+        del axes, grid
         prev = raw
         nodes = 2 * (nodes - 1) + 1
-        geom = GridGeometry(center=s_star, halfwidth=widths, nodes=nodes, f_ref=f_star)
-    geom = GridGeometry(center=s_star, halfwidth=widths, nodes=(nodes - 1) // 2 + 1,
-                        f_ref=f_star)
-    return geom, prev, float("inf"), total_evals, False
+    raise QuadratureError(f"quadrature did not converge within {max_doublings} doublings")
 
 
 def evaluate(task: IntegralTask) -> QuadratureResult:
@@ -239,21 +235,16 @@ def evaluate(task: IntegralTask) -> QuadratureResult:
     unless include_prefactor is False (the q -> 0 factorisation check needs
     the bare integral).
     """
-    phase = phase_in_chart(task.chart)
-    num = phase.numeric(task.lam)
+    phase = phase_in_chart(task.chart, task.lam)
     lnq = np.log(np.array(task.q))
-    geom, raw, err, evals, converged = _converged_geometry(
-        num, lnq, task.hbar, task.rel_tol, task.abs_tol, task.max_doublings)
-    if not converged:
-        raise QuadratureError(
-            f"quadrature did not converge within {task.max_doublings} doublings")
-    log_scale = geom.f_ref / task.hbar
+    grid = _converged_grid(phase, lnq, task.hbar, task.rel_tol, task.max_doublings)
+    log_scale = grid.f_ref / task.hbar
     if task.include_prefactor:
-        log_scale += num.rho_log_q(lnq) / task.hbar
-    value = math.exp(log_scale) * raw
-    return QuadratureResult(value=value, error=err * math.exp(log_scale),
-                            evaluations=evals, converged=converged,
-                            nodes_per_axis=geom.nodes, log_scale=log_scale)
+        log_scale += float(phase.rho @ lnq) / task.hbar
+    return QuadratureResult(value=math.exp(log_scale) * grid.value,
+                            error=grid.error * math.exp(log_scale),
+                            evaluations=grid.evaluations, converged=True,
+                            nodes_per_axis=grid.nodes, log_scale=log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +274,17 @@ def _t_derivative(amp: Amplitude, bt: List[float], rt: float, hbar: float) -> Am
 
 
 def _operator_amplitude(poly: Dict[Tuple[int, ...], LaurentPolynomial],
-                        num: NumericChartPhase, x: np.ndarray, hbar: float) -> Amplitude:
+                        phase: ChartPhase, x: np.ndarray, hbar: float) -> Amplitude:
     """The amplitude P with D e^{F/hbar} = P e^{F/hbar}, coefficients taken at q = e^x."""
     n = len(x)
     t_dirs = np.eye(n + 1, n, k=-1) - np.eye(n + 1, n)   # row j: d/dt_j in x
-    bt, rt = (num.B @ t_dirs.T).T.tolist(), (num.rho @ t_dirs.T).tolist()
+    bt, rt = (phase.B @ t_dirs.T).T.tolist(), (phase.rho @ t_dirs.T).tolist()
     q_assign = {f"q{i}": math.exp(x[i - 1]) for i in range(1, n + 1)}
     total: Amplitude = {}
     for kappa, coeff in poly.items():
         c = complex(coeff.evaluate(q_assign)).real if coeff.variables \
             else float(coeff.as_constant())
-        amp: Amplitude = {(0,) * len(num.B): c}
+        amp: Amplitude = {(0,) * len(phase.B): c}
         for j, power in enumerate(kappa):
             for _ in range(power):
                 amp = _t_derivative(amp, bt[j], rt[j], hbar)
@@ -337,33 +328,29 @@ def eigen_residual(n: int, lam: Sequence[float], hbar: float,
     chart = chart or make_chart(graph, (0,) * n)
     x = np.array([t_base[i] - t_base[i - 1] for i in range(1, n + 1)])
 
-    num = phase_in_chart(chart).numeric(lam)
-    geom, _, _, evals, ok = _converged_geometry(num, x, hbar, rel_tol, 1e-300, max_doublings)
-    if not ok:
-        raise QuadratureError("base-point quadrature did not converge")
-    axes, grid, cell = _weight_grid(num, x, geom, hbar)
+    phase = phase_in_chart(chart, lam)
+    grid = _converged_grid(phase, x, hbar, rel_tol, max_doublings)
 
-    zero = (0,) * len(num.B)
+    zero = (0,) * len(phase.B)
 
     def moment(k: Tuple[int, ...]) -> float:
         """Grid sum of weight * e^k; e^k is separable in s."""
         ka = np.array(k, dtype=float)
-        out = grid
-        for axis, a in reversed(list(enumerate(ka @ num.A))):
-            out = out @ np.exp(a * axes[axis])
-        return float(out) * math.exp(float(ka @ num.B @ x))
+        out = grid.weights
+        for axis, a in reversed(list(enumerate(ka @ phase.A))):
+            out = out @ np.exp(a * grid.axes[axis])
+        return float(out) * math.exp(float(ka @ phase.B @ x))
 
-    amplitudes = [_operator_amplitude(poly, num, x, hbar)
+    amplitudes = [_operator_amplitude(poly, phase, x, hbar)
                   for poly in ops.toda_polynomials(n)]
     moments = {k: moment(k) for k in {zero}.union(*amplitudes)}
     base = moments[zero]
     residuals = [abs(sum(c * moments[k] for k, c in amp.items()) - sigma * base) / abs(base)
                  for amp, sigma in zip(amplitudes, elementary_symmetric_sigma(lam))]
-    base_value = math.exp((geom.f_ref + num.rho_log_q(x)) / hbar) * base * cell
+    base_value = math.exp((grid.f_ref + float(phase.rho @ x)) / hbar) * base * grid.cell
     return EigenReport(n=n, lam=lam, q=tuple(math.exp(v) for v in x), hbar=hbar,
                        residuals=residuals, base_value=base_value,
-                       evaluations=evals + geom.nodes ** num.dim,
-                       nodes_per_axis=geom.nodes)
+                       evaluations=grid.evaluations, nodes_per_axis=grid.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +399,7 @@ def admissible_charts(graph: MirrorGraph, lam: Sequence[float], hbar: float) -> 
     """Charts with every exponent sigma(i,j)/hbar positive at this lambda."""
     out = []
     for k in all_k_sequences(graph.n):
-        chart = make_chart(graph, k)
-        vals = [float(chart.sigma[p].evaluate(lam)) / hbar for p in chart.positions]
-        if all(v > 0 for v in vals):
+        if (phase_in_chart(make_chart(graph, k), lam).sigma / hbar > 0).all():
             out.append(k)
     return out
 
@@ -430,9 +415,8 @@ def q_to_zero_factorization(n: int, lam: Sequence[float], hbar: float,
                             rel_tol: float = 1e-10) -> Tuple[float, float, float]:
     """Relative mismatch between the rescaled integral at small q and the
     product of one-variable Gamma factors.  Returns (mismatch, value, product)."""
-    lam = tuple(float(x) for x in lam)
-    sig = [float(chart.sigma[p].evaluate(lam)) for p in chart.positions]
-    if any(s / hbar <= 0 for s in sig):
+    sig = phase_in_chart(chart, lam).sigma
+    if (sig / hbar <= 0).any():
         raise ValueError("chart is not admissible at this lambda (sigma/hbar <= 0)")
     task = IntegralTask(n=n, lam=lam, hbar=hbar, chart=chart,
                         q=(q_small,) * n, include_prefactor=False, rel_tol=rel_tol)
@@ -481,11 +465,11 @@ def cp1_example_check(lam0: float, q_grid: Sequence[float]) -> Cp1Report:
     # assign each chart the momentum branch that matches its du/dt
     for kseq in ((0,), (1,)):
         chart = make_chart(graph, kseq)
-        num = phase_in_chart(chart).numeric(lam)
+        phase = phase_in_chart(chart, lam)
         for q in q_grid:
             rec = crit.continue_to(chart, lam, (q,), bump=crit.DETOUR_BUMPS[0])
             lnq = np.array([math.log(q)])
-            du = complex((num.B.T @ num.exponentials(rec.s, lnq) + num.rho)[0])
+            du = complex((phase.B.T @ phase.exponentials(rec.s, lnq) + phase.rho)[0])
             root = math.sqrt(lam0 ** 2 + q)
             p = min((root, -root), key=lambda v: abs(du - v))
             momentum_match = max(momentum_match, abs(du - p))

@@ -10,14 +10,21 @@ relations
     roof:  u_{1,j} v_{1,j}   = q_{j+1}
 
 cut out a torus of dimension n(n+1)/2 on which the phase function lives.
+A sigma-chart is a unimodular change of the vertex log-coordinates: it
+supplies monomials and log-coefficients, and `phase_in_chart(chart, lam)`
+turns them into the one numeric phase (`ChartPhase`) that continuation,
+quadrature and the checks all read.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .exact import LaurentPolynomial, format_rational
 
@@ -28,6 +35,18 @@ class MirrorModelError(ValueError):
 
 class MonomialSolveError(MirrorModelError):
     """The monomial relations could not be solved for a chart (graph bug)."""
+
+
+class ChartFailure:
+    """Mixin for solver failures: `chart` is the k-sequence at fault, if any."""
+
+    def __init__(self, message: str = "", chart: Optional[Sequence[int]] = None):
+        super().__init__(message)
+        self.chart = tuple(chart) if chart is not None else None
+
+
+class DegenerateParameterError(ChartFailure, ValueError):
+    """lambda is too degenerate for the requested construction."""
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +247,11 @@ class MirrorGraph:
     def phase_value(self, t_coords: Mapping[Tuple[int, int], float],
                     lam: Sequence[float]) -> float:
         """Numeric phase at given vertex coordinates (edges all positive)."""
-        import math as _math
         total = 0.0
         for name in self.edges:
             log_edge = sum(c * t_coords[v] for v, c in self.edge_t_vector(name).items())
             weight = float(self.weights[name].evaluate(lam))
-            total += _math.exp(log_edge) + weight * log_edge
+            total += math.exp(log_edge) + weight * log_edge
         return total
 
     def q_t_vector(self, k: int) -> Dict[Tuple[int, int], int]:
@@ -243,10 +261,6 @@ class MirrorGraph:
 
 def build_graph(n: int) -> MirrorGraph:
     return MirrorGraph(n)
-
-
-def assign_weights(n: int) -> Dict[str, LambdaForm]:
-    return MirrorGraph(n).weights
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +276,6 @@ class ChartMonomial:
 
     def q_degree(self) -> int:
         return sum(self.q_exps)
-
-    def w_dict(self) -> Dict[Tuple[int, int], int]:
-        return dict(self.w_exps)
 
 
 class SigmaChart:
@@ -480,88 +491,78 @@ def enumerate_charts(graph: MirrorGraph) -> List[SigmaChart]:
 # Phase function in a chart.
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class ChartPhase:
-    """f in chart coordinates:
+    """The phase in one chart at one lambda, in log coordinates s = ln w:
 
-        sum_i rho_{1,i-1} ln q_i
-        + sum_{ij} ( w_ij + r_ij(w, q) + sigma(i,j) ln w_ij )
+        f(s) = sum_m exp(A_m . s + B_m . ln q) + sigma . s,
 
-    The exponential part is kept as a list of monomials (the w_ij themselves
-    plus the eliminated partners r_ij); log-coefficients stay as exact
-    lambda-forms until numeric specialisation.
+    and the critical value adds rho . ln q.  The rows of A and B are the
+    monomials: the d chart variables w_ij themselves, then their eliminated
+    partners r_ij(w, q).  sigma(i, j) and rho_{1,i-1} are the chart's
+    log-coefficients evaluated at lambda.  Every numeric consumer (Newton
+    continuation, quadrature, the checks) reads f, its exponentials, its
+    gradient and its Hessian from here.
     """
 
-    def __init__(self, chart: SigmaChart):
-        self.chart = chart
-        self.n = chart.n
-        self.dim = len(chart.positions)
-        self.sigma_forms = [chart.sigma[p] for p in chart.positions]
-        self.rho_forms = [chart.rho[(1, i - 1)] for i in range(1, self.n + 1)]
-        monos: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        for k, p in enumerate(chart.positions):
-            unit = [0] * self.dim
-            unit[k] = 1
-            monos.append((tuple(unit), (0,) * self.n))
-        self.r_monomials: List[ChartMonomial] = []
-        for p in chart.positions:
-            r = chart.eliminated[chart.partner_edges[p]]
-            if r.q_degree() < 1:
-                raise MonomialSolveError(
-                    f"chart {chart.kseq}: eliminated edge at {p} carries no q factor")
-            self.r_monomials.append(r)
-            a = [0] * self.dim
-            for pos, e in r.w_exps:
-                a[chart.position_index[pos]] = e
-            monos.append((tuple(a), r.q_exps))
-        self.monomials = monos
+    A: np.ndarray                        # (2d, d) exponents of w
+    B: np.ndarray                        # (2d, n) exponents of q
+    sigma: np.ndarray                    # (d,)
+    rho: np.ndarray                      # (n,)
+    chart: Optional[SigmaChart] = None
+    lam: Tuple[float, ...] = ()
 
-    def numeric(self, lam: Sequence[float]) -> "NumericChartPhase":
-        return NumericChartPhase(self, lam)
+    @property
+    def dim(self) -> int:
+        return self.A.shape[1]
 
-
-def phase_in_chart(chart: SigmaChart) -> ChartPhase:
-    return ChartPhase(chart)
-
-
-class NumericChartPhase:
-    """Float specialisation of a ChartPhase, in log coordinates s = ln w.
-
-    f(s) = sum_m exp(a_m . s + b_m . ln q) + sigma . s   (+ rho . ln q).
-    Gradient and Hessian are with respect to s.
-    """
-
-    def __init__(self, phase: ChartPhase, lam: Sequence[float]):
-        import numpy as np
-
-        self.phase = phase
-        self.n = phase.n
-        self.dim = phase.dim
-        self.lam = [float(x) for x in lam]
-        if len(self.lam) != phase.n + 1:
-            raise MirrorModelError("lambda vector has wrong length")
-        self.A = np.array([m[0] for m in phase.monomials], dtype=float)
-        self.B = np.array([m[1] for m in phase.monomials], dtype=float)
-        self.sigma = np.array([float(f.evaluate(self.lam)) for f in phase.sigma_forms])
-        self.rho = np.array([float(f.evaluate(self.lam)) for f in phase.rho_forms])
-
-    def rho_log_q(self, lnq) -> float:
-        return float(self.rho @ lnq)
-
-    def exponentials(self, s, lnq):
-        import numpy as np
+    def exponentials(self, s: np.ndarray, lnq: np.ndarray) -> np.ndarray:
         return np.exp(self.A @ s + self.B @ lnq)
 
-    def value(self, s, lnq):
-        vals = self.exponentials(s, lnq)
-        return vals.sum() + self.sigma @ s
+    def value(self, s: np.ndarray, lnq: np.ndarray) -> np.ndarray:
+        return self.exponentials(s, lnq).sum() + self.sigma @ s
 
-    def gradient(self, s, lnq):
-        vals = self.exponentials(s, lnq)
-        return self.A.T @ vals + self.sigma
+    def gradient(self, s: np.ndarray, lnq: np.ndarray) -> np.ndarray:
+        return self.A.T @ self.exponentials(s, lnq) + self.sigma
 
-    def hessian(self, s, lnq):
-        vals = self.exponentials(s, lnq)
-        return (self.A * vals[:, None]).T @ self.A
+    def hessian(self, s: np.ndarray, lnq: np.ndarray) -> np.ndarray:
+        return (self.A.T * self.exponentials(s, lnq)) @ self.A
+
+    def start_point(self) -> np.ndarray:
+        """Log coordinates of the q = 0 critical point, w_ij = -sigma(i, j).
+
+        x + c ln x has its unique critical point at x = -c, so each chart
+        factor starts there; a vanishing exponent makes the start degenerate.
+        """
+        small = np.abs(self.sigma) < 1e-12
+        if small.any():
+            p = self.chart.positions[int(small.argmax())]
+            raise DegenerateParameterError(
+                f"exponent sigma{p} vanishes at lambda={self.lam}; "
+                "critical start point undefined (choose generic lambda)", self.chart.kseq)
+        return np.log((-self.sigma).astype(complex))
+
+
+def phase_in_chart(chart: SigmaChart, lam: Sequence[float]) -> ChartPhase:
+    """The chart's phase at lambda; every eliminated edge must carry q."""
+    lam = tuple(float(x) for x in lam)
+    if len(lam) != chart.n + 1:
+        raise MirrorModelError("lambda vector has wrong length")
+    dim = len(chart.positions)
+    A = np.zeros((2 * dim, dim))
+    B = np.zeros((2 * dim, chart.n))
+    A[:dim] = np.eye(dim)
+    for k, p in enumerate(chart.positions):
+        r = chart.eliminated[chart.partner_edges[p]]
+        if r.q_degree() < 1:
+            raise MonomialSolveError(
+                f"chart {chart.kseq}: eliminated edge at {p} carries no q factor")
+        for pos, e in r.w_exps:
+            A[dim + k, chart.position_index[pos]] = e
+        B[dim + k] = r.q_exps
+    sigma = np.array([float(chart.sigma[p].evaluate(lam)) for p in chart.positions])
+    rho = np.array([float(chart.rho[(1, i)].evaluate(lam)) for i in range(chart.n)])
+    return ChartPhase(A, B, sigma, rho, chart, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -95,11 +95,6 @@ def multiplication_by_hbar_power(N: int, power: int) -> LoopOperator:
     return LoopOperator(N, lambda a, k: {(a, k + power): Fraction(1)})
 
 
-def point_dilation(N: int = 1) -> LoopOperator:
-    """D = hbar d/dhbar hbar: hbar^k -> (k+1) hbar^{k+1} componentwise."""
-    return LoopOperator(N, lambda a, k: {(a, k + 1): Fraction(k + 1)})
-
-
 def loop_d_operator(m: int, N: int = 1) -> LoopOperator:
     """D_m = hbar^{-1/2} D^{m+1} hbar^{-1/2}: hbar^k -> prod_r (k+1/2+r) hbar^{k+m}."""
     if m < -1:

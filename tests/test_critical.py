@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from todamirror import cli
 from todamirror import critical as cr
 from todamirror import mirror as mi
 
@@ -20,16 +21,16 @@ def chart(n, kseq):
 def test_start_point_one_variable():
     # x + c ln x has its critical point at x = -c; c = -1 gives x = 1
     ch = chart(1, (0,))
-    s = cr.start_point(ch, (-0.5, 0.5))   # sigma(1,0) = -2*lam0 = 1 -> w = -1
+    s = mi.phase_in_chart(ch, (-0.5, 0.5)).start_point()  # sigma(1,0) = 1 -> w = -1
     assert np.allclose(np.exp(s), [-1.0])
-    s2 = cr.start_point(ch, LAM1)         # sigma = -1 -> w = 1
+    s2 = mi.phase_in_chart(ch, LAM1).start_point()        # sigma = -1 -> w = 1
     assert np.allclose(np.exp(s2), [1.0])
 
 
 def test_start_point_rejects_degenerate_lambda():
     ch = chart(1, (0,))
     with pytest.raises(cr.DegenerateParameterError):
-        cr.start_point(ch, (0.0, 0.0))
+        mi.phase_in_chart(ch, (0.0, 0.0)).start_point()
 
 
 def test_n1_critical_roots_and_hessian():
@@ -133,6 +134,22 @@ def test_batched_lanes_match_single_tracks():
         assert abs(rec.u_sigma - single.u_sigma) < 1e-10
         assert np.max(np.abs(rec.s - single.s)) < 1e-10
         assert abs(rec.sqrt_log_hessian_det - single.sqrt_log_hessian_det) < 1e-10
+
+
+@pytest.mark.parametrize("n, lam, q", [
+    (2, (0.25, 0.125, -0.375), (1.0, 1.0)),
+    (3, tuple(float(x) for x in cli._default_lambda(3, 0)),
+     tuple(float(x) for x in cli._default_q(3, 0))),
+])
+def test_lane_kernel_agrees_with_the_chart_phase(n, lam, q):
+    # the lockstep kernel evaluates f, grad f and the Hessian with its own
+    # stacked loops; at every record the shared chart phase must agree
+    lnq = np.log(q)
+    for rec in cr.all_critical_points(n, lam, q):
+        phase = mi.phase_in_chart(rec.chart, lam)
+        assert abs(phase.value(rec.s, lnq) + phase.rho @ lnq - rec.u_sigma) < 1e-12
+        assert np.max(np.abs(phase.gradient(rec.s, lnq))) <= 1e-10
+        assert np.max(np.abs(phase.hessian(rec.s, lnq) - rec.log_hessian)) < 1e-10
 
 
 def test_census_counts_distinct_points():

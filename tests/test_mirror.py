@@ -210,6 +210,6 @@ def test_vertex_phase_numeric_matches_chart_phase():
                 t[(i, j)] = t[(i - 1, j)] + edge_log(f"u[{i},{j}]")
 
         f_vertex = g.phase_value(t, lam)
-        num = phase_in_chart(ch).numeric(lam)
-        f_chart = float(num.value(s, lnq).real) + num.rho_log_q(lnq)
+        phase = phase_in_chart(ch, lam)
+        f_chart = float(phase.value(s, lnq)) + float(phase.rho @ lnq)
         assert abs(f_vertex - f_chart) < 1e-10 * max(1.0, abs(f_vertex))
