@@ -104,9 +104,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.variables
-
     def as_constant(self) -> Fraction:
         if self.variables:
             raise ExactAlgebraError(f"not a constant: {self}")
@@ -364,11 +361,6 @@ class HbarSeries:
         if e < self.low or e >= self.low + len(self.coeffs):
             return LaurentPolynomial.zero()
         return self.coeffs[e - self.low]
-
-    def truncate(self, order: int) -> "HbarSeries":
-        if order > self.order:
-            raise ExactAlgebraError("cannot extend a truncated series")
-        return HbarSeries(self.low, self.coeffs, order)
 
     def __add__(self, other) -> "HbarSeries":
         other = _as_series(other, self.order)

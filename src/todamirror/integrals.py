@@ -66,7 +66,6 @@ class QuadratureResult:
     value: float
     error: float
     evaluations: int
-    converged: bool
     nodes_per_axis: int = 0
     log_scale: float = 0.0   # the factored-out exponent: value = exp(log_scale) * raw
 
@@ -243,7 +242,7 @@ def evaluate(task: IntegralTask) -> QuadratureResult:
         log_scale += float(phase.rho @ lnq) / task.hbar
     return QuadratureResult(value=math.exp(log_scale) * grid.value,
                             error=grid.error * math.exp(log_scale),
-                            evaluations=grid.evaluations, converged=True,
+                            evaluations=grid.evaluations,
                             nodes_per_axis=grid.nodes, log_scale=log_scale)
 
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import LaurentPolynomial, format_rational
+from .exact import format_rational
 
 
 class MirrorModelError(ValueError):
@@ -119,13 +119,6 @@ class LambdaForm:
             term = v * c if isinstance(v, (int, Fraction)) else float(c) * v
             acc = term if acc is None else acc + term
         return acc if acc is not None else Fraction(0)
-
-    def to_poly(self) -> LaurentPolynomial:
-        out = LaurentPolynomial.zero()
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                out = out + LaurentPolynomial.monomial({f"lam{i}": 1}, c)
-        return out
 
     def report(self) -> List[str]:
         return [format_rational(c) for c in self.coeffs]

@@ -3,16 +3,35 @@
 Operators act on functions of t_0..t_n.  Coefficients live in the Laurent
 ring generated by hbar and q_i = e^{t_i - t_{i-1}}; the derivation rule
 ``hbar d/dt_i (q_j) = hbar (delta_{ij} - delta_{i,j-1}) q_j`` is all the
-noncommutativity there is.
+noncommutativity there is.  Any other coefficient variable is constant in t.
+
+Closed form.  On a monomial q^m (q_0 = q_{n+1} = 1, so m_0 = m_{n+1} = 0),
+``hbar d/dt_i q^m = hbar w_i q^m`` with w_i = m_i - m_{i+1}.  Hence
+(hbar d)^alpha q^m = w^alpha hbar^|alpha| q^m, and for one pair of monomials
+
+    (hbar d)^kappa q^m (hbar d)^mu
+        = sum_{nu <= kappa} binom(kappa, nu) w^(kappa - nu) hbar^|kappa - nu|
+          q^m (hbar d)^(nu + mu),
+
+a sum that factorises axis by axis.
+
+Kernel.  `compose` and `commutator` write both operands once as flat terms
+(kappa, exponent vector over one shared layout, integer numerator), the layout
+being the coefficient variables plus hbar and the numerators taken over each
+operand's common denominator.  Every product of terms is added to one dict
+keyed by (kappa_out, extra hbar power, exponent vector), with int values; a
+commutator subtracts b . a in the same dict.  Exact Fractions and one
+`LaurentPolynomial` per output kappa are built only at the boundary.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .exact import ExactAlgebraError, LaurentPolynomial
+from .exact import ExactAlgebraError, LaurentPolynomial, variable_order
 
 HBAR = "hbar"
 
@@ -23,62 +42,6 @@ def q_name(i: int) -> str:
 
 def p_name(i: int) -> str:
     return f"p{i}"
-
-
-def _dt_coefficient(coeff: LaurentPolynomial, axis: int, n: int) -> LaurentPolynomial:
-    """d/dt_axis applied to a coefficient polynomial in q_1..q_n.
-
-    A monomial with q-exponents m_1..m_n picks up the factor
-    m_axis - m_{axis+1} (indices outside 1..n read as 0).
-    """
-    pos = {}
-    for idx, v in enumerate(coeff.variables):
-        pos[v] = idx
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    ia = pos.get(q_name(axis))
-    ib = pos.get(q_name(axis + 1))
-    for e, c in coeff.terms.items():
-        factor = (e[ia] if ia is not None else 0) - (e[ib] if ib is not None else 0)
-        if factor == 0:
-            continue
-        s = out.get(e, Fraction(0)) + c * factor
-        if s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return LaurentPolynomial(coeff.variables, out)
-
-
-def _derive_coeff(coeff: LaurentPolynomial, alpha: Sequence[int], n: int) -> LaurentPolynomial:
-    """(hbar d/dt)^alpha applied to a pure coefficient."""
-    total = sum(alpha)
-    if total == 0:
-        return coeff
-    out = coeff
-    for axis, k in enumerate(alpha):
-        for _ in range(k):
-            out = _dt_coefficient(out, axis, n)
-            if out.is_zero():
-                return out
-    return out * LaurentPolynomial.monomial({HBAR: total})
-
-
-def _multibinom(kappa: Sequence[int], nu: Sequence[int]) -> int:
-    b = 1
-    for k, v in zip(kappa, nu):
-        b *= math.comb(k, v)
-    return b
-
-
-def _sub_multi_indices(kappa: Tuple[int, ...]):
-    """All nu with 0 <= nu <= kappa componentwise."""
-    if not kappa:
-        yield ()
-        return
-    head, rest = kappa[0], kappa[1:]
-    for tail in _sub_multi_indices(rest):
-        for v in range(head + 1):
-            yield (v,) + tail
 
 
 class DifferentialOperator:
@@ -172,31 +135,90 @@ class DifferentialOperator:
         return f"DifferentialOperator({self.canonical_str()})"
 
 
-def compose(a: DifferentialOperator, b: DifferentialOperator) -> DifferentialOperator:
-    """Normal-ordered product a . b."""
+def _flat_terms(op: DifferentialOperator, index: Mapping[str, int],
+                axes: Sequence[Tuple[int, int]]) -> Tuple[list, int]:
+    """The terms of `op` as (kappa, exponents over the shared layout, weights
+    w, integer numerator), with the common denominator of its coefficients."""
+    den = 1
+    for c in op.terms.values():
+        for v in c.terms.values():
+            den = math.lcm(den, v.denominator)
+    flat = []
+    for kappa, c in op.terms.items():
+        slots = [index[v] for v in c.variables]
+        for e, v in c.terms.items():
+            vec = [0] * (len(index) + 1)  # the trailing 0 is every absent q_j
+            for slot, x in zip(slots, e):
+                vec[slot] = x
+            w = tuple(vec[i] - vec[j] for i, j in axes)
+            flat.append((kappa, tuple(vec[:-1]), w, v.numerator * (den // v.denominator)))
+    return flat, den
+
+
+def _leibniz(kappa: Tuple[int, ...], mu: Tuple[int, ...], w: Tuple[int, ...]) -> list:
+    """(hbar d)^kappa q^m (hbar d)^mu as (kappa_out, extra hbar power, integer
+    factor) triples: the closed form's terms, with d = kappa - nu taken one
+    axis at a time, skipping the axes where kappa_i or w_i is 0."""
+    out = [(tuple(map(add, kappa, mu)), 0, 1)]
+    for i, (k, w_i) in enumerate(zip(kappa, w)):
+        if k and w_i:
+            out = [(ko[:i] + (ko[i] - d,) + ko[i + 1:], dh + d, f * math.comb(k, d) * w_i ** d)
+                   for ko, dh, f in out for d in range(k + 1)]
+    return out
+
+
+def _normal_ordered(a: DifferentialOperator, b: DifferentialOperator,
+                    commute: bool) -> DifferentialOperator:
+    """a . b, or a . b - b . a when `commute`, on the shared layout: the
+    coefficient variables of both operands plus hbar, in the global order."""
     if a.n != b.n:
         raise ExactAlgebraError("operator size mismatch")
-    n = a.n
-    acc: Dict[Tuple[int, ...], LaurentPolynomial] = {}
-    for kappa, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            for nu in _sub_multi_indices(kappa):
-                alpha = tuple(k - v for k, v in zip(kappa, nu))
-                derived = _derive_coeff(cb, alpha, n)
-                if derived.is_zero():
-                    continue
-                coeff = ca * derived * _multibinom(kappa, nu)
-                key = tuple(x + y for x, y in zip(nu, mu))
-                s = acc.get(key, LaurentPolynomial.zero()) + coeff
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-    return DifferentialOperator(n, acc)
+    names = {HBAR}
+    for c in (*a.terms.values(), *b.terms.values()):
+        names.update(c.variables)
+    layout = tuple(sorted(names, key=variable_order))
+    index = {v: i for i, v in enumerate(layout)}
+    qslots = [index.get(q_name(i), -1) for i in range(a.n + 2)]
+    axes = list(zip(qslots, qslots[1:]))  # w_i = m_i - m_{i+1}, i = 0..n
+    a_flat, a_den = _flat_terms(a, index, axes)
+    b_flat, b_den = _flat_terms(b, index, axes)
+    acc: Dict[tuple, int] = {}
+    products = [(a_flat, b_flat, 1)] + ([(b_flat, a_flat, -1)] if commute else [])
+    for left, right, sign in products:
+        by_kappa: Dict[Tuple[int, ...], list] = {}
+        for kappa, e, _, c in left:
+            by_kappa.setdefault(kappa, []).append((e, c))
+        for kappa, left_terms in by_kappa.items():
+            expansions = [(e, sign * c, _leibniz(kappa, mu, w)) for mu, e, w, c in right]
+            for ea, ca in left_terms:
+                for eb, cb, leibniz in expansions:
+                    e = tuple(map(add, ea, eb))
+                    c = ca * cb
+                    for ko, dh, f in leibniz:
+                        key = (ko, dh, e)
+                        acc[key] = acc.get(key, 0) + c * f
+    # the boundary: fold the extra hbar powers in, then one polynomial per kappa
+    h = index[HBAR]
+    terms: Dict[Tuple[int, ...], Dict[tuple, int]] = {}
+    for (ko, dh, e), v in acc.items():
+        if dh:
+            e = e[:h] + (e[h] + dh,) + e[h + 1:]
+        t = terms.setdefault(ko, {})
+        t[e] = t.get(e, 0) + v
+    den = a_den * b_den
+    return DifferentialOperator(a.n, {
+        ko: LaurentPolynomial(layout, {e: Fraction(v, den) for e, v in t.items()})
+        for ko, t in terms.items()})
+
+
+def compose(a: DifferentialOperator, b: DifferentialOperator) -> DifferentialOperator:
+    """Normal-ordered product a . b."""
+    return _normal_ordered(a, b, commute=False)
 
 
 def commutator(a: DifferentialOperator, b: DifferentialOperator) -> DifferentialOperator:
-    return compose(a, b) - compose(b, a)
+    """a . b - b . a, with both products in one accumulator."""
+    return _normal_ordered(a, b, commute=True)
 
 
 # ---------------------------------------------------------------------------

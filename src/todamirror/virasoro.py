@@ -86,10 +86,6 @@ class LoopOperator:
                     return False
         return True
 
-    def is_zero_on_window(self, window: Sequence[int]) -> bool:
-        return all(not self.act_basis(alpha, k)
-                   for alpha in range(self.N) for k in window)
-
 
 def multiplication_by_hbar_power(N: int, power: int) -> LoopOperator:
     return LoopOperator(N, lambda a, k: {(a, k + power): Fraction(1)})
@@ -494,8 +490,5 @@ def family_bracket_check(mu: Sequence[Fraction], rho: Sequence[Sequence[Fraction
     a = family_operator(mu, rho, m)
     b = family_operator(mu, rho, mp)
     c = family_operator(mu, rho, m + mp)
-    bracket = a.commutator(b)
-    for coeff in (mp - m, m - mp):
-        if bracket.equals_on_window(c.scale(Fraction(coeff)), k_window):
-            return FamilyBracketResult(m=m, mp=mp, exact=True, coefficient=coeff)
-    return FamilyBracketResult(m=m, mp=mp, exact=False, coefficient=0)
+    exact = a.commutator(b).equals_on_window(c.scale(Fraction(mp - m)), k_window)
+    return FamilyBracketResult(m=m, mp=mp, exact=exact, coefficient=mp - m if exact else 0)

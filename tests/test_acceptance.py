@@ -35,14 +35,14 @@ def _random_draw(n: int, rng: random.Random):
 
 def test_criterion_1_toda_commutativity():
     ok = True
-    for n in (1, 2, 3):
+    for n in range(1, 6):
         d = ops.toda_operators(n)
         ham = ops.build_hamiltonian(n)
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 ok = ok and ops.commutator(d[i], d[j]).is_zero()
             ok = ok and ops.commutator(ham, d[i]).is_zero()
-    _report("criterion 1: [D_i, D_j] = 0 and [H, D_i] = 0 exactly, n = 1..3", ok)
+    _report("criterion 1: [D_i, D_j] = 0 and [H, D_i] = 0 exactly, n = 1..5", ok)
 
 
 def test_criterion_2_critical_point_census():

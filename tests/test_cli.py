@@ -19,6 +19,27 @@ def test_commute_passes(capsys):
     assert all(r["residual_terms"] == 0 for r in doc["results"])
 
 
+def test_commute_failure_is_a_report(monkeypatch, capsys):
+    from todamirror import operators as ops
+    from todamirror.exact import LaurentPolynomial as LP
+    family = ops.toda_operators
+
+    def perturbed(n):
+        d = family(n)
+        d[1] = d[1] + ops.DifferentialOperator.multiplication(
+            n, LP.variable("hbar") * LP.variable("q1"))
+        return d
+
+    monkeypatch.setattr(ops, "toda_operators", perturbed)
+    assert run_cli(["commute", "--n", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    rows = {(r["n"], r["pair"]): r["residual_terms"] for r in doc["results"]}
+    for n in (1, 2, 3):
+        assert rows[n, "H,D2"] > 0
+        assert rows[n, "D1,D2"] == 0  # a common shift of every t_i leaves q_1 alone
+
+
 def test_mirror_passes(capsys):
     assert run_cli(["mirror", "--n", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -92,12 +92,23 @@ def test_leibniz_examples():
     assert ops.commutator(d1, q1).terms == {(0, 0): hq}
 
 
-def random_operator(rng, n, nterms=5):
+def test_leibniz_negative_exponent():
+    # hbar d_1 . q_1^{-1} = q_1^{-1} hbar d_1 - hbar q_1^{-1}
+    q1_inv = ops.DifferentialOperator.multiplication(1, LP.monomial({"q1": -1}))
+    d1 = ops.DifferentialOperator.partial(1, 1)
+    assert ops.compose(d1, q1_inv).terms == {
+        (0, 1): LP.monomial({"q1": -1}), (0, 0): -LP.monomial({"q1": -1, "hbar": 1})}
+
+
+def random_operator(rng, n, nterms=5, laurent=False):
+    """With `laurent`, q-exponents go negative and lam0, constant in t, appears."""
     terms = {}
     for _ in range(nterms):
         kappa = tuple(rng.randint(0, 2) for _ in range(n + 1))
-        exps = {f"q{i}": rng.randint(0, 2) for i in range(1, n + 1)}
+        exps = {f"q{i}": rng.randint(-2 if laurent else 0, 2) for i in range(1, n + 1)}
         exps["hbar"] = rng.randint(0, 1)
+        if laurent:
+            exps["lam0"] = rng.randint(0, 1)
         coeff = LP.monomial(exps, F(rng.randint(-5, 5), rng.randint(1, 4)))
         terms[kappa] = terms.get(kappa, LP.zero()) + coeff
     return ops.DifferentialOperator(n, terms)
@@ -109,6 +120,38 @@ def test_compose_associative_random():
         n = rng.choice((1, 2))
         a, b, c = (random_operator(rng, n) for _ in range(3))
         assert ops.compose(ops.compose(a, b), c) == ops.compose(a, ops.compose(b, c))
+
+
+def apply_to_symbol(op, phi, k):
+    """op applied to phi * e^{k.t}, phi a Laurent polynomial in the q_i, hbar
+    and lam0, through hbar d/dt_i (q^m e^{k.t}) = hbar (k_i + m_i - m_{i+1})
+    q^m e^{k.t} with m_0 = m_{n+1} = 0.  Returns the new phi."""
+    out = LP.zero()
+    for kappa, coeff in op.terms.items():
+        for e, c in phi.terms.items():
+            exps = dict(zip(phi.variables, e))
+            m = [exps.get(f"q{i}", 0) for i in range(op.n + 2)]
+            for i, k_i in enumerate(kappa):
+                c *= (k[i] + m[i] - m[i + 1]) ** k_i
+            exps["hbar"] = exps.get("hbar", 0) + sum(kappa)
+            out = out + coeff * LP.monomial(exps, c)
+    return out
+
+
+def test_compose_matches_action_on_exponential_symbols():
+    rng = random.Random(2026)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        a, b = (random_operator(rng, n, nterms=4, laurent=True) for _ in range(2))
+        ab = ops.compose(a, b)
+        phi = LP.zero()
+        for _ in range(3):
+            exps = {f"q{i}": rng.randint(-2, 2) for i in range(1, n + 1)}
+            exps["lam0"] = rng.randint(0, 1)
+            phi = phi + LP.monomial(exps, rng.randint(1, 3))
+        for k in [(0,) * (n + 1)] + [tuple(rng.randint(-3, 3) for _ in range(n + 1))
+                                     for _ in range(3)]:
+            assert apply_to_symbol(ab, phi, k) == apply_to_symbol(a, apply_to_symbol(b, phi, k), k)
 
 
 def test_commutativity_exact_n123():
@@ -125,3 +168,11 @@ def test_operator_serialization():
     d2 = ops.toda_operators(1)[1]
     text = d2.canonical_str()
     assert "d0^1 d1^1" in text and "q1" in text
+
+
+def test_perturbed_operator_fails_to_commute():
+    bump = LP.variable("hbar") * LP.variable("q1")
+    for n in range(1, 6):
+        d = ops.toda_operators(n)
+        d2 = d[1] + ops.DifferentialOperator.multiplication(n, bump)
+        assert not ops.commutator(ops.build_hamiltonian(n), d2).is_zero()

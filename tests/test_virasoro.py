@@ -146,6 +146,21 @@ def test_family_bracket_random_mu_rho():
                 assert res.exact and res.coefficient == mp - m
 
 
+def test_family_bracket_sign_is_pinned():
+    # the bracket is (mp - m) L_{m+mp}, never (m - mp) L_{m+mp}
+    rng = random.Random(11)
+    window = range(-6, 7)
+    for N in (1, 2, 3):
+        mu = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(N)]
+        rho = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if j < i else F(0)
+                for j in range(N)] for i in range(N)]
+        for m, mp in ((-1, 0), (-1, 1), (0, 1), (0, 2), (1, 2)):
+            bracket = vi.family_operator(mu, rho, m).commutator(vi.family_operator(mu, rho, mp))
+            target = vi.family_operator(mu, rho, m + mp)
+            assert not bracket.equals_on_window(target.scale(F(m - mp)), window)
+            assert bracket.equals_on_window(target.scale(F(mp - m)), window)
+
+
 def test_noncommuting_mu_rho():
     # mu diagonal and rho nilpotent genuinely fail to commute as matrices
     mu = [F(1), F(2)]
