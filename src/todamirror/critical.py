@@ -428,8 +428,7 @@ class _Lanes:
         det_scaled = np.linalg.det(h_s / scale[:, :, None])
         for k, (j, lane) in enumerate(zip(arrived, lanes)):
             chart = self.charts[lane]
-            names = [chart.chart_edges[p] for p in chart.positions]
-            names += [chart.partner_edges[p] for p in chart.positions]
+            names = list(chart.row_of)  # the rows of A, in order
             out[j] = CriticalPointRecord(
                 chart=chart, lam=self.lam, q=self.q, bump=float(ends.bumps[j]),
                 s=s[k], coordinates=w[k], u_sigma=complex(u[k]),
@@ -696,18 +695,9 @@ def _lam_poly(i: int, n: int) -> LaurentPolynomial:
 
 def _chart_substitution(chart: SigmaChart) -> Dict[str, LaurentPolynomial]:
     """Every edge as a Laurent monomial in the chart's own edge names and q."""
-    out: Dict[str, LaurentPolynomial] = {}
-    for p, name in chart.chart_edges.items():
-        out[name] = LaurentPolynomial.variable(name)
-    for name, mono in chart.eliminated.items():
-        exps: Dict[str, int] = {}
-        for pos, e in mono.w_exps:
-            exps[chart.chart_edges[pos]] = e
-        for k, e in enumerate(mono.q_exps):
-            if e:
-                exps[f"q{k + 1}"] = e
-        out[name] = LaurentPolynomial.monomial(exps) if exps else LaurentPolynomial.constant(1)
-    return out
+    symbols = list(chart.chart_edges.values()) + [f"q{k + 1}" for k in range(chart.n)]
+    return {name: LaurentPolynomial.monomial({x: e for x, e in zip(symbols, row) if e})
+            for name, row in zip(chart.row_of, chart.E.tolist())}
 
 
 def _u_factor(n: int, k: int, sub) -> ops.Matrix:

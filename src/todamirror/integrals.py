@@ -434,8 +434,6 @@ def q_to_zero_factorization(n: int, lam: Sequence[float], hbar: float,
 class Cp1Report:
     derivative_match: float   # max |d/dt (u_sigma - closed form)|
     momentum_match: float     # max |du/dt - p|
-    eigenvector_residual: float
-    pairing_residual: float
 
 
 def _closed_form_derivative(lam0: float, p: float, q: float) -> complex:
@@ -474,23 +472,4 @@ def cp1_example_check(lam0: float, q_grid: Sequence[float]) -> Cp1Report:
             momentum_match = max(momentum_match, abs(du - p))
             derivative_match = max(derivative_match,
                                    abs(du - _closed_form_derivative(lam0, p, q)))
-
-    # eigenvector check for the fundamental-solution matrix at each grid point
-    eig_res = 0.0
-    pair_res = 0.0
-    for q in q_grid:
-        p_plus = math.sqrt(lam0 ** 2 + q)
-        v = math.sqrt(p_plus)
-        conn = np.array([[0.0, p_plus ** 2], [1.0, 0.0]])
-        psi = np.array([[v, -1j * v], [1.0 / v, 1j / v]]) / math.sqrt(2.0)
-        eigs = (p_plus, -p_plus)
-        for col, mu in enumerate(eigs):
-            r = conn @ psi[:, col] - mu * psi[:, col]
-            eig_res = max(eig_res, float(np.max(np.abs(r))))
-        pairing = np.array([[0.0, 1.0], [1.0, 0.0]])
-        gram = psi.T @ pairing @ psi
-        pair_res = max(pair_res, float(np.max(np.abs(gram - np.eye(2)))))
-    return Cp1Report(derivative_match=derivative_match,
-                     momentum_match=momentum_match,
-                     eigenvector_residual=eig_res,
-                     pairing_residual=pair_res)
+    return Cp1Report(derivative_match=derivative_match, momentum_match=momentum_match)

@@ -14,19 +14,28 @@ A sigma-chart is a unimodular change of the vertex log-coordinates: it
 supplies monomials and log-coefficients, and `phase_in_chart(chart, lam)`
 turns them into the one numeric phase (`ChartPhase`) that continuation,
 quadrature and the checks all read.
+
+The chart layer is integer arithmetic.  A `LambdaForm` is one int tuple
+`num` over one positive int `den`, reduced by their gcd.  Each chart solves
+its monomial relations once, by integer Gauss-Jordan elimination, into one
+exponent matrix E: a row per edge (the d chart edges, then their eliminated
+partners) and a column per chart variable w_0..w_{d-1}, then q_1..q_n.
+`eliminated`, `edge_monomial` and `phase_in_chart` read E, and the exact
+checks are integer matrix identities on it: R E = [0; e_{q_k}] for the
+box/roof matrix R, and E^T W = [sigma; rho_1] for the edge weights W after
+lam_n = -(lam_0 + ... + lam_{n-1}).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .exact import format_rational
 
 
 class MirrorModelError(ValueError):
@@ -54,64 +63,91 @@ class DegenerateParameterError(ChartFailure, ValueError):
 # ---------------------------------------------------------------------------
 
 class LambdaForm:
-    """Exact linear form c_0 lam_0 + ... + c_n lam_n."""
+    """Exact linear form (num_0 lam_0 + ... + num_n lam_n) / den.
 
-    __slots__ = ("coeffs",)
+    `num` is a tuple of ints and `den` a positive int, reduced by their
+    common gcd, so equal forms store equal data and `==`/`hash` compare it.
+    `coeffs` gives the coefficients as Fractions.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Sequence[Fraction]):
-        object.__setattr__(self, "coeffs", tuple(
-            c if type(c) is Fraction else Fraction(c) for c in coeffs))
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        # lowest-terms coefficients over the lcm of their denominators are
+        # already coprime to it
+        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set_den(self, den)
+
+    @staticmethod
+    def _of(num: Tuple[int, ...], den: int = 1) -> "LambdaForm":
+        """The form num / den (den > 0), reduced."""
+        g = math.gcd(den, *num) if den != 1 else 1
+        if g != 1:
+            num, den = tuple(x // g for x in num), den // g
+        out = object.__new__(LambdaForm)
+        _set_num(out, num)
+        _set_den(out, den)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("LambdaForm is immutable")
 
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
     @classmethod
     def zero(cls, n: int) -> "LambdaForm":
-        return cls((Fraction(0),) * (n + 1))
+        return cls._of((0,) * (n + 1))
 
     @classmethod
     def unit(cls, n: int, i: int) -> "LambdaForm":
-        c = [Fraction(0)] * (n + 1)
-        c[i] = Fraction(1)
-        return cls(c)
+        return cls._of((0,) * i + (1,) + (0,) * (n - i))
+
+    def _combine(self, other: "LambdaForm", op) -> "LambdaForm":
+        a, b, den = self.num, other.num, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            a = tuple(x * (den // self.den) for x in a)
+            b = tuple(x * (den // other.den) for x in b)
+        return LambdaForm._of(tuple(map(op, a, b)), den)
 
     def __add__(self, other: "LambdaForm") -> "LambdaForm":
-        return LambdaForm([a + b if b else a for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "LambdaForm") -> "LambdaForm":
-        return LambdaForm([a - b if b else a for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "LambdaForm":
-        return LambdaForm([-a for a in self.coeffs])
+        return LambdaForm._of(tuple(-x for x in self.num), self.den)
 
     def scale(self, c) -> "LambdaForm":
         c = Fraction(c)
-        return LambdaForm([c * a if a else a for a in self.coeffs])
+        return LambdaForm._of(tuple(x * c.numerator for x in self.num),
+                              self.den * c.denominator)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LambdaForm) and self.coeffs == other.coeffs
+        return (isinstance(other, LambdaForm) and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return hash((self.num, self.den))
 
     def unit_index(self) -> Optional[int]:
         """Index i when the form is exactly lam_i, else None."""
-        hits = [i for i, c in enumerate(self.coeffs) if c != 0]
-        if len(hits) == 1 and self.coeffs[hits[0]] == 1:
+        hits = [i for i, x in enumerate(self.num) if x]
+        if len(hits) == 1 and self.num[hits[0]] == self.den:
             return hits[0]
         return None
 
     def reduce_last(self) -> "LambdaForm":
         """Substitute lam_n = -(lam_0 + ... + lam_{n-1}); last slot becomes 0."""
-        cn = self.coeffs[-1]
+        cn = self.num[-1]
         if cn == 0:
             return self
-        out = [c - cn for c in self.coeffs[:-1]]
-        out.append(Fraction(0))
-        return LambdaForm(out)
+        return LambdaForm._of(tuple(x - cn for x in self.num[:-1]) + (0,), self.den)
 
     def evaluate(self, lam: Sequence) -> object:
         acc = None
@@ -121,11 +157,29 @@ class LambdaForm:
         return acc if acc is not None else Fraction(0)
 
     def report(self) -> List[str]:
-        return [format_rational(c) for c in self.coeffs]
+        """Each coefficient as "p/q" in lowest terms, as `format_rational`."""
+        den = self.den
+        if den == 1:
+            return [f"{x}/1" for x in self.num]
+        out = []
+        for x in self.num:
+            g = math.gcd(x, den)
+            out.append(f"{x // g}/{den // g}")
+        return out
 
     def __repr__(self):
         terms = [f"{c}*lam{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return "LambdaForm(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+_set_num = LambdaForm.num.__set__
+_set_den = LambdaForm.den.__set__
+
+
+def _form_matrix(forms: List[LambdaForm]) -> Tuple[np.ndarray, int]:
+    """The forms as integer rows over their common denominator: (M, den)."""
+    den = math.lcm(*(f.den for f in forms))
+    return np.array([[x * (den // f.den) for x in f.num] for f in forms], dtype=np.int64), den
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +260,15 @@ class MirrorGraph:
         """
         if not (1 <= k <= self.n and 0 <= i <= self.n - k):
             raise MirrorModelError(f"no interior vertex ({k},{i})")
-        combos = [("u", k, i, +1), ("v", k, i, -1),
-                  ("u", k + 1, i, -1), ("v", k + 1, i - 1, +1)]
-        edge_coeffs: Dict[str, int] = {}
-        lam = LambdaForm.zero(self.n)
-        for kind, a, b, sign in combos:
-            name = Edge(kind, a, b).name
-            if name in self.edges:
-                edge_coeffs[name] = sign
-                lam = lam + self.weights[name].scale(sign)
-        return edge_coeffs, lam
+        return self._gradient([("u", k, i, +1), ("v", k, i, -1),
+                               ("u", k + 1, i, -1), ("v", k + 1, i - 1, +1)])
 
     def top_gradient(self, j: int) -> Tuple[Dict[str, int], LambdaForm]:
         """d f / d t_j (top-row vertex (0, j)): only row-1 edges appear."""
-        combos = [("u", 1, j, -1), ("v", 1, j - 1, +1)]
+        return self._gradient([("u", 1, j, -1), ("v", 1, j - 1, +1)])
+
+    def _gradient(self, combos) -> Tuple[Dict[str, int], LambdaForm]:
+        """The signed edges among `combos` that exist, and their signed weights."""
         edge_coeffs: Dict[str, int] = {}
         lam = LambdaForm.zero(self.n)
         for kind, a, b, sign in combos:
@@ -232,10 +281,7 @@ class MirrorGraph:
     def edge_t_vector(self, name: str) -> Dict[Tuple[int, int], int]:
         """log of the edge as an integer combination of vertex coordinates."""
         e = self.edges[name]
-        vec: Dict[Tuple[int, int], int] = {}
-        vec[e.head] = vec.get(e.head, 0) + 1
-        vec[e.tail] = vec.get(e.tail, 0) - 1
-        return {k: v for k, v in vec.items() if v != 0}
+        return {e.head: 1, e.tail: -1}
 
     def phase_value(self, t_coords: Mapping[Tuple[int, int], float],
                     lam: Sequence[float]) -> float:
@@ -260,12 +306,23 @@ def build_graph(n: int) -> MirrorGraph:
 # Sigma-charts.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ChartMonomial:
-    """Monomial prod w_{ij}^{a_{ij}} prod q_k^{b_k} in chart variables."""
+    """Monomial prod w_{ij}^{a_{ij}} prod q_k^{b_k}: a view of one row of E."""
 
-    w_exps: Tuple[Tuple[Tuple[int, int], int], ...]  # ((i,j), exponent) pairs
-    q_exps: Tuple[int, ...]
+    __slots__ = ("row", "positions")
+
+    def __init__(self, row: np.ndarray, positions: Sequence[Tuple[int, int]]):
+        self.row = row
+        self.positions = positions
+
+    @property
+    def w_exps(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+        """((i, j), exponent) pairs with a nonzero exponent."""
+        return tuple((p, e) for p, e in zip(self.positions, self.row.tolist()) if e)
+
+    @property
+    def q_exps(self) -> Tuple[int, ...]:
+        return tuple(self.row[len(self.positions):].tolist())
 
     def q_degree(self) -> int:
         return sum(self.q_exps)
@@ -276,8 +333,10 @@ class SigmaChart:
 
     In row i the first k_i slots take the u-edge as coordinate, the rest the
     v-edge.  The chart carries the weight table rho, the log-coefficients
-    sigma(i, j) of the phase, the permutation the chart induces, and exact
-    monomial expressions for every eliminated edge.
+    sigma(i, j) of the phase, the permutation the chart induces, and the
+    exponent matrix E: row k < d is the chart edge at positions[k] (the
+    variable w_k itself), row d + k its eliminated partner, and the columns
+    are the exponents of w_0..w_{d-1} followed by those of q_1..q_n.
     """
 
     def __init__(self, graph: MirrorGraph, kseq: Sequence[int]):
@@ -295,43 +354,46 @@ class SigmaChart:
         self.chart_edges: Dict[Tuple[int, int], str] = {}
         self.partner_edges: Dict[Tuple[int, int], str] = {}
         for (i, j) in self.positions:
-            chosen = "u" if j < kseq[i - 1] else "v"
-            other = "v" if chosen == "u" else "u"
-            self.chart_edges[(i, j)] = Edge(chosen, i, j).name
-            self.partner_edges[(i, j)] = Edge(other, i, j).name
+            u, v = f"u[{i},{j}]", f"v[{i},{j}]"  # the names of Edge("u"/"v", i, j)
+            self.chart_edges[(i, j)], self.partner_edges[(i, j)] = (
+                (u, v) if j < kseq[i - 1] else (v, u))
+        # edge name -> row of E
+        self.row_of: Dict[str, int] = {
+            name: k for k, name in enumerate(itertools.chain(
+                self.chart_edges.values(), self.partner_edges.values()))
+        }
         self.rho = self._rho_table()
         self.sigma = self._sigma_table()
         self.permutation = self._permutation()
-        self.eliminated = self._solve_eliminated()
+        self.E = self._solve_eliminated()
 
     # ---- rho / sigma / permutation ----
     def _rho_table(self) -> Dict[Tuple[int, int], LambdaForm]:
         n = self.n
+        zero = LambdaForm.zero(n)
+        unit = [LambdaForm.unit(n, k) for k in range(n + 1)]
         rho: Dict[Tuple[int, int], LambdaForm] = {}
         for i in range(n + 1, 0, -1):
-            rho[(i, -1)] = LambdaForm.zero(n)
-            top = LambdaForm.zero(n)
-            for k in range(i - 1, n + 1):
-                top = top + LambdaForm.unit(n, k)
-            rho[(i, n - i + 1)] = top
+            rho[(i, -1)] = zero
+            # lam_{i-1} + ... + lam_n
+            rho[(i, n - i + 1)] = LambdaForm._of((0,) * (i - 1) + (1,) * (n - i + 2))
             for j in range(0, n - i + 1):
-                if i == n + 1:
-                    continue
                 if self.chart_edges[(i, j)].startswith("u"):
                     rho[(i, j)] = rho[(i + 1, j)]
                 else:
-                    rho[(i, j)] = rho[(i + 1, j - 1)] + LambdaForm.unit(n, i - 1)
+                    rho[(i, j)] = rho[(i + 1, j - 1)] + unit[i - 1]
         return rho
 
     def _sigma_table(self) -> Dict[Tuple[int, int], LambdaForm]:
         n = self.n
         out: Dict[Tuple[int, int], LambdaForm] = {}
+        unit = [LambdaForm.unit(n, k) for k in range(n + 1)]
         for (i, j) in self.positions:
-            lam = LambdaForm.unit(n, i - 1)
+            lam = unit[i - 1]
             if j < self.kseq[i - 1]:
                 out[(i, j)] = lam - (self.rho[(i, j)] - self.rho[(i, j - 1)])
             else:
-                out[(i, j)] = -lam + (self.rho[(i, j + 1)] - self.rho[(i, j)])
+                out[(i, j)] = (self.rho[(i, j + 1)] - self.rho[(i, j)]) - lam
         return out
 
     def _permutation(self) -> Tuple[int, ...]:
@@ -350,106 +412,91 @@ class SigmaChart:
     def rho_multiset_ok(self) -> bool:
         """{rho_{i,j} - rho_{i,j-1}} must equal {lam_{i-1}, ..., lam_n} rowwise."""
         n = self.n
+        unit = [LambdaForm.unit(n, k) for k in range(n + 1)]
         for i in range(1, n + 2):
-            diffs = sorted(
-                (self.rho[(i, j)] - self.rho[(i, j - 1)]).coeffs
-                for j in range(0, n - i + 2)
-            )
-            expect = sorted(LambdaForm.unit(n, k).coeffs for k in range(i - 1, n + 1))
-            if diffs != expect:
+            diffs = [self.rho[(i, j)] - self.rho[(i, j - 1)] for j in range(n - i + 2)]
+            # n - i + 2 differences against as many distinct units: equal
+            # sets are equal multisets
+            if set(diffs) != set(unit[i - 1:]):
                 return False
         return True
 
-    # ---- eliminated-edge monomials ----
-    def _solve_eliminated(self) -> Dict[str, ChartMonomial]:
-        graph, n = self.graph, self.n
-        vindex = {v: k for k, v in enumerate(graph.vertices)}
-        ncols = len(self.positions) + n
-
-        def as_column(tvec: Mapping[Tuple[int, int], int]) -> List[int]:
-            col = [0] * len(vindex)
-            for v, c in tvec.items():
-                col[vindex[v]] = c
-            return col
-
-        cols = [as_column(graph.edge_t_vector(self.chart_edges[p])) for p in self.positions]
-        cols += [as_column(graph.q_t_vector(k)) for k in range(1, n + 1)]
-        targets = {p: as_column(graph.edge_t_vector(self.partner_edges[p]))
-                   for p in self.positions}
+    # ---- the exponent matrix ----
+    def _solve_eliminated(self) -> np.ndarray:
+        graph, n, dim = self.graph, self.n, len(self.positions)
+        # rows: the vertices below the top row in position order, then the
+        # top row.  The chart edge at position p touches vertex p, so the
+        # pivot of column p is found in row p without a swap.
+        vindex = {v: k for k, v in enumerate(self.positions + [(0, j) for j in range(n + 1)])}
+        ncols = dim + n
+        # unknowns: the chart edges and q_1..q_n; right-hand sides: the partners
+        tvecs = [graph.edge_t_vector(self.chart_edges[p]) for p in self.positions]
+        tvecs += [graph.q_t_vector(k) for k in range(1, n + 1)]
+        tvecs += [graph.edge_t_vector(self.partner_edges[p]) for p in self.positions]
+        entries = [(vindex[v], c, x) for c, tvec in enumerate(tvecs) for v, x in tvec.items()]
+        rows, cols, vals = zip(*entries)
+        aug = np.zeros((len(vindex), len(tvecs)), dtype=np.int64)
+        aug[rows, cols] = vals
 
         # Gauss-Jordan elimination in integers.  Every column is the
         # head-minus-tail incidence vector of an edge of a directed graph, so
-        # the system is totally unimodular: each pivot is +-1 and no fraction
-        # ever appears.  A larger pivot means the graph itself is wrong.
-        nrows = len(vindex)
-        aug = [[cols[c][r] for c in range(ncols)] + [targets[p][r] for p in self.positions]
-               for r in range(nrows)]
-        row = 0
+        # the system is totally unimodular: each pivot is +-1, every entry
+        # stays in {-1, 0, 1} and no fraction ever appears.  A larger pivot
+        # means the graph itself is wrong.  Column `col` pivots in row `col`.
         for col in range(ncols):
-            piv = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
-            if piv is None:
-                raise MonomialSolveError(f"chart {self.kseq}: rank deficiency at column {col}")
-            aug[row], aug[piv] = aug[piv], aug[row]
-            unit = aug[row][col]
+            unit = int(aug[col, col])
+            if unit == 0:
+                below = aug[col:, col].nonzero()[0]
+                if below.size == 0:
+                    raise MonomialSolveError(
+                        f"chart {self.kseq}: rank deficiency at column {col}")
+                piv = col + int(below[0])
+                aug[[col, piv]] = aug[[piv, col]]
+                unit = int(aug[col, col])
             if unit not in (1, -1):
                 raise MonomialSolveError(
                     f"chart {self.kseq}: non-unit pivot {unit} at column {col}")
+            pivot_row = aug[col]
             if unit == -1:
-                aug[row] = [-x for x in aug[row]]
-            for r in range(nrows):
-                if r != row and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-            row += 1
-        for r in range(row, nrows):
-            if any(x != 0 for x in aug[r][ncols:]):
-                raise MonomialSolveError(f"chart {self.kseq}: inconsistent relation system")
+                pivot_row *= -1
+            update = aug[:, col, None] * pivot_row
+            update[col] = 0
+            aug -= update
+        if aug[ncols:, ncols:].any():
+            raise MonomialSolveError(f"chart {self.kseq}: inconsistent relation system")
 
-        out: Dict[str, ChartMonomial] = {}
-        for t, p in enumerate(self.positions):
-            sol = [aug[r][ncols + t] for r in range(ncols)]
-            w_exps = tuple(
-                (self.positions[c], sol[c])
-                for c in range(len(self.positions)) if sol[c] != 0
-            )
-            q_exps = tuple(sol[len(self.positions) + k] for k in range(n))
-            out[self.partner_edges[p]] = ChartMonomial(w_exps, q_exps)
-        return out
+        return np.concatenate((np.eye(dim, ncols, dtype=np.int64), aug[:ncols, ncols:].T))
+
+    @property
+    def eliminated(self) -> Dict[str, ChartMonomial]:
+        """Every eliminated edge as a monomial in chart variables and q."""
+        dim = len(self.positions)
+        return {name: ChartMonomial(self.E[dim + k], self.positions)
+                for k, name in enumerate(self.partner_edges.values())}
 
     def edge_monomial(self, name: str) -> ChartMonomial:
         """Any edge as a monomial in chart variables and q."""
-        for p, chart_name in self.chart_edges.items():
-            if chart_name == name:
-                return ChartMonomial(((p, 1),), (0,) * self.n)
-        return self.eliminated[name]
+        return ChartMonomial(self.E[self.row_of[name]], self.positions)
 
     def relations_hold(self) -> bool:
-        """Substituting the monomials turns every box/roof into an identity."""
-        n = self.n
+        """Substituting the monomials turns every box/roof into an identity.
 
-        def total(name: str) -> Tuple[Tuple[Tuple[int, int], int], ...]:
-            m = self.edge_monomial(name)
-            return m
-
-        def combine(m1: ChartMonomial, m2: ChartMonomial):
-            w: Dict[Tuple[int, int], int] = dict(m1.w_exps)
-            for k, v in m2.w_exps:
-                w[k] = w.get(k, 0) + v
-            w = {k: v for k, v in w.items() if v != 0}
-            q = tuple(a + b for a, b in zip(m1.q_exps, m2.q_exps))
-            return w, q
-
-        for (vname, uname, u2name, v2name) in self.graph.boxes:
-            lhs = combine(total(vname), total(uname))
-            rhs = combine(total(u2name), total(v2name))
-            if lhs != rhs:
-                return False
-        for (uname, vname, qk) in self.graph.roofs:
-            lhs = combine(total(uname), total(vname))
-            qvec = tuple(1 if k == qk - 1 else 0 for k in range(n))
-            if lhs != ({}, qvec):
-                return False
-        return True
+        R has one row per relation in logarithmic form, v + u - u' - v' for
+        a box and u + v for the roof over q_k, with a column per row of E;
+        R E must vanish on the boxes and be e_{q_k} on each roof.
+        """
+        graph, dim = self.graph, len(self.positions)
+        nrel = len(graph.boxes) + len(graph.roofs)
+        R = np.zeros((nrel, len(self.row_of)), dtype=np.int64)
+        expect = np.zeros((nrel, self.E.shape[1]), dtype=np.int64)
+        for r, (v, u, u2, v2) in enumerate(graph.boxes):
+            for name, sign in ((v, 1), (u, 1), (u2, -1), (v2, -1)):
+                R[r, self.row_of[name]] += sign
+        for r, (u, v, qk) in enumerate(graph.roofs, len(graph.boxes)):
+            R[r, self.row_of[u]] += 1
+            R[r, self.row_of[v]] += 1
+            expect[r, dim + qk - 1] = 1
+        return np.array_equal(R @ self.E, expect)
 
     def report(self) -> dict:
         """Machine-readable chart summary."""
@@ -542,17 +589,12 @@ def phase_in_chart(chart: SigmaChart, lam: Sequence[float]) -> ChartPhase:
     if len(lam) != chart.n + 1:
         raise MirrorModelError("lambda vector has wrong length")
     dim = len(chart.positions)
-    A = np.zeros((2 * dim, dim))
-    B = np.zeros((2 * dim, chart.n))
-    A[:dim] = np.eye(dim)
-    for k, p in enumerate(chart.positions):
-        r = chart.eliminated[chart.partner_edges[p]]
-        if r.q_degree() < 1:
-            raise MonomialSolveError(
-                f"chart {chart.kseq}: eliminated edge at {p} carries no q factor")
-        for pos, e in r.w_exps:
-            A[dim + k, chart.position_index[pos]] = e
-        B[dim + k] = r.q_exps
+    no_q = np.flatnonzero(chart.E[dim:, dim:].sum(axis=1) < 1)
+    if no_q.size:
+        raise MonomialSolveError(f"chart {chart.kseq}: eliminated edge at "
+                                 f"{chart.positions[no_q[0]]} carries no q factor")
+    A = chart.E[:, :dim].astype(float, order="C")
+    B = chart.E[:, dim:].astype(float, order="C")
     sigma = np.array([float(chart.sigma[p].evaluate(lam)) for p in chart.positions])
     rho = np.array([float(chart.rho[(1, i)].evaluate(lam)) for i in range(chart.n)])
     return ChartPhase(A, B, sigma, rho, chart, lam)
@@ -566,27 +608,16 @@ def phase_consistency(chart: SigmaChart) -> bool:
     """The chart expression equals the vertex-coordinate phase, exactly.
 
     Exponential parts agree by construction (chart variable plus partner at
-    every slot); here the log parts are compared as lambda-forms after the
-    substitution lam_n = -(lam_0 + ... + lam_{n-1}).
+    every slot).  With W the edge weights in E's row order, sum_e weight_e ln e
+    has coefficient (E^T W)_c on the c-th chart variable or ln q_k; it must
+    equal [sigma; rho_{1,.}] after lam_n = -(lam_0 + ... + lam_{n-1}), compared
+    as integer matrices over a common denominator.
     """
-    graph, n = chart.graph, chart.n
-    # coefficient of ln w_p and of ln q_k implied by the edge weights
-    w_acc: Dict[Tuple[int, int], LambdaForm] = {p: LambdaForm.zero(n) for p in chart.positions}
-    q_acc: List[LambdaForm] = [LambdaForm.zero(n) for _ in range(n)]
-    for name, weight in graph.weights.items():
-        mono = chart.edge_monomial(name)
-        for pos, e in mono.w_exps:
-            w_acc[pos] = w_acc[pos] + weight.scale(e)
-        for k, e in enumerate(mono.q_exps):
-            if e:
-                q_acc[k] = q_acc[k] + weight.scale(e)
-    for k, p in enumerate(chart.positions):
-        if w_acc[p].reduce_last() != chart.sigma[p].reduce_last():
-            return False
-    for k in range(n):
-        if q_acc[k].reduce_last() != chart.rho[(1, k)].reduce_last():
-            return False
-    return True
+    weights, wden = _form_matrix([chart.graph.weights[name] for name in chart.row_of])
+    target, tden = _form_matrix([chart.sigma[p] for p in chart.positions]
+                                + [chart.rho[(1, k)] for k in range(chart.n)])
+    lhs, rhs = chart.E.T @ weights * tden, target * wden
+    return np.array_equal(lhs[:, :-1] - lhs[:, -1:], rhs[:, :-1] - rhs[:, -1:])
 
 
 def weight_balance_ok(graph: MirrorGraph) -> bool:

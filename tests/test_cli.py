@@ -46,6 +46,21 @@ def test_mirror_passes(capsys):
     assert doc["pass"] is True
 
 
+def test_mirror_chart_failure_is_a_report(monkeypatch, capsys):
+    from todamirror import mirror as mi
+    consistent = mi.phase_consistency
+    monkeypatch.setattr(mi, "phase_consistency",
+                        lambda chart: chart.kseq != (1, 0) and consistent(chart))
+    assert run_cli(["mirror", "--n", "2"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    rows = {tuple(r["chart"]["k_sequence"]): r for r in doc["results"] if "chart" in r}
+    assert len(rows) == 6
+    assert rows[(1, 0)]["phase_consistency"] is False
+    assert rows[(1, 0)]["multiset"] is True and rows[(1, 0)]["relations"] is True
+    assert all(r["phase_consistency"] for k, r in rows.items() if k != (1, 0))
+
+
 def test_critical_reports_six_points(capsys):
     code = run_cli(["critical", "--n", "2", "--lambda", "1/4,1/8,-3/8",
                     "--q", "1,1"])

@@ -135,8 +135,6 @@ def test_cp1_example():
     rep = ig.cp1_example_check(0.5, (0.5, 1.0, 2.0))
     assert rep.derivative_match < 1e-8
     assert rep.momentum_match < 1e-8
-    assert rep.eigenvector_residual < 1e-8
-    assert rep.pairing_residual < 1e-12
 
 
 def test_cp1_momentum_branch_algebra():

@@ -1,6 +1,7 @@
 """Mirror graph, weights, charts, and the phase-function bookkeeping."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,49 @@ from todamirror.mirror import LambdaForm
 
 def lam_form(n, entries):
     return LambdaForm([F(x) for x in entries])
+
+
+def _random_coeffs(rng, n):
+    # sparse, so that some draws are units or zero
+    return [F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.5 else F(0)
+            for _ in range(n + 1)]
+
+
+def test_lambda_form_matches_fraction_arithmetic():
+    # plain Fraction tuples as the oracle for the integer representation
+    rng = random.Random(20261018)
+    for n in range(1, 6):
+        for _ in range(60):
+            a, b = _random_coeffs(rng, n), _random_coeffs(rng, n)
+            c = F(rng.randint(-6, 6), rng.randint(1, 6))
+            fa, fb = LambdaForm(a), LambdaForm(b)
+            assert fa.coeffs == tuple(a)
+            assert (fa + fb).coeffs == tuple(x + y for x, y in zip(a, b))
+            assert (fa - fb).coeffs == tuple(x - y for x, y in zip(a, b))
+            assert (-fa).coeffs == tuple(-x for x in a)
+            assert fa.scale(c).coeffs == tuple(c * x for x in a)
+            assert fa.reduce_last().coeffs == tuple(x - a[-1] for x in a[:-1]) + (0,)
+            hits = [i for i, x in enumerate(a) if x != 0]
+            unit = hits[0] if len(hits) == 1 and a[hits[0]] == 1 else None
+            assert fa.unit_index() == unit
+            exact = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n + 1)]
+            assert fa.evaluate(exact) == sum(x * v for x, v in zip(a, exact))
+            floats = [rng.uniform(-2.0, 2.0) for _ in range(n + 1)]
+            assert fa.evaluate(floats) == sum(float(x) * v for x, v in zip(a, floats))
+            assert fa.report() == [f"{x.numerator}/{x.denominator}" for x in a]
+            # equal forms reached by different routes are equal and hash equal
+            for route in ((fa + fb) - fb, -(-fa), LambdaForm([2 * x for x in a]).scale(F(1, 2))):
+                assert route == fa and hash(route) == hash(fa)
+            if c != 0:
+                assert fa.scale(c).scale(1 / c) == fa
+                assert hash(fa.scale(c).scale(1 / c)) == hash(fa)
+            assert fa - fa == LambdaForm.zero(n)
+        for i in range(n + 1):
+            unit = LambdaForm.unit(n, i)
+            half = unit.scale(F(1, 2))
+            assert half + half == unit and hash(half + half) == hash(unit)
+            assert unit.unit_index() == i
+            assert half.unit_index() is None and unit.scale(2).unit_index() is None
 
 
 def test_graph_counts():
@@ -90,14 +134,14 @@ def test_chart_count_and_permutation_bijection():
 
 
 def test_rho_multiset_property_all_charts():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         g = mi.build_graph(n)
         for k in mi.all_k_sequences(n):
             assert mi.make_chart(g, k).rho_multiset_ok()
 
 
 def test_eliminated_monomials_satisfy_relations():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         g = mi.build_graph(n)
         for k in mi.all_k_sequences(n):
             assert mi.make_chart(g, k).relations_hold()
@@ -114,7 +158,7 @@ def test_non_unit_pivot_is_rejected(monkeypatch):
 
 
 def test_eliminated_monomials_have_q_factor():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         g = mi.build_graph(n)
         for k in mi.all_k_sequences(n):
             ch = mi.make_chart(g, k)
@@ -123,10 +167,51 @@ def test_eliminated_monomials_have_q_factor():
 
 
 def test_phase_consistency_all_charts():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         g = mi.build_graph(n)
         for k in mi.all_k_sequences(n):
             assert mi.phase_consistency(mi.make_chart(g, k))
+
+
+def test_perturbed_edge_weight_fails_phase_consistency(monkeypatch):
+    # a weight change off the trace direction shifts every chart's log part
+    for n in (2, 3):
+        g = mi.build_graph(n)
+        charts = [mi.make_chart(g, k) for k in mi.all_k_sequences(n)]
+        for name, weight in list(g.weights.items()):
+            monkeypatch.setitem(g.weights, name, weight + LambdaForm.unit(n, 0).scale(F(1, 2)))
+            assert not any(mi.phase_consistency(ch) for ch in charts), name
+            monkeypatch.setitem(g.weights, name, weight)
+        assert all(mi.phase_consistency(ch) for ch in charts)
+
+
+def test_perturbed_exponent_fails_relations():
+    for n in (2, 3):
+        g = mi.build_graph(n)
+        for k in mi.all_k_sequences(n):
+            ch = mi.make_chart(g, k)
+            dim = len(ch.positions)
+            for row in range(dim, 2 * dim):
+                for col in range(ch.E.shape[1]):
+                    ch.E[row, col] += 1
+                    assert not ch.relations_hold(), (k, row, col)
+                    ch.E[row, col] -= 1
+            assert ch.relations_hold()
+
+
+def test_swapped_rho_entries_fail_multiset():
+    for n in (2, 3):
+        g = mi.build_graph(n)
+        for k in mi.all_k_sequences(n):
+            ch = mi.make_chart(g, k)
+            for i in range(1, n + 2):
+                for j1 in range(-1, n - i + 2):
+                    for j2 in range(j1 + 1, n - i + 2):
+                        a, b = (i, j1), (i, j2)
+                        ch.rho[a], ch.rho[b] = ch.rho[b], ch.rho[a]
+                        assert not ch.rho_multiset_ok(), (k, a, b)
+                        ch.rho[a], ch.rho[b] = ch.rho[b], ch.rho[a]
+            assert ch.rho_multiset_ok()
 
 
 def test_n1_chart_hand_values():

@@ -154,16 +154,6 @@ def test_compose_matches_action_on_exponential_symbols():
             assert apply_to_symbol(ab, phi, k) == apply_to_symbol(a, apply_to_symbol(b, phi, k), k)
 
 
-def test_commutativity_exact_n123():
-    for n in (1, 2, 3):
-        d = ops.toda_operators(n)
-        ham = ops.build_hamiltonian(n)
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                assert ops.commutator(d[i], d[j]).is_zero()
-            assert ops.commutator(ham, d[i]).is_zero()
-
-
 def test_operator_serialization():
     d2 = ops.toda_operators(1)[1]
     text = d2.canonical_str()
