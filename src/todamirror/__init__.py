@@ -63,10 +63,8 @@ from .integrals import (
 )
 from .semiclassical import (
     FixedPointData,
-    PsiOscMatrix,
     classical_limit_b,
     gamma_stirling_tail,
-    psi_osc,
     stationary_leading,
     verify_classical_limit,
 )

@@ -2,10 +2,10 @@
 
 Subcommands: commute | mirror | critical | eigen | classical-limit |
 virasoro | all.  Exit code 0 when every residual passes its tolerance, 1 on
-failure (a solver failure in `critical` is reported as a `failure` row), 2 on
-invalid input.  Reports serialize deterministically (same
-config and seed give the same content) with rationals as "num/den" strings
-and complex numbers as [re, im] pairs.
+failure (a solver failure in `critical` is reported as a `failure` row, and
+a failed check in its `failed` list), 2 on invalid input.  Reports serialize
+deterministically (same config and seed give the same content) with
+rationals as "num/den" strings and complex numbers as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -219,20 +219,28 @@ def run_critical(cfg: RunConfig):
         row["spectral_residual"] = cr.spectral_check(rec)
         row["lagrangian_residuals"] = cr.to_lagrangian(rec).residuals
         results.append(row)
+    uv = cr.uv_identity_check(cfg.n)
+    degenerate = [list(r.chart.kseq) for r in census.records if not r.nondegenerate]
+    checks = {
+        "count": census.count == census.expected,
+        "distinct": census.min_pairwise_distance > cr.COLLISION_DISTANCE,
+        "nondegenerate": not degenerate,
+        "spectral": census.max_spectral_residual < cfg.tol_spectral,
+        "lagrangian": census.max_lagrangian_residual < cfg.tol_spectral,
+        "scaling": scaling < cfg.tol_scaling,
+        "uv_identity": uv,
+    }
+    failed = [name for name, ok in checks.items() if not ok]
     results.append({
         "count": census.count, "expected": census.expected,
         "min_pairwise_distance": census.min_pairwise_distance,
         "all_nondegenerate": census.all_nondegenerate,
+        "degenerate_charts": degenerate, "failed": failed,
     })
     results.append({"check": "quasi_homogeneity", "residual": scaling})
-    uv = cr.uv_identity_check(cfg.n)
     results.append({"check": "uv_identity", "pass": uv})
     residuals = [census.max_spectral_residual, census.max_lagrangian_residual, scaling]
-    passed = (census.ok and uv
-              and census.max_spectral_residual < cfg.tol_spectral
-              and census.max_lagrangian_residual < cfg.tol_spectral
-              and scaling < cfg.tol_scaling)
-    return results, residuals, passed, []
+    return results, residuals, not failed, []
 
 
 def run_eigen(cfg: RunConfig):

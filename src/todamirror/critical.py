@@ -1,12 +1,17 @@
 """Critical points of the phase function.
 
 Each chart contributes exactly one critical point, found by Newton
-continuation along the ray tau * q from the explicit tau = 0 limit
-w_ij = -sigma(i, j); the charts of a fiber are tracked together, one lane of
-a lockstep batch each.  Records carry Hessians in both chart coordinates w and
-log coordinates s = ln w (the volume form is translation-invariant in s, so
-the log Hessian is the one entering stationary-phase prefactors), the
-critical value, and all edge values for chart-independent comparisons.
+continuation along one fixed path tau(theta) * q from the explicit tau = 0
+limit w_ij = -sigma(i, j); the charts of a fiber are tracked together, one
+lane of a lockstep batch each.  Continuation along a path that avoids the
+branch points is a bijection on sheets, so two charts landing on one point
+means the tracker jumped sheets: that, like a lane that does not arrive, is
+an error naming the charts, never a cue to re-run them on another path.
+
+Records carry Hessians in both chart coordinates w and log coordinates
+s = ln w (the volume form is translation-invariant in s, so the log Hessian
+is the one entering stationary-phase prefactors), the critical value, and
+all edge values for chart-independent comparisons.
 """
 
 from __future__ import annotations
@@ -36,15 +41,30 @@ class ContinuationError(ChartFailure, RuntimeError):
 
 
 class CriticalPointError(ChartFailure, RuntimeError):
-    """The computed critical-point set is defective (collision/degeneracy)."""
+    """The critical-point set is defective: a chart did not arrive, or two
+    charts landed on one point."""
 
 
-# Detour heights for the lifted ray tau(theta) = theta + i*b*sin(pi*theta).
-# The plain real ray (b = 0) can hit a fold, a real zero of det Hessian where
-# two real critical points collide and Newton tracking silently hops sheets;
-# the default complex lift misses folds generically.  The order is fixed so
-# results stay deterministic.
-DETOUR_BUMPS: Tuple[float, ...] = (0.12, -0.12, 0.3, -0.3, 0.45, -0.45, 0.0)
+# Height of the lifted ray tau(theta) = theta + i*PATH_LIFT*sin(pi*theta).
+# The plain real ray can hit a fold, a real zero of det Hessian where two
+# real critical points collide and Newton tracking silently hops sheets; the
+# complex lift misses folds generically and lands on the same real endpoint.
+PATH_LIFT = 0.12
+
+# Step control.  A path step is rejected (and halved) when the solution moves
+# by more than JUMP_BOUND in sup-norm of s, or when the log-Hessian
+# determinant changes by more than a factor e^DET_JUMP_BOUND.  A looser jump
+# bound lets a lane cross onto a neighbouring sheet.
+JUMP_BOUND = 0.5
+DET_JUMP_BOUND = 1.5
+# The first path step, as a fraction of the path.
+FIRST_STEP = 1.0 / 8
+# Newton converges when |grad f|_inf is at most max(NEWTON_TOL, FLOOR_FACTOR *
+# eps * the largest sum of absolute gradient terms) at the accepted point: the
+# second term is the rounding floor of the gradient sum, which exceeds
+# NEWTON_TOL when some |w| is in the thousands.
+NEWTON_TOL = 1e-12
+FLOOR_FACTOR = 512
 
 # Two records closer than this (sup-distance of all edge values) are one point.
 COLLISION_DISTANCE = 1e-6
@@ -66,7 +86,6 @@ class CriticalPointRecord:
     chart: SigmaChart
     lam: Tuple[float, ...]
     q: Tuple[float, ...]
-    bump: float                        # detour height of the tracked path
     s: np.ndarray                      # log coordinates of the solution
     coordinates: np.ndarray            # chart coordinates w = exp(s)
     u_sigma: complex                   # critical value of f_q (rho ln q included)
@@ -83,7 +102,6 @@ class CriticalPointRecord:
         return {
             "k_sequence": list(self.chart.kseq),
             "permutation": list(self.chart.permutation),
-            "bump": self.bump,
             "coordinates": [[z.real, z.imag] for z in self.coordinates.tolist()],
             "u_sigma": [self.u_sigma.real, self.u_sigma.imag],
             "hessian_det": [self.hessian_det.real, self.hessian_det.imag],
@@ -110,8 +128,8 @@ def _check_q(q: Sequence[float], n: int) -> Tuple[float, ...]:
 
 # ---------------------------------------------------------------------------
 # Lockstep continuation.  A lane is one chart's phase at one (lambda, q) on
-# one detour path.  All lanes of a batch share the dimension d and the 2d
-# monomials, so the phase data stack into (L, 2d, d) arrays.  Every tick
+# the path tau(theta) * q.  All lanes of a batch share the dimension d and the
+# 2d monomials, so the phase data stack into (L, 2d, d) arrays.  Every tick
 # evaluates gradients on every running lane, and each lane then takes the next
 # move of exactly the control logic of a single track: predictor, step
 # halving, det-ratio and jump rejection, damped Newton line search.  Lanes
@@ -141,18 +159,16 @@ def _solve(h: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return x, singular
 
 
-def _tau(theta: np.ndarray, bump: np.ndarray) -> np.ndarray:
-    return theta + 1j * (bump * np.sin(np.pi * theta))
+def _tau(theta: np.ndarray) -> np.ndarray:
+    return theta + 1j * (PATH_LIFT * np.sin(np.pi * theta))
 
 
 @dataclass
 class _Endpoints:
-    """Per-lane result of `_Lanes.track`: which lane on which detour, the
-    solution, its gradient norm and log-Hessian, the continued log det of
-    that Hessian, and None or the reason the lane failed."""
+    """Per-lane result of `_Lanes.track`: the solution, its gradient norm and
+    log-Hessian, the continued log det of that Hessian, and None or the
+    reason the lane failed."""
 
-    idx: np.ndarray
-    bumps: np.ndarray
     s: np.ndarray
     gnorm: np.ndarray
     h: np.ndarray
@@ -193,10 +209,9 @@ class _Lanes:
         self.bq = B @ self.lnq
         self.qdeg = B.sum(axis=2)
 
-    def track(self, idx: Sequence[int], bumps: Sequence[float], steps: int,
-              tol: float) -> _Endpoints:
-        """Track lanes idx along tau(theta) = theta + i*bump*sin(pi theta) from
-        the explicit q = 0 start to the target q.
+    def track(self) -> _Endpoints:
+        """Track every lane along tau(theta) * q from the explicit q = 0 start
+        to the target q.
 
         Per lane: Euler predictor, damped Newton (each step backtracking on
         the gradient norm), step halving on Newton failure
@@ -204,33 +219,31 @@ class _Lanes:
         determinant is continued along the path, so square roots stay on the
         branch that is positive at a positive q = 0 limit.
         """
-        idx = np.asarray(idx, dtype=int)
-        count, dim = len(idx), self.A.shape[2]
-        ends = _Endpoints(idx, np.asarray(bumps, dtype=float),
-                          np.zeros((count, dim), dtype=complex), np.full(count, np.inf),
+        count, dim = self.A.shape[0], self.A.shape[2]
+        ends = _Endpoints(np.zeros((count, dim), dtype=complex), np.full(count, np.inf),
                           np.zeros((count, dim, dim), dtype=complex),
                           np.zeros(count, dtype=complex), [None] * count)
-        A = self.A[idx].astype(complex)
-        start = self.start[idx]
-        det0 = np.linalg.det(np.stack([np.diag(-x.astype(complex)) for x in self.sigma[idx]]))
+        A = self.A.astype(complex)
+        det0 = np.linalg.det(np.stack([np.diag(-x.astype(complex)) for x in self.sigma]))
         run = _Running(
             lane=np.arange(count), A=A, At=np.ascontiguousarray(A.transpose(0, 2, 1)),
-            bq=self.bq[idx], qdeg=self.qdeg[idx], sigma=self.sigma[idx],
-            bump=ends.bumps,
+            absA=np.abs(self.A), abs_sigma=np.abs(self.sigma),
+            bq=self.bq, qdeg=self.qdeg, sigma=self.sigma,
             # path: accepted point, its theta, next step, det tracking, predictor
-            path=start, theta=np.zeros(count), step=np.full(count, 1.0 / max(int(steps), 1)),
+            path=self.start, theta=np.zeros(count), step=np.full(count, FIRST_STEP),
             prev_det=det0, log_det=np.log(det0), final=np.zeros(count, dtype=bool),
             pred=np.zeros((count, dim), dtype=complex), pred_norm=np.full(count, np.inf),
             # Newton solve at theta_next: start point y, iterate s, direction
-            # dirn and the next line-search step t
-            th_next=np.zeros(count), c=np.zeros(self.bq[idx].shape, dtype=complex),
-            y=start.copy(), s=start.copy(), gnorm=np.full(count, np.inf),
+            # dirn, the next line-search step t and the tolerance at s
+            th_next=np.zeros(count), c=np.zeros(self.bq.shape, dtype=complex),
+            y=self.start.copy(), s=self.start.copy(), gnorm=np.full(count, np.inf),
             dirn=np.zeros((count, dim), dtype=complex), t=np.ones(count),
+            tol=np.full(count, NEWTON_TOL),
             it=np.zeros(count, dtype=int), fresh=np.zeros(count, dtype=bool))
         self._attempt(run, np.ones(count, dtype=bool))
         with np.errstate(all="ignore"):
             while run.lane.size:
-                finished = self._tick(run, ends, idx, tol)
+                finished = self._tick(run, ends)
                 if finished is not None and finished.any():
                     run.keep(~finished)
         return ends
@@ -245,20 +258,19 @@ class _Lanes:
         path = run.path[rows]
         run.y[rows] = np.where(use[:, None], path + dtheta[:, None] * run.pred[rows], path)
         run.th_next[rows] = th_next
-        run.c[rows] = (run.bq[rows]
-                       + np.log(_tau(th_next, run.bump[rows]))[:, None] * run.qdeg[rows])
+        run.c[rows] = run.bq[rows] + np.log(_tau(th_next))[:, None] * run.qdeg[rows]
         run.fresh[rows] = True
         run.it[rows] = -1   # taking the start point counts as step 0
 
-    def _tick(self, run: _Running, ends: _Endpoints, idx: np.ndarray,
-              tol: float) -> Optional[np.ndarray]:
+    def _tick(self, run: _Running, ends: _Endpoints) -> Optional[np.ndarray]:
         """One round of gradient evaluations on every running lane and the
         move that follows; returns the rows whose lanes finished, or None.
 
         A fresh Newton start evaluates its start point.  A lane in a line
         search evaluates a window of its next trial steps t, t/2, t/4, ... at
         once and moves to the first one that lowers the gradient norm: the
-        point a one-by-one backtracking search would accept."""
+        point a one-by-one backtracking search would accept.  The Newton
+        tolerance is the one taken at the lane's last accepted point."""
         count = run.lane.size
         width = min(_TRIALS, max(4, 64 // count))
         fresh = run.fresh
@@ -276,7 +288,7 @@ class _Lanes:
         norm = np.abs(g).max(axis=2)
         # NaN compares false, so a non-finite trial point is never taken
         ok = norm < run.gnorm[:, None]
-        ok |= norm <= tol
+        ok |= norm <= run.tol[:, None]
         ok &= t >= _STEPS[-1]
         if any_fresh:
             ok[fresh] = _STEPS[:width] == 1.0
@@ -286,6 +298,9 @@ class _Lanes:
         vals, g, norm = vals[rows, pick], g[rows, pick], norm[rows, pick]
         np.copyto(run.s, trial[rows, pick], where=acc[:, None])
         np.copyto(run.gnorm, norm, where=acc)
+        terms = np.matmul(np.abs(vals)[:, None, :], run.absA)[:, 0] + run.abs_sigma
+        floor = FLOOR_FACTOR * np.finfo(float).eps * terms.max(axis=1)
+        np.copyto(run.tol, np.maximum(NEWTON_TOL, floor), where=acc)
         run.it += acc
         if any_fresh:
             run.fresh = np.zeros(count, dtype=bool)
@@ -294,7 +309,7 @@ class _Lanes:
         np.multiply(run.t, 0.5 ** width, out=run.t, where=miss)
         stalled = miss & (run.t < _STEPS[-1])
         bad = (run.it >= _NEWTON_STEPS) | (acc & ~np.isfinite(norm))
-        conv = acc & (norm <= tol) & ~bad
+        conv = acc & (norm <= run.tol) & ~bad
         more = acc & ~conv & ~bad
 
         # one stacked solve: next Newton directions, and the Euler predictor
@@ -304,10 +319,10 @@ class _Lanes:
         conv_path = (conv & ~run.final).nonzero()[0]
         singular = None
         if conv_path.size:
-            theta, bump = run.th_next[conv_path], run.bump[conv_path]
-            dtau = 1.0 + 1j * bump * np.pi * np.cos(np.pi * theta)
+            theta = run.th_next[conv_path]
+            dtau = 1.0 + 1j * PATH_LIFT * np.pi * np.cos(np.pi * theta)
             dg = np.matmul((vals[conv_path] * run.qdeg[conv_path])[:, None, :],
-                           run.A[conv_path])[:, 0] * (dtau / _tau(theta, bump))[:, None]
+                           run.A[conv_path])[:, 0] * (dtau / _tau(theta))[:, None]
             x, sing = _solve(h[np.concatenate((newton, conv_path))],
                              -np.concatenate((g[newton], dg)))
             dirn, ds, singular = x[:newton.size], x[newton.size:], sing[:newton.size]
@@ -328,14 +343,14 @@ class _Lanes:
 
         # Newton failures: halve the path step, or give up at the target
         for r in (bad | stalled).nonzero()[0]:
-            kseq = self.charts[idx[run.lane[r]]].kseq
+            kseq = self.charts[run.lane[r]].kseq
             if run.final[r]:
                 if stalled[r]:
                     why = "Newton line search failed"
                 elif not np.isfinite(norm[r]):
                     why = "Newton iterate escaped to non-finite values"
                 elif run.it[r] >= _NEWTON_STEPS:
-                    why = f"Newton did not reach tol={tol}"
+                    why = f"Newton did not reach tol={run.tol[r]:.1e}"
                 else:
                     why = "singular Hessian on the path"
                 ends.errors[run.lane[r]] = f"{why} at the target q for chart {kseq}"
@@ -363,13 +378,14 @@ class _Lanes:
             rows = conv_path
             det = np.linalg.det(h[rows])
             for r, at in zip(rows[det == 0], run.th_next[rows[det == 0]]):
-                kseq = self.charts[idx[run.lane[r]]].kseq
+                kseq = self.charts[run.lane[r]].kseq
                 ends.errors[run.lane[r]] = (f"Hessian singular at theta={at} (caustic) "
                                             f"for chart {kseq}")
                 finished[r] = True
             ratio = det / run.prev_det[rows]
             jump = np.abs(run.s[rows] - run.path[rows]).max(axis=1)
-            reject = ((np.abs(np.log(ratio)) > 1.5) | (jump > 1.5)) & (run.step[rows] > 1e-11)
+            reject = ((np.abs(np.log(ratio)) > DET_JUMP_BOUND) | (jump > JUMP_BOUND))
+            reject &= run.step[rows] > 1e-11
             reject &= det != 0
             run.step[rows[reject]] /= 2
             restart[rows[reject]] = True
@@ -396,28 +412,23 @@ class _Lanes:
             self._attempt(run, restart)
         return finished
 
-    def critical_values(self, idx: Sequence[int], s: np.ndarray) -> np.ndarray:
+    def critical_values(self, s: np.ndarray) -> np.ndarray:
         """u_sigma = f(s) + rho . ln q per lane."""
-        return np.array([self.phases[k].value(x, self.lnq) + self.phases[k].rho @ self.lnq
-                         for k, x in zip(idx, s)])
+        return np.array([ph.value(x, self.lnq) + ph.rho @ self.lnq
+                         for ph, x in zip(self.phases, s)])
 
-    def records(self, ends: _Endpoints) -> List[Optional[CriticalPointRecord]]:
-        """The record of every tracked lane that arrived, None for the others."""
-        arrived = [j for j, e in enumerate(ends.errors) if e is None]
-        out: List[Optional[CriticalPointRecord]] = [None] * len(ends.errors)
-        if not arrived:
-            return out
-        lanes = ends.idx[arrived]
-        s, h_s, dim = ends.s[arrived], ends.h[arrived], ends.s.shape[1]
-        vals = np.array([self.phases[k].exponentials(x, self.lnq) for k, x in zip(lanes, s)])
-        grad = np.array([self.phases[k].gradient(x, self.lnq) for k, x in zip(lanes, s)])
+    def records(self, ends: _Endpoints) -> List[CriticalPointRecord]:
+        """The record of every lane; call it once every lane has arrived."""
+        s, h_s, dim = ends.s, ends.h, ends.s.shape[1]
+        vals = np.array([ph.exponentials(x, self.lnq) for ph, x in zip(self.phases, s)])
+        grad = np.array([ph.gradient(x, self.lnq) for ph, x in zip(self.phases, s)])
         w = vals[:, :dim]  # the first d monomials are the chart variables
         # w-coordinate Hessian: e^{-s_k-s_l} (H_s - diag(grad_s)) at the solution
         inv_w = 1.0 / w
         h_w = (h_s - grad[:, :, None] * np.eye(dim)) * inv_w[:, :, None] * inv_w[:, None, :]
         det_s = np.linalg.det(h_s)
         det_w = np.linalg.det(h_w)
-        u = self.critical_values(lanes, s)
+        u = self.critical_values(s)
         # Nondegeneracy on the row-scaled log-Hessian.  The log coordinates
         # are the translation-invariant ones (the volume form is flat there),
         # so this measure is blind to the spread of the w values themselves;
@@ -426,44 +437,37 @@ class _Lanes:
         scale = np.max(np.abs(h_s), axis=2)
         scale[scale == 0] = 1.0
         det_scaled = np.linalg.det(h_s / scale[:, :, None])
-        for k, (j, lane) in enumerate(zip(arrived, lanes)):
-            chart = self.charts[lane]
+        out = []
+        for k, chart in enumerate(self.charts):
             names = list(chart.row_of)  # the rows of A, in order
-            out[j] = CriticalPointRecord(
-                chart=chart, lam=self.lam, q=self.q, bump=float(ends.bumps[j]),
+            out.append(CriticalPointRecord(
+                chart=chart, lam=self.lam, q=self.q,
                 s=s[k], coordinates=w[k], u_sigma=complex(u[k]),
-                gradient_norm=float(ends.gnorm[j]),
+                gradient_norm=float(ends.gnorm[k]),
                 hessian=h_w[k], hessian_det=complex(det_w[k]),
                 log_hessian=h_s[k], log_hessian_det=complex(det_s[k]),
-                sqrt_log_hessian_det=complex(np.exp(ends.log_det[j] / 2)),
+                sqrt_log_hessian_det=complex(np.exp(ends.log_det[k] / 2)),
                 nondegenerate=bool(abs(det_scaled[k]) > 1e-8),
                 edge_values={nm: complex(v) for nm, v in zip(names, vals[k])},
-            )
+            ))
         return out
 
 
-def continue_to(chart: SigmaChart, lam: Sequence[float], q_target: Sequence[float],
-                steps: int = 8, tol: float = 1e-12,
-                bump: Optional[float] = None) -> CriticalPointRecord:
-    """Track the chart's critical point from q = 0 to q_target.
+def continue_to(chart: SigmaChart, lam: Sequence[float],
+                q_target: Sequence[float]) -> CriticalPointRecord:
+    """Track one chart's critical point from q = 0 to q_target, as a batch of
+    one lane on the path of `all_critical_points`.
 
-    Follows the ray tau * q_target with adaptive step halving and Newton
-    polish at each step.  When the real ray hits a fold, complex detours from
-    DETOUR_BUMPS are tried in order; pass `bump` to force one specific path
-    (needed when two runs must stay on corresponding branches).  The square
-    root of the log-Hessian determinant is continued along the same path,
-    with the positive root at the real q = 0 limit when that determinant is
-    positive and the principal root otherwise.
+    The square root of the log-Hessian determinant is continued along the
+    same path, with the positive root at the real q = 0 limit when that
+    determinant is positive and the principal root otherwise.
     """
     lanes = _Lanes([chart], lam, q_target)
-    error = None
-    for b in (DETOUR_BUMPS if bump is None else (bump,)):
-        ends = lanes.track([0], [b], steps, tol)
-        error = ends.errors[0]
-        if error is None:
-            return lanes.records(ends)[0]
-    raise ContinuationError(f"continuation failed for chart {chart.kseq}: {error}",
-                            chart.kseq)
+    ends = lanes.track()
+    if ends.errors[0] is not None:
+        raise ContinuationError(f"continuation failed for chart {chart.kseq}: "
+                                f"{ends.errors[0]}", chart.kseq)
+    return lanes.records(ends)[0]
 
 
 def _sup_distances(records: Sequence[CriticalPointRecord]) -> np.ndarray:
@@ -482,62 +486,30 @@ def _sup_distances(records: Sequence[CriticalPointRecord]) -> np.ndarray:
 
 
 def all_critical_points(n: int, lam: Sequence[float], q: Sequence[float],
-                        steps: int = 8, tol: float = 1e-12,
                         graph: Optional[MirrorGraph] = None) -> List[CriticalPointRecord]:
-    """One record per chart, merged in k-sequence order.
+    """One record per chart, in k-sequence order.
 
-    All charts are tracked as one batch on the first detour variant; lanes
-    that fail are rerun together on their next variant.  Records must be
-    pairwise distinct as points of the mirror torus.  When the ray passes a
-    fold, two tracks can land on the same sheet; colliding charts are then
-    re-run on the next detour variant until the full fiber is recovered.
-    Exhausting the variants raises CriticalPointError.
+    All charts are tracked as one batch on one path.  A lane that does not
+    arrive, or two records that are one point of the mirror torus (a sheet
+    jump: continuation off the branch points is a bijection on sheets),
+    raises CriticalPointError naming the charts.
     """
     graph = graph or MirrorGraph(n)
     kseqs = all_k_sequences(n)
     lanes = _Lanes([make_chart(graph, k) for k in kseqs], lam, q)
-    variant: Dict[int, int] = {}
-    records: Dict[int, CriticalPointRecord] = {}
-
-    def run(start: Dict[int, int]) -> None:
-        """Track each lane from its start variant on until one succeeds."""
-        pending, exhausted = dict(start), {}
-        while pending:
-            idx = sorted(pending)
-            bumps = [DETOUR_BUMPS[pending[k]] for k in idx]
-            ends = lanes.track(idx, bumps, steps, tol)
-            retry = {}
-            for k, rec, error in zip(idx, lanes.records(ends), ends.errors):
-                if rec is not None:
-                    records[k], variant[k] = rec, pending[k]
-                elif pending[k] + 1 < len(DETOUR_BUMPS):
-                    retry[k] = pending[k] + 1
-                else:
-                    exhausted[k] = error
-            pending = retry
-        if exhausted:
-            k = min(exhausted)
-            raise CriticalPointError(
-                f"no continuation variant succeeded for chart {kseqs[k]}: {exhausted[k]}",
-                kseqs[k])
-
-    run({k: 0 for k in range(len(kseqs))})
-
-    for _ in range(4 * len(kseqs)):
-        ordered = [records[k] for k in range(len(kseqs))]
-        close = np.argwhere(_sup_distances(ordered) < COLLISION_DISTANCE)
-        if not close.size:
-            return ordered
-        first, second = (int(x) for x in close[0])
-        if variant[second] + 1 < len(DETOUR_BUMPS):
-            run({second: variant[second] + 1})
-        elif variant[first] + 1 < len(DETOUR_BUMPS):
-            run({first: variant[first] + 1})
-        else:
-            raise CriticalPointError(
-                f"charts {kseqs[first]} and {kseqs[second]} collide on every "
-                "continuation variant", kseqs[second])
-    raise CriticalPointError("collision repair did not converge")
+    ends = lanes.track()
+    failed = [k for k, error in enumerate(ends.errors) if error is not None]
+    if failed:
+        raise CriticalPointError(
+            f"continuation failed for chart(s) {[kseqs[k] for k in failed]}: "
+            f"{ends.errors[failed[0]]}", kseqs[failed[0]])
+    records = lanes.records(ends)
+    close = np.argwhere(_sup_distances(records) < COLLISION_DISTANCE)
+    if close.size:
+        pairs = ", ".join(f"{kseqs[a]} and {kseqs[b]}" for a, b in close.tolist())
+        raise CriticalPointError(f"charts land on one point (a sheet jump): {pairs}",
+                                 kseqs[close[0][0]])
+    return records
 
 
 def pairwise_min_distance(records: Sequence[CriticalPointRecord]) -> float:
@@ -563,15 +535,9 @@ class CensusResult:
     max_spectral_residual: float
     max_lagrangian_residual: float
 
-    @property
-    def ok(self) -> bool:
-        return (self.count == self.expected and self.all_nondegenerate
-                and self.min_pairwise_distance > COLLISION_DISTANCE)
 
-
-def census(n: int, lam: Sequence[float], q: Sequence[float], steps: int = 8,
-           tol: float = 1e-12) -> CensusResult:
-    records = all_critical_points(n, lam, q, steps=steps, tol=tol)
+def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
+    records = all_critical_points(n, lam, q)
     spect = max(spectral_check(r) for r in records)
     lagr = max(to_lagrangian(r).max_residual for r in records)
     return CensusResult(
@@ -650,27 +616,25 @@ def to_lagrangian(record: CriticalPointRecord) -> LagrangianPoint:
     return LagrangianPoint(p=p, q=[complex(x) for x in q], residuals=residuals)
 
 
-def scaling_residual(records: Sequence[CriticalPointRecord], c: float,
-                     steps: int = 8, tol: float = 1e-12) -> float:
+def scaling_residual(records: Sequence[CriticalPointRecord], c: float) -> float:
     """Relative failure of u_sigma(c^2 q, c lam) = c u_sigma(q, lam) over the
     records of one fiber.
 
     w -> c w and q -> c^2 q scale every monomial of the phase by c, so the
     scaled problem's gradient and Hessian are c times the base ones and its
-    path is the base path shifted by ln c.  Each scaled chart is therefore
-    tracked, as one batch, on its record's own detour: an independent track
+    path is the base path shifted by ln c.  The scaled charts are tracked
+    again from q = 0, as one batch on the same path: an independent track
     whose critical value is checked against c * u_sigma.
     """
     base = records[0]
     lanes = _Lanes([r.chart for r in records], [c * x for x in base.lam],
                    [c * c * x for x in base.q])
-    idx = range(len(records))
-    ends = lanes.track(idx, [r.bump for r in records], steps, tol)
+    ends = lanes.track()
     for r, error in zip(records, ends.errors):
         if error is not None:
             raise ContinuationError(
                 f"scaling check failed for chart {r.chart.kseq}: {error}", r.chart.kseq)
-    scaled = lanes.critical_values(idx, ends.s)
+    scaled = lanes.critical_values(ends.s)
     expect = c * np.array([r.u_sigma for r in records])
     return float(np.max(np.abs(scaled - expect) / np.maximum(1.0, np.abs(expect))))
 

@@ -464,7 +464,7 @@ def cp1_example_check(lam0: float, q_grid: Sequence[float]) -> Cp1Report:
         chart = make_chart(graph, kseq)
         phase = phase_in_chart(chart, lam)
         for q in q_grid:
-            rec = crit.continue_to(chart, lam, (q,), bump=crit.DETOUR_BUMPS[0])
+            rec = crit.continue_to(chart, lam, (q,))
             lnq = np.array([math.log(q)])
             du = complex((phase.B.T @ phase.exponentials(rec.s, lnq) + phase.rho)[0])
             root = math.sqrt(lam0 ** 2 + q)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exact import HbarSeries, LaurentPolynomial, bernoulli
 from .mirror import LambdaForm
 from . import critical as crit
@@ -200,59 +198,3 @@ def laplace_consistency(record: crit.CriticalPointRecord, value: float, hbar: fl
     leading = stationary_leading(record, amplitude)
     predicted = leading * cmath.exp(record.u_sigma / hbar) * (2 * math.pi * abs(hbar)) ** (d / 2)
     return abs(predicted - value) / abs(value)
-
-
-@dataclass
-class PsiOscMatrix:
-    n: int
-    lam: Tuple[float, ...]
-    q: Tuple[float, ...]
-    amplitude_names: List[str]
-    charts: List[Tuple[int, ...]]
-    permutations: List[Tuple[int, ...]]
-    entries: np.ndarray                 # (amplitude, chart)
-    gram_variation: Optional[float]    # sup |Gram(q1) - Gram(q0)|, surrogate pairing
-    gram_pairing: str = "identity-surrogate"
-
-    def report(self) -> dict:
-        return {
-            "amplitudes": self.amplitude_names,
-            "charts": [list(k) for k in self.charts],
-            "entries": [[[z.real, z.imag] for z in row] for row in self.entries.tolist()],
-            "gram_variation": self.gram_variation,
-            "gram_pairing": self.gram_pairing,
-        }
-
-
-def psi_osc(n: int, lam: Sequence[float], q: Sequence[float],
-            amplitudes: Sequence[Amplitude],
-            gram_q_factor: Optional[float] = 1.1) -> PsiOscMatrix:
-    """Matrix of stationary-phase leading terms (amplitude x chart).
-
-    The Gram variation reported here uses the identity pairing on the
-    amplitude side as a computable surrogate; the geometric pairing needs
-    two-point invariants that are out of scope, so the number is reported,
-    not asserted constant.
-    """
-    def matrix_at(qv: Sequence[float]) -> Tuple[np.ndarray, List[Tuple[int, ...]], List[Tuple[int, ...]]]:
-        records = crit.all_critical_points(n, lam, qv)
-        cols = []
-        charts, perms = [], []
-        for rec in records:
-            cols.append([stationary_leading(rec, amp) for amp in amplitudes])
-            charts.append(rec.chart.kseq)
-            perms.append(rec.chart.permutation)
-        return np.array(cols).T, charts, perms
-
-    entries, charts, perms = matrix_at(q)
-    variation = None
-    if gram_q_factor is not None:
-        entries2, _, _ = matrix_at([x * gram_q_factor for x in q])
-        g1 = entries.T @ entries
-        g2 = entries2.T @ entries2
-        variation = float(np.max(np.abs(g2 - g1)))
-    names = [getattr(a, "__name__", f"amp{i}") for i, a in enumerate(amplitudes)]
-    return PsiOscMatrix(n=n, lam=tuple(float(x) for x in lam),
-                        q=tuple(float(x) for x in q),
-                        amplitude_names=names, charts=charts, permutations=perms,
-                        entries=entries, gram_variation=variation)

@@ -68,6 +68,19 @@ def test_critical_reports_six_points(capsys):
     doc = json.loads(capsys.readouterr().out)
     count_row = [r for r in doc["results"] if "count" in r][0]
     assert count_row["count"] == 6 and count_row["all_nondegenerate"]
+    assert count_row["failed"] == [] and count_row["degenerate_charts"] == []
+
+
+def test_critical_failure_names_the_failed_check(capsys):
+    # every residual of the n = 4 default draw passes; the row-scaled
+    # nondegeneracy flag is what fails, and the report says so
+    assert run_cli(["critical", "--n", "4"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    summary = [r for r in doc["results"] if "failed" in r][0]
+    assert summary["failed"] == ["nondegenerate"]
+    flagged = [r["k_sequence"] for r in doc["results"]
+               if "k_sequence" in r and not r["nondegenerate"]]
+    assert summary["degenerate_charts"] == flagged != []
 
 
 def test_eigen_n1(capsys):

@@ -118,22 +118,79 @@ def test_scaling_check_fails_on_a_wrong_critical_value():
 
 
 def test_batched_lanes_match_single_tracks():
-    # one lane on a later detour variant must not disturb the others
+    # a lane's track must not depend on the other lanes of its batch
     n, lam, q = 3, (0.4, 0.1, -0.2, -0.3), (0.7, 1.1, 0.9)
     graph = mi.build_graph(n)
     charts = [mi.make_chart(graph, k) for k in mi.all_k_sequences(n)]
-    bumps = [cr.DETOUR_BUMPS[0]] * len(charts)
-    bumps[5] = cr.DETOUR_BUMPS[3]
     lanes = cr._Lanes(charts, lam, q)
-    idx = range(len(charts))
-    ends = lanes.track(idx, bumps, steps=8, tol=1e-12)
+    ends = lanes.track()
     assert ends.errors == [None] * len(charts)
-    for ch, b, rec in zip(charts, bumps, lanes.records(ends)):
-        single = cr.continue_to(ch, lam, q, bump=b)
-        assert single.bump == rec.bump == b
+    for ch, rec in zip(charts, lanes.records(ends)):
+        single = cr.continue_to(ch, lam, q)
         assert abs(rec.u_sigma - single.u_sigma) < 1e-10
         assert np.max(np.abs(rec.s - single.s)) < 1e-10
         assert abs(rec.sqrt_log_hessian_det - single.sqrt_log_hessian_det) < 1e-10
+
+
+def default_draw(n, seed):
+    """The CLI's default (lambda, q) for a seed, as floats."""
+    return ([float(x) for x in cli._default_lambda(n, seed)],
+            [float(x) for x in cli._default_q(n, seed)])
+
+
+# The seed-11 draw of the census benchmark: chart (3,1,0) has |w| ~ 4e3,
+# where the gradient's rounding floor lies above an absolute 1e-12.
+LARGE_W_LAM = (1 / 15, -8 / 15, -1 / 5, 2 / 3)
+LARGE_W_Q = (7 / 8, 15 / 16, 1 / 4)
+
+
+@pytest.mark.parametrize("n, seeds", [(3, range(40)), (4, range(10))], ids=["n3", "n4"])
+def test_census_holds_across_seeds(n, seeds):
+    # the gate is the whole sweep: never shrink it or re-seed round a failure
+    bad = []
+    for seed in seeds:
+        lam, q = default_draw(n, seed)
+        try:
+            records = cr.all_critical_points(n, lam, q)
+        except cr.CriticalPointError as exc:
+            bad.append((seed, str(exc)))
+            continue
+        spectral = max(cr.spectral_check(r) for r in records)
+        lagrangian = max(cr.to_lagrangian(r).max_residual for r in records)
+        if not (cr.distinct_count(records) == math.factorial(n + 1)
+                and spectral < 1e-8 and lagrangian < 1e-8):
+            bad.append((seed, cr.distinct_count(records), spectral, lagrangian))
+    assert bad == []
+
+
+@pytest.mark.parametrize("n, lam, q", [
+    *((3, *default_draw(3, seed)) for seed in (3, 27, 30)),
+    *((4, *default_draw(4, seed)) for seed in (5, 7)),
+    (3, LARGE_W_LAM, LARGE_W_Q),
+], ids=["n3-seed3", "n3-seed27", "n3-seed30", "n4-seed5", "n4-seed7", "n3-large-w"])
+def test_scaling_law_on_hard_draws(n, lam, q):
+    # draws where the former detour ladder needed a repair or failed
+    records = cr.all_critical_points(n, lam, q)
+    for c in (2.0, 1.0 / 3.0):
+        assert cr.scaling_residual(records, c) < 1e-8
+
+
+def test_jump_bound_keeps_lanes_on_their_sheets(monkeypatch):
+    # with the looser bound of the former detour ladder, two lanes of this
+    # draw land on one sheet
+    monkeypatch.setattr(cr, "JUMP_BOUND", 1.5)
+    with pytest.raises(cr.CriticalPointError) as err:
+        cr.all_critical_points(3, *default_draw(3, 3))
+    assert "(1, 1, 1)" in str(err.value) and "(3, 2, 1)" in str(err.value)
+
+
+def test_newton_floor_lets_large_w_lanes_converge(monkeypatch):
+    # without the rounding floor Newton stalls just above 1e-12 on chart
+    # (3,1,0) and step halving runs out
+    monkeypatch.setattr(cr, "FLOOR_FACTOR", 0)
+    with pytest.raises(cr.CriticalPointError) as err:
+        cr.all_critical_points(3, LARGE_W_LAM, LARGE_W_Q)
+    assert err.value.chart == (3, 1, 0)
 
 
 @pytest.mark.parametrize("n, lam, q", [

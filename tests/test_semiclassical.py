@@ -89,34 +89,25 @@ def test_laplace_consistency_small_hbar():
     assert sc.laplace_consistency(rec, val, -0.125) < 5e-2
 
 
-def test_psi_osc_matrix_shape_and_gram():
-    psi = sc.psi_osc(1, LAM1, (1.0,), [sc.amplitude_one, sc.amplitude_p(0)])
-    assert psi.entries.shape == (2, 2)
-    assert psi.gram_variation is not None
-    assert psi.gram_pairing == "identity-surrogate"
-    assert np.all(np.isfinite(psi.entries))
+@pytest.mark.parametrize("n, lam", [(1, LAM1), (2, (0.25, 0.125, -0.375))], ids=["n1", "n2"])
+def test_stationary_leading_scaling_of_columns(n, lam):
+    # lam -> c lam, q -> c^2 q: an amplitude of homogeneity degree m scales
+    # the leading term by c^{m - d/2}, d = n(n+1)/2, chart by chart
+    c, d = 2.0, n * (n + 1) // 2
+    base = cr.all_critical_points(n, lam, (1.0,) * n)
+    scaled = cr.all_critical_points(n, [c * x for x in lam], (c * c,) * n)
+    for m, amp in ((0, sc.amplitude_one), (1, sc.amplitude_p(0))):
+        ratio = [sc.stationary_leading(s, amp) / sc.stationary_leading(b, amp)
+                 for b, s in zip(base, scaled)]
+        assert np.allclose(ratio, c ** (m - d / 2))
 
 
-def test_psi_osc_scaling_of_columns():
-    c = 2.0
-    base = sc.psi_osc(1, LAM1, (1.0,), [sc.amplitude_one, sc.amplitude_p(0)],
-                      gram_q_factor=None)
-    scaled = sc.psi_osc(1, [c * x for x in LAM1], (c * c,),
-                        [sc.amplitude_one, sc.amplitude_p(0)], gram_q_factor=None)
-    # amplitude of homogeneity degree m scales by c^{m - d/2}, d = 1
-    ratio0 = scaled.entries[0] / base.entries[0]
-    ratio1 = scaled.entries[1] / base.entries[1]
-    assert np.allclose(ratio0, c ** -0.5)
-    assert np.allclose(ratio1, c ** 0.5)
-
-
-def test_psi_osc_nonequivariant_limit_finite():
+def test_stationary_leading_nonequivariant_limit_finite():
     vals = []
     for eps in (1e-2, 5e-3):
-        psi = sc.psi_osc(1, (eps, -eps), (1.0,), [sc.amplitude_one],
-                         gram_q_factor=None)
-        vals.append(psi.entries[0])
-        assert np.all(np.isfinite(psi.entries))
+        records = cr.all_critical_points(1, (eps, -eps), (1.0,))
+        vals.append(np.array([sc.stationary_leading(r, sc.amplitude_one) for r in records]))
+        assert np.all(np.isfinite(vals[-1]))
     assert np.max(np.abs(np.abs(vals[0]) - np.abs(vals[1]))) < 1e-3
 
 
