@@ -214,10 +214,10 @@ def run_critical(cfg: RunConfig):
                    "message": str(exc)}
         return [{"failure": failure}], [], False, []
     results = []
-    for rec in census.records:
+    for rec, point in zip(census.records, census.points):
         row = rec.report()
-        row["spectral_residual"] = cr.spectral_check(rec)
-        row["lagrangian_residuals"] = cr.to_lagrangian(rec).residuals
+        row["spectral_residual"] = point.max_residual
+        row["lagrangian_residuals"] = point.residuals
         results.append(row)
     uv = cr.uv_identity_check(cfg.n)
     degenerate = [list(r.chart.kseq) for r in census.records if not r.nondegenerate]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -485,8 +485,8 @@ def _sup_distances(records: Sequence[CriticalPointRecord]) -> np.ndarray:
     return dist
 
 
-def all_critical_points(n: int, lam: Sequence[float], q: Sequence[float],
-                        graph: Optional[MirrorGraph] = None) -> List[CriticalPointRecord]:
+def all_critical_points(n: int, lam: Sequence[float],
+                        q: Sequence[float]) -> List[CriticalPointRecord]:
     """One record per chart, in k-sequence order.
 
     All charts are tracked as one batch on one path.  A lane that does not
@@ -494,7 +494,7 @@ def all_critical_points(n: int, lam: Sequence[float], q: Sequence[float],
     jump: continuation off the branch points is a bijection on sheets),
     raises CriticalPointError naming the charts.
     """
-    graph = graph or MirrorGraph(n)
+    graph = MirrorGraph(n)
     kseqs = all_k_sequences(n)
     lanes = _Lanes([make_chart(graph, k) for k in kseqs], lam, q)
     ends = lanes.track()
@@ -517,17 +517,21 @@ def pairwise_min_distance(records: Sequence[CriticalPointRecord]) -> float:
     return float(np.min(_sup_distances(records), initial=math.inf))
 
 
+def _distinct(dist: np.ndarray) -> int:
+    """Records not within COLLISION_DISTANCE of an earlier record, read off
+    their `_sup_distances` matrix."""
+    return len(dist) - int(np.any(dist <= COLLISION_DISTANCE, axis=0).sum())
+
+
 def distinct_count(records: Sequence[CriticalPointRecord]) -> int:
     """Records that are not within COLLISION_DISTANCE of an earlier record."""
-    if not records:
-        return 0
-    repeats = np.any(_sup_distances(records) <= COLLISION_DISTANCE, axis=0)
-    return len(records) - int(repeats.sum())
+    return _distinct(_sup_distances(records)) if records else 0
 
 
 @dataclass
 class CensusResult:
     records: List[CriticalPointRecord]
+    points: List[LagrangianPoint]      # to_lagrangian of each record
     count: int
     expected: int
     all_nondegenerate: bool
@@ -537,17 +541,24 @@ class CensusResult:
 
 
 def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
+    """Every record of the fiber with its point on the Lagrangian variety.
+
+    The spectral identity and the Toda relations are one identity, read in
+    edge and in (p, q) coordinates, so both maxima are the largest residual
+    of those points."""
     records = all_critical_points(n, lam, q)
-    spect = max(spectral_check(r) for r in records)
-    lagr = max(to_lagrangian(r).max_residual for r in records)
+    points = [to_lagrangian(r) for r in records]
+    worst = max(pt.max_residual for pt in points)
+    dist = _sup_distances(records)
     return CensusResult(
         records=records,
-        count=distinct_count(records),
+        points=points,
+        count=_distinct(dist),
         expected=math.factorial(n + 1),
         all_nondegenerate=all(r.nondegenerate for r in records),
-        min_pairwise_distance=pairwise_min_distance(records),
-        max_spectral_residual=spect,
-        max_lagrangian_residual=lagr,
+        min_pairwise_distance=float(np.min(dist, initial=math.inf)),
+        max_spectral_residual=worst,
+        max_lagrangian_residual=worst,
     )
 
 
@@ -555,28 +566,23 @@ def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
 # Spectral identity and the map to the Lagrangian variety.
 # ---------------------------------------------------------------------------
 
-def row_matrix(record: CriticalPointRecord, k: int = 1) -> np.ndarray:
-    """The (n-k+2)-square matrix built from row-k edge values:
+def _a_matrix(n: int, k: int, sub: Callable[[str], ops.T],
+              const: Callable[[int], ops.T] = LaurentPolynomial.constant) -> List[List[ops.T]]:
+    """The (n-k+2)-square row matrix A_k over the ring of the edge values
+    `sub` returns: diagonal (-u_{k0}, v_{k0} - u_{k1}, ..., v_{k,n-k}),
+    superdiagonal u_{kj} v_{kj}, subdiagonal -1.  A_{n+1} is the 1x1 zero
+    matrix."""
+    if k == n + 1:
+        return ops.tridiagonal([const(0)], [], const)
+    u = [sub(Edge("u", k, j).name) for j in range(n - k + 1)]
+    v = [sub(Edge("v", k, j).name) for j in range(n - k + 1)]
+    diag = [-u[0]] + [v[j] - u[j + 1] for j in range(n - k)] + [v[n - k]]
+    return ops.tridiagonal(diag, [a * b for a, b in zip(u, v)], const)
 
-    diagonal (-u_{k0}, v_{k0} - u_{k1}, ..., v_{k,n-k}),
-    superdiagonal u_{kj} v_{kj}, subdiagonal -1.
-    """
-    n = record.chart.n
-    size = n - k + 2
-    u = [record.edge_values[Edge("u", k, j).name] for j in range(n - k + 1)]
-    v = [record.edge_values[Edge("v", k, j).name] for j in range(n - k + 1)]
-    m = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        if i == 0:
-            m[i, i] = -u[0]
-        elif i < size - 1:
-            m[i, i] = v[i - 1] - u[i]
-        else:
-            m[i, i] = v[size - 2]
-        if i + 1 < size:
-            m[i, i + 1] = u[i] * v[i]
-            m[i + 1, i] = -1.0
-    return m
+
+def row_matrix(record: CriticalPointRecord, k: int = 1) -> np.ndarray:
+    """A_k at the record's edge values."""
+    return np.array(_a_matrix(record.chart.n, k, record.edge_values.__getitem__, complex))
 
 
 def _char_coeffs(m: np.ndarray) -> np.ndarray:
@@ -585,35 +591,24 @@ def _char_coeffs(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_check(record: CriticalPointRecord) -> float:
-    """Max deviation of det(A_1 - lam_0 I + xI) from prod (x - lam_i)."""
-    lam0 = record.lam[0]
-    m = row_matrix(record, 1) - lam0 * np.eye(record.chart.n + 1)
-    coeffs = _char_coeffs(m)
-    target = np.poly(np.array(record.lam))[1:]
-    return float(np.max(np.abs(coeffs - target)))
+    """Max deviation of det(A_1 - lam_0 I + xI) from prod (x - lam_i): the
+    largest relation residual of `to_lagrangian`."""
+    return to_lagrangian(record).max_residual
 
 
 def to_lagrangian(record: CriticalPointRecord) -> LagrangianPoint:
     """Image of the critical point in Spec C[p, q^{pm}] / (D_i(p,q) - sigma_i).
 
-    The diagonal of A_1 is shifted by -lam_0 on every entry so that the
-    relations D_i(p, q) = sigma_i hold on the nose.
+    p and q are the diagonal and superdiagonal of A_1 - lam_0 I; the shift
+    makes the relations D_i(p, q) = sigma_i hold on the nose, so their
+    residuals are those of det(A_1 - lam_0 I + xI) = prod (x - lam_i),
+    coefficient by coefficient.
     """
-    n = record.chart.n
-    m = row_matrix(record, 1)
-    p = [complex(m[i, i]) - record.lam[0] for i in range(n + 1)]
-    q = [record.edge_values[Edge("u", 1, j).name] * record.edge_values[Edge("v", 1, j).name]
-         for j in range(n)]
-    toda = np.zeros((n + 1, n + 1), dtype=complex)
-    for i in range(n + 1):
-        toda[i, i] = p[i]
-        if i + 1 <= n:
-            toda[i, i + 1] = q[i]
-            toda[i + 1, i] = -1.0
-    coeffs = _char_coeffs(toda)
+    m = row_matrix(record, 1) - record.lam[0] * np.eye(record.chart.n + 1)
     target = np.poly(np.array(record.lam))[1:]
-    residuals = [float(abs(a - b)) for a, b in zip(coeffs, target)]
-    return LagrangianPoint(p=p, q=[complex(x) for x in q], residuals=residuals)
+    residuals = [float(abs(a - b)) for a, b in zip(_char_coeffs(m), target)]
+    return LagrangianPoint(p=[complex(x) for x in np.diag(m)],
+                           q=[complex(x) for x in np.diag(m, 1)], residuals=residuals)
 
 
 def scaling_residual(records: Sequence[CriticalPointRecord], c: float) -> float:
@@ -684,28 +679,6 @@ def _v_factor(n: int, k: int, sub) -> ops.Matrix:
         m[i][i] = LaurentPolynomial.constant(-1)
         if i < size - 1:
             m[i][i + 1] = sub(Edge("v", k, i).name)
-    return m
-
-
-def _a_matrix(n: int, k: int, sub) -> ops.Matrix:
-    """Row matrix A_k in edge symbols (A_{n+1} is the 1x1 zero matrix)."""
-    if k == n + 1:
-        return [[LaurentPolynomial.zero()]]
-    size = n - k + 2
-    zero = LaurentPolynomial.zero()
-    u = [sub(Edge("u", k, j).name) for j in range(n - k + 1)]
-    v = [sub(Edge("v", k, j).name) for j in range(n - k + 1)]
-    m = [[zero for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        if i == 0:
-            m[i][i] = -u[0]
-        elif i < size - 1:
-            m[i][i] = v[i - 1] - u[i]
-        else:
-            m[i][i] = v[size - 2]
-        if i + 1 < size:
-            m[i][i + 1] = u[i] * v[i]
-            m[i + 1][i] = LaurentPolynomial.constant(-1)
     return m
 
 

@@ -454,20 +454,18 @@ def cp1_example_check(lam0: float, q_grid: Sequence[float]) -> Cp1Report:
     """
     if lam0 == 0:
         raise ValueError("lam0 must be nonzero")
-    graph = MirrorGraph(1)
     lam = (lam0, -lam0)
 
     derivative_match = 0.0
     momentum_match = 0.0
-    # assign each chart the momentum branch that matches its du/dt
-    for kseq in ((0,), (1,)):
-        chart = make_chart(graph, kseq)
-        phase = phase_in_chart(chart, lam)
-        for q in q_grid:
-            rec = crit.continue_to(chart, lam, (q,))
-            lnq = np.array([math.log(q)])
+    # both charts of each fiber in one batch; assign each chart the momentum
+    # branch that matches its du/dt
+    for q in q_grid:
+        lnq = np.array([math.log(q)])
+        root = math.sqrt(lam0 ** 2 + q)
+        for rec in crit.all_critical_points(1, lam, (q,)):
+            phase = phase_in_chart(rec.chart, lam)
             du = complex((phase.B.T @ phase.exponentials(rec.s, lnq) + phase.rho)[0])
-            root = math.sqrt(lam0 ** 2 + q)
             p = min((root, -root), key=lambda v: abs(du - v))
             momentum_match = max(momentum_match, abs(du - p))
             derivative_match = max(derivative_match,

@@ -29,11 +29,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, TypeVar
 
 from .exact import ExactAlgebraError, LaurentPolynomial, variable_order
 
 HBAR = "hbar"
+T = TypeVar("T")
 
 
 def q_name(i: int) -> str:
@@ -225,19 +226,27 @@ def commutator(a: DifferentialOperator, b: DifferentialOperator) -> Differential
 # The Toda matrix, its characteristic coefficients, and the operators D_i.
 # ---------------------------------------------------------------------------
 
+def tridiagonal(diag: Sequence[T], upper: Sequence[T], const: Callable[[int], T]) -> List[List[T]]:
+    """The Toda shape over any ring: `diag` on the diagonal, `upper` on the
+    superdiagonal, -1 on the subdiagonal and 0 elsewhere, with `const`
+    making the ring's integers."""
+    zero, minus_one = const(0), const(-1)
+    mat = [[zero] * len(diag) for _ in diag]
+    for i, d in enumerate(diag):
+        mat[i][i] = d
+    for i, e in enumerate(upper):
+        mat[i][i + 1] = e
+        mat[i + 1][i] = minus_one
+    return mat
+
+
 def build_toda_matrix(n: int) -> List[List[LaurentPolynomial]]:
     """Tridiagonal matrix with p_i diagonal, q_i superdiagonal, -1 subdiagonal."""
     if n < 1:
         raise ExactAlgebraError("n must be >= 1")
-    size = n + 1
-    zero = LaurentPolynomial.zero()
-    mat = [[zero for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        mat[i][i] = LaurentPolynomial.variable(p_name(i))
-        if i + 1 < size:
-            mat[i][i + 1] = LaurentPolynomial.variable(q_name(i + 1))
-            mat[i + 1][i] = LaurentPolynomial.constant(-1)
-    return mat
+    return tridiagonal([LaurentPolynomial.variable(p_name(i)) for i in range(n + 1)],
+                       [LaurentPolynomial.variable(q_name(i)) for i in range(1, n + 1)],
+                       LaurentPolynomial.constant)
 
 
 def charpoly_det(n: int) -> LaurentPolynomial:

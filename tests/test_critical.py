@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,25 @@ def test_fiber_cardinality_matches_projection_degree():
     records = cr.all_critical_points(2, (0.25, 0.125, -0.375), (0.8, 1.3))
     ps = [tuple(np.round(cr.to_lagrangian(r).p, 8)) for r in records]
     assert len(set(ps)) == 6
+
+
+def test_merged_residual_sees_a_perturbed_edge():
+    # the spectral identity and the Toda relations are one residual; a
+    # relative 1e-6 error on any row-1 edge of any record must show in it
+    lam, q = (0.25, 0.125, -0.375), (1.0, 1.0)
+    c = cr.census(2, lam, q)
+    assert c.max_spectral_residual == c.max_lagrangian_residual < 1e-8
+    for rec in c.records:
+        for name in (e for e in rec.edge_values if e.startswith(("u[1,", "v[1,"))):
+            edges = dict(rec.edge_values, **{name: rec.edge_values[name] * (1 + 1e-6)})
+            bent = dataclasses.replace(rec, edge_values=edges)
+            assert cr.spectral_check(bent) > 1e-8, (rec.chart.kseq, name)
+            assert cr.to_lagrangian(bent).max_residual > 1e-8, (rec.chart.kseq, name)
+    cfg = cli.RunConfig(task="critical", n=2, lam=[Fraction(x) for x in lam],
+                        q=[Fraction(x) for x in q])
+    rows = [r for r in cli.run(cfg).to_dict()["results"] if "lagrangian_residuals" in r]
+    assert len(rows) == 6
+    assert all(r["spectral_residual"] == max(r["lagrangian_residuals"]) for r in rows)
 
 
 def test_nonequivariant_point_satisfies_unshifted_relations():
