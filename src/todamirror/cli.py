@@ -269,7 +269,8 @@ def run_eigen(cfg: RunConfig):
         residuals.append(rel)
         passed = passed and rel < cfg.tol_oracle
     results.append({"quadrature": {"nodes_per_axis": rep.nodes_per_axis,
-                                   "evaluations": rep.evaluations}})
+                                   "evaluations": rep.evaluations,
+                                   "levels": rep.levels, "error": rep.error}})
     return results, residuals, passed, warnings
 
 

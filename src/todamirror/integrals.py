@@ -35,6 +35,9 @@ class QuadratureError(RuntimeError):
 
 # Absolute floor of the doubling test; the relative tolerance governs.
 ABS_TOL = 1e-300
+# Nodes per slab of the trapezoid kernel (whole axis-0 rows, at least one):
+# the per-slab temporaries stay cache-sized.
+_SLAB_NODES = 1 << 16
 
 
 @dataclass
@@ -75,7 +78,7 @@ class WeightGrid:
     """The converged trapezoid grid of exp((f - f_ref)/hbar) on a peak-centred
     box: its axes, the weighted integrand values, the cell volume, the
     integral (grid sum times cell), its doubling error, and the integrand
-    evaluations of the whole doubling loop."""
+    evaluations and grids built by the whole doubling loop."""
     axes: List[np.ndarray]
     weights: np.ndarray
     cell: float
@@ -83,6 +86,7 @@ class WeightGrid:
     value: float
     error: float
     evaluations: int
+    levels: int
 
     @property
     def nodes(self) -> int:
@@ -167,39 +171,53 @@ def _weight_grid(phase: ChartPhase, lnq: np.ndarray, center: np.ndarray,
                  halfwidth: np.ndarray, m: int, f_ref: float,
                  hbar: float) -> Tuple[List[np.ndarray], np.ndarray, float]:
     """Axes, trapezoid-weighted exp((f - f_ref)/hbar) and cell volume of the
-    box center +/- halfwidth with m nodes per axis."""
+    box center +/- halfwidth with m nodes per axis.
+
+    Each monomial exp(b_m + A_m . s) is exponentiated only over the axes
+    where A_m is nonzero and broadcast into the grid, which is filled in
+    slabs of whole axis-0 rows; the grid is the only full-size array.  Each
+    node sees the float operations of the dense formula in the same order
+    (b_m + a_mk s_k in axis order, monomials in row order, then sigma_k s_k,
+    - f_ref, / hbar, exp, the trapezoid halves), less only the exact
+    additions of 0 * s_k, so the grid is bitwise the dense one.
+    """
     d = phase.dim
     axes = [np.linspace(center[k] - halfwidth[k], center[k] + halfwidth[k], m)
             for k in range(d)]
-    # accumulate f on the grid monomial by monomial (broadcasted 1-D phases)
-    shape = tuple([m] * d)
-    f_grid = np.zeros(shape)
-    for idx in range(phase.A.shape[0]):
-        a = phase.A[idx]
-        b_ln = float(phase.B[idx] @ lnq)
-        term = np.full(shape, b_ln)
-        for k in range(d):
-            view = [None] * d
-            view[k] = slice(None)
-            term = term + a[k] * axes[k][tuple(view)]
-        np.exp(term, out=term)
-        f_grid += term
-    for k in range(d):
-        view = [None] * d
-        view[k] = slice(None)
-        f_grid = f_grid + phase.sigma[k] * axes[k][tuple(view)]
-    f_grid -= f_ref
-    f_grid /= hbar
-    np.exp(f_grid, out=f_grid)
+
+    def along(k: int, v: np.ndarray) -> np.ndarray:
+        return v.reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
+
+    b_ln = [float(b @ lnq) for b in phase.B]
+    grid = np.empty((m,) * d)
+    step = max(1, _SLAB_NODES // m ** (d - 1))
+    for r0 in range(0, m, step):
+        rows = slice(r0, r0 + step)
+        local = [axes[0][rows]] + axes[1:]
+        slab = grid[rows]
+        for idx, (a, b) in enumerate(zip(phase.A, b_ln)):
+            term = np.full((1,) * d, b)
+            for k in np.flatnonzero(a):
+                term = term + along(k, a[k] * local[k])
+            np.exp(term, out=term)
+            if idx == 0:
+                slab[...] = term
+            else:
+                slab += term
+        for k in np.flatnonzero(phase.sigma):
+            slab += along(k, phase.sigma[k] * local[k])
+        slab -= f_ref
+        slab /= hbar
+        np.exp(slab, out=slab)
     # trapezoid weights: 1/2 at the two endpoints of each axis
     for k in range(d):
         sl = [slice(None)] * d
         sl[k] = 0
-        f_grid[tuple(sl)] *= 0.5
+        grid[tuple(sl)] *= 0.5
         sl[k] = m - 1
-        f_grid[tuple(sl)] *= 0.5
+        grid[tuple(sl)] *= 0.5
     steps = [(2.0 * halfwidth[k]) / (m - 1) for k in range(d)]
-    return axes, f_grid, math.prod(steps)
+    return axes, grid, math.prod(steps)
 
 
 def _converged_grid(phase: ChartPhase, lnq: np.ndarray, hbar: float,
@@ -213,14 +231,14 @@ def _converged_grid(phase: ChartPhase, lnq: np.ndarray, hbar: float,
     threshold = abs(hbar) * math.log(1e22)
     widths = _axis_halfwidths(phase, lnq, s_star, f_star, threshold)
     nodes, prev, total_evals = 17, None, 0
-    for _ in range(max_doublings):
+    for level in range(1, max_doublings + 1):
         axes, grid, cell = _weight_grid(phase, lnq, s_star, widths, nodes, f_star, hbar)
         raw = float(grid.sum()) * cell
         total_evals += nodes ** phase.dim
         if prev is not None:
             err = abs(raw - prev)
             if err <= max(ABS_TOL, rel_tol * abs(raw)):
-                return WeightGrid(axes, grid, cell, f_star, raw, err, total_evals)
+                return WeightGrid(axes, grid, cell, f_star, raw, err, total_evals, level)
         del axes, grid
         prev = raw
         nodes = 2 * (nodes - 1) + 1
@@ -302,6 +320,8 @@ class EigenReport:
     base_value: float
     evaluations: int
     nodes_per_axis: int
+    levels: int      # trapezoid grids built by the doubling loop
+    error: float     # its last doubling difference, relative to the base integral
 
     def max_residual(self) -> float:
         return max(self.residuals)
@@ -349,7 +369,8 @@ def eigen_residual(n: int, lam: Sequence[float], hbar: float,
     base_value = math.exp((grid.f_ref + float(phase.rho @ x)) / hbar) * base * grid.cell
     return EigenReport(n=n, lam=lam, q=tuple(math.exp(v) for v in x), hbar=hbar,
                        residuals=residuals, base_value=base_value,
-                       evaluations=grid.evaluations, nodes_per_axis=grid.nodes)
+                       evaluations=grid.evaluations, nodes_per_axis=grid.nodes,
+                       levels=grid.levels, error=grid.error / abs(grid.value))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +426,7 @@ def admissible_charts(graph: MirrorGraph, lam: Sequence[float], hbar: float) -> 
 
 def one_variable_factor(c_over_hbar: float, hbar: float) -> float:
     """int_0^inf e^{w/hbar} w^{c/hbar} dw/w = Gamma(c/hbar) (-hbar)^{c/hbar}."""
-    from scipy.special import gamma
-    return float(gamma(c_over_hbar)) * (-hbar) ** c_over_hbar
+    return math.gamma(c_over_hbar) * (-hbar) ** c_over_hbar
 
 
 def q_to_zero_factorization(n: int, lam: Sequence[float], hbar: float,

@@ -147,13 +147,17 @@ def verify_classical_limit(n: int, permutation: Sequence[int], K: int) -> Classi
 
 
 def stirling_numeric_residual(K: int, z: float) -> Tuple[float, float]:
-    """|ln Gamma(z) - truncated Stirling sum| and the next-term bound."""
-    from scipy.special import gammaln
+    """|ln Gamma(z) - truncated Stirling sum| and the next-term bound, at a
+    positive integer z, where ln Gamma(z) = ln (z - 1)! is correctly rounded
+    (math.lgamma is an ulp low at z = 10)."""
+    if z != int(z) or z < 1:
+        raise ValueError(f"z must be a positive integer, got {z}")
+    log_gamma = math.log(math.factorial(int(z) - 1))
     coeffs = gamma_stirling_tail(K + 1)
     partial = (z - 0.5) * math.log(z) - z + 0.5 * math.log(2 * math.pi)
     partial += sum(float(c) * z ** (1 - 2 * i) for i, c in enumerate(coeffs[:K], start=1))
     next_term = abs(float(coeffs[K])) * z ** (1 - 2 * (K + 1))
-    return abs(float(gammaln(z)) - partial), next_term
+    return abs(log_gamma - partial), next_term
 
 
 # ---------------------------------------------------------------------------

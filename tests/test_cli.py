@@ -91,6 +91,29 @@ def test_eigen_n1(capsys):
     assert doc["residuals"]["max"] < 1e-6
 
 
+def test_eigen_quadrature_block_is_deterministic(capsys):
+    blocks = []
+    for _ in range(2):
+        assert run_cli(["eigen", "--n", "2", "--lambda", "1/4,1/8,-3/8", "--q", "3/4,5/4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        blocks.append(next(r["quadrature"] for r in doc["results"] if "quadrature" in r))
+    assert blocks[0] == blocks[1]
+    assert set(blocks[0]) == {"nodes_per_axis", "evaluations", "levels", "error"}
+    assert blocks[0]["error"] <= 1e-11          # eigen_residual's rel_tol
+
+
+def test_classical_limit_and_factorization_do_not_import_scipy():
+    # scipy is a test and benchmark dependency only
+    code = ("import sys\n"
+            "from todamirror import cli, integrals, mirror\n"
+            "assert cli.main(['classical-limit', '--n', '2']) == 0\n"
+            "chart = mirror.make_chart(mirror.build_graph(1), (0,))\n"
+            "integrals.q_to_zero_factorization(1, (0.6, -0.6), -1.0, chart, 1e-4)\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exit_code_on_invalid_lambda(capsys):
     assert run_cli(["critical", "--n", "2", "--lambda", "1/4,1/8,-1/4"]) == 2
     assert run_cli(["critical", "--n", "1", "--lambda", "1/2,1/2"]) == 2  # sum != 0

@@ -2,6 +2,7 @@
 q -> 0 factorisation, and the projective-line example."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,71 @@ def test_eigen_residuals_n1_grid():
             assert abs(rep.base_value - oracle) < 1e-8 * oracle
 
 
+def dense_weight_grid(phase, lnq, center, halfwidth, m, f_ref, hbar):
+    """The trapezoid grid by full-size broadcasting: every monomial over every axis."""
+    d = phase.dim
+    axes = [np.linspace(center[k] - halfwidth[k], center[k] + halfwidth[k], m)
+            for k in range(d)]
+    view = [(None,) * k + (slice(None),) + (None,) * (d - 1 - k) for k in range(d)]
+    grid = np.zeros((m,) * d)
+    for a, b in zip(phase.A, phase.B):
+        term = np.full((m,) * d, float(b @ lnq))
+        for k in range(d):
+            term = term + a[k] * axes[k][view[k]]
+        grid += np.exp(term)
+    for k in range(d):
+        grid = grid + phase.sigma[k] * axes[k][view[k]]
+    grid = np.exp((grid - f_ref) / hbar)
+    for k in range(d):
+        for end in (0, m - 1):
+            grid[(slice(None),) * k + (end,)] *= 0.5
+    return grid
+
+
+def grid_box(n, kseq, lam, q, hbar=-1.0):
+    """The phase, ln q and the peak-centred box that _converged_grid uses."""
+    phase = mi.phase_in_chart(chart(n, kseq), lam)
+    lnq = np.log(np.array(q))
+    s_star = ig._real_peak(phase, lnq)
+    f_star = float(phase.value(s_star, lnq))
+    widths = ig._axis_halfwidths(phase, lnq, s_star, f_star, abs(hbar) * math.log(1e22))
+    return phase, lnq, s_star, widths, f_star
+
+
+def test_weight_grid_is_bitwise_the_dense_grid():
+    sizes = (17, 65, 129)
+    # at least one size leaves a ragged last slab of axis-0 rows
+    assert any(m % max(1, ig._SLAB_NODES // m ** 2) for m in sizes)
+    lam, q = (0.25, 0.125, -0.375), (0.75, 1.25)
+    cases = [(2, k, lam, q, m) for k in mi.all_k_sequences(2) for m in sizes]
+    cases.append((1, (0,), (0.25, -0.25), (0.5,), 513))
+    for n, kseq, lam_, q_, m in cases:
+        phase, lnq, center, widths, f_ref = grid_box(n, kseq, lam_, q_)
+        axes, grid, _ = ig._weight_grid(phase, lnq, center, widths, m, f_ref, -1.0)
+        assert np.array_equal(grid, dense_weight_grid(phase, lnq, center, widths, m,
+                                                      f_ref, -1.0)), (kseq, m)
+    # spot nodes against the phase itself, trapezoid factor included
+    phase, lnq, center, widths, f_ref = grid_box(2, (1, 0), lam, q)
+    m, c = 65, 32
+    axes, grid, _ = ig._weight_grid(phase, lnq, center, widths, m, f_ref, -1.0)
+    for node in ((c, c, c), (c + 3, c - 2, c + 1), (c - 5, c, c + 4), (0, c, c), (c, m - 1, c)):
+        s = np.array([axes[k][i] for k, i in enumerate(node)])
+        factor = 0.5 ** sum(i in (0, m - 1) for i in node)
+        expected = math.exp((float(phase.value(s, lnq)) - f_ref) / -1.0) * factor
+        assert abs(grid[node] - expected) <= 1e-13 * expected, node
+
+
+def test_weight_grid_peak_memory_is_the_grid():
+    phase, lnq, center, widths, f_ref = grid_box(2, (0, 0), (0.25, 0.125, -0.375), (1.0, 1.0))
+    tracemalloc.start()
+    try:
+        _, grid, _ = ig._weight_grid(phase, lnq, center, widths, 129, f_ref, -1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * grid.nbytes
+
+
 def test_eigen_residuals_n2_generic_point():
     rep = ig.eigen_residual(2, (0.25, 0.125, -0.375), -1.0, (0.0, 0.0, 0.0))
     assert all(r < 1e-8 for r in rep.residuals)
@@ -74,6 +140,8 @@ def test_eigen_residuals_n2_generic_point():
     while levels[-1] < rep.nodes_per_axis:
         levels.append(2 * levels[-1] - 1)
     assert rep.evaluations == sum(m ** 3 for m in levels)
+    assert rep.levels == len(levels)
+    assert 0 < rep.error <= 1e-11           # the default rel_tol
 
 
 @pytest.mark.parametrize("n, lam", [(1, (0.25, -0.25)), (2, (0.25, 0.125, -0.375))])

@@ -73,6 +73,18 @@ def test_stirling_numeric_sanity():
         assert err < 1e-9
 
 
+def test_stirling_numeric_residual_is_exact_at_integers():
+    from scipy.special import gammaln
+    coeffs = sc.gamma_stirling_tail(5)[:4]
+    for z in (5.0, 10.0):
+        partial = (z - 0.5) * math.log(z) - z + 0.5 * math.log(2 * math.pi)
+        partial += sum(float(c) * z ** (1 - 2 * i) for i, c in enumerate(coeffs, start=1))
+        assert sc.stirling_numeric_residual(4, z)[0] == abs(float(gammaln(z)) - partial)
+    for z in (5.5, 0.0, -3.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            sc.stirling_numeric_residual(4, z)
+
+
 def test_stationary_leading_scalar_case():
     rec = cr.continue_to(mi.make_chart(mi.build_graph(1), (0,)), LAM1, (1.0,))
     lead = sc.stationary_leading(rec, sc.amplitude_one)
