@@ -53,7 +53,7 @@ from .critical import (
 from .integrals import (
     IntegralTask,
     QuadratureResult,
-    admissible_charts,
+    admissible,
     bessel_k_cosh,
     cp1_example_check,
     eigen_residual,

@@ -303,13 +303,11 @@ def run_virasoro(cfg: RunConfig):
             if m >= mp or m + mp < -1:
                 continue
             r = vi.commutation_check(m, mp, max_index=M)
-            scalar = None if r.scalar is None else format_rational(r.scalar)
             results.append({"check": "commutator", "pair": [m, mp],
                             "window": r.window,
-                            "scalar": scalar,
+                            "scalar": format_rational(r.scalar),
                             "expected": format_rational(r.expected_scalar),
-                            "classification": r.classification(),
-                            "mismatch_norm": format_rational(r.max_mismatch),
+                            "leftover_terms": r.leftover_terms,
                             "pass": r.ok})
             residuals.append(0.0 if r.ok else 1.0)
     rng = random.Random(cfg.seed)

@@ -205,25 +205,7 @@ class LaurentPolynomial:
     def __hash__(self):
         return hash((self.variables, frozenset(self.terms.items())))
 
-    # ---- calculus / substitution / evaluation ----
-    def derivative(self, name: str) -> "LaurentPolynomial":
-        if name not in self.variables:
-            return LaurentPolynomial.zero()
-        i = self.variables.index(name)
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            key = tuple(e2)
-            s = out.get(key, Fraction(0)) + c * e[i]
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentPolynomial(self.variables, out)
-
+    # ---- substitution / evaluation ----
     def subs(self, name: str, value) -> "LaurentPolynomial":
         """Substitute `value` (scalar or polynomial) for the variable `name`.
 

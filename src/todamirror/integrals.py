@@ -21,7 +21,6 @@ from .mirror import (
     ChartPhase,
     MirrorGraph,
     SigmaChart,
-    all_k_sequences,
     make_chart,
     phase_in_chart,
 )
@@ -415,13 +414,9 @@ def whittaker_closed_form(lam0: float, q: float, hbar: float) -> float:
 # q -> 0 factorisation against the one-variable Gamma values.
 # ---------------------------------------------------------------------------
 
-def admissible_charts(graph: MirrorGraph, lam: Sequence[float], hbar: float) -> List[Tuple[int, ...]]:
-    """Charts with every exponent sigma(i,j)/hbar positive at this lambda."""
-    out = []
-    for k in all_k_sequences(graph.n):
-        if (phase_in_chart(make_chart(graph, k), lam).sigma / hbar > 0).all():
-            out.append(k)
-    return out
+def admissible(phase: ChartPhase, hbar: float) -> bool:
+    """Every exponent sigma(i,j)/hbar of the chart is positive."""
+    return bool((phase.sigma / hbar > 0).all())
 
 
 def one_variable_factor(c_over_hbar: float, hbar: float) -> float:
@@ -434,14 +429,14 @@ def q_to_zero_factorization(n: int, lam: Sequence[float], hbar: float,
                             rel_tol: float = 1e-10) -> Tuple[float, float, float]:
     """Relative mismatch between the rescaled integral at small q and the
     product of one-variable Gamma factors.  Returns (mismatch, value, product)."""
-    sig = phase_in_chart(chart, lam).sigma
-    if (sig / hbar <= 0).any():
+    phase = phase_in_chart(chart, lam)
+    if not admissible(phase, hbar):
         raise ValueError("chart is not admissible at this lambda (sigma/hbar <= 0)")
     task = IntegralTask(n=n, lam=lam, hbar=hbar, chart=chart,
                         q=(q_small,) * n, include_prefactor=False, rel_tol=rel_tol)
     value = evaluate(task).value
     product = 1.0
-    for s in sig:
+    for s in phase.sigma:
         product *= one_variable_factor(s / hbar, hbar)
     return abs(value - product) / abs(product), value, product
 

@@ -16,13 +16,11 @@ carried over verbatim.  Everything is exact.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from .exact import LaurentPolynomial
-
-EPS = "eps"
+from math import comb, factorial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 LoopElement = Dict[Tuple[int, int], Fraction]      # (alpha, hbar power) -> coeff
 DarbouxIndex = Tuple[int, int]                     # (mode m, basis index alpha)
@@ -30,10 +28,6 @@ DarbouxIndex = Tuple[int, int]                     # (mode m, basis index alpha)
 
 class VirasoroError(ValueError):
     pass
-
-
-def q_var(m: int, alpha: int, N: int) -> str:
-    return f"Q{m}" if N == 1 else f"Q{m}_{alpha}"
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +198,20 @@ def check_infinitesimal_symplectic(op: LoopOperator, eta: Sequence[Sequence[Frac
     return None
 
 
+def _contractions(beta: Counter, gamma: Counter
+                  ) -> Iterator[Tuple[int, Tuple[DarbouxIndex, ...], Tuple[DarbouxIndex, ...]]]:
+    """The kappa != 0 terms of d^beta q^gamma as (weight, q indices, d indices)."""
+    common = sorted(beta.keys() & gamma.keys())
+    for kappa in itertools.product(*(range(min(beta[i], gamma[i]) + 1) for i in common)):
+        if not any(kappa):
+            continue
+        w = 1
+        for i, k in zip(common, kappa):
+            w *= comb(beta[i], k) * comb(gamma[i], k) * factorial(k)
+        gone = Counter(dict(zip(common, kappa)))
+        yield w, tuple((gamma - gone).elements()), tuple((beta - gone).elements())
+
+
 @dataclass
 class QuadraticOperator:
     """Quantized quadratic Hamiltonian acting on polynomials in the q's.
@@ -224,24 +232,50 @@ class QuadraticOperator:
         self.qq = {k: v for k, v in self.qq.items() if v != 0}
         return self
 
-    def apply(self, poly: LaurentPolynomial) -> LaurentPolynomial:
-        out = LaurentPolynomial.zero()
-        if self.const:
-            out = out + poly * self.const
-        eps = LaurentPolynomial.variable(EPS)
-        for ((m1, a1), (m2, a2)), c in self.dd.items():
-            term = poly.derivative(q_var(m1, a1, self.N)).derivative(q_var(m2, a2, self.N))
-            if not term.is_zero():
-                out = out + eps * term * c
-        for ((m1, a1), (m2, a2)), c in self.qd.items():
-            term = poly.derivative(q_var(m2, a2, self.N))
-            if not term.is_zero():
-                out = out + LaurentPolynomial.variable(q_var(m1, a1, self.N)) * term * c
-        for ((m1, a1), (m2, a2)), c in self.qq.items():
-            v1, v2 = q_var(m1, a1, self.N), q_var(m2, a2, self.N)
-            exps = {v1: 2, EPS: -1} if v1 == v2 else {v1: 1, v2: 1, EPS: -1}
-            out = out + LaurentPolynomial.monomial(exps, c) * poly
-        return out
+    def _terms(self) -> Iterator[Tuple[Fraction, Tuple[DarbouxIndex, ...], Tuple[DarbouxIndex, ...]]]:
+        """Every non-central term as (coefficient, q indices, d indices)."""
+        for (i, j), c in self.dd.items():
+            yield c, (), (i, j)
+        for (i, j), c in self.qd.items():
+            yield c, (i,), (j,)
+        for (i, j), c in self.qq.items():
+            yield c, (i, j), ()
+
+    def _add_term(self, c: Fraction, qs: Sequence[DarbouxIndex],
+                  ds: Sequence[DarbouxIndex]) -> None:
+        """Add c q^qs d^ds (two factors in all, or none) to its block."""
+        if not qs and not ds:
+            self.const += c
+            return
+        if not qs:
+            block, key = self.dd, tuple(sorted(ds))
+        elif not ds:
+            block, key = self.qq, tuple(sorted(qs))
+        else:
+            block, key = self.qd, (qs[0], ds[0])
+        block[key] = block.get(key, Fraction(0)) + c
+
+    def commutator(self, other: "QuadraticOperator") -> "QuadraticOperator":
+        """The exact normal-ordered [self, other], for any N.
+
+        Moving d^beta of a left term past q^gamma of a right term uses the
+        Weyl rule per Darboux index,
+
+            d^beta q^gamma = sum_kappa C(beta, kappa) C(gamma, kappa) kappa!
+                             q^(gamma - kappa) d^(beta - kappa).
+
+        The kappa = 0 products are the same in both orders and cancel, so
+        only contracted products are formed.  A quadratic bracket is again
+        quadratic (one contraction) plus a central term (two); the eps
+        powers balance on their own, as each block carries eps^(#d - #q)/2.
+        """
+        out = QuadraticOperator(self.N)
+        for sign, left, right in ((1, self, other), (-1, other, self)):
+            for c1, q1, d1 in left._terms():
+                for c2, q2, d2 in right._terms():
+                    for w, qs, ds in _contractions(Counter(d1), Counter(q2)):
+                        out._add_term(sign * w * c1 * c2, q1 + qs, ds + d2)
+        return out._clean()
 
     def __add__(self, other: "QuadraticOperator") -> "QuadraticOperator":
         result = QuadraticOperator(self.N, self.const + other.const,
@@ -275,8 +309,7 @@ class QuadraticOperator:
 
 
 def quantize(op: LoopOperator, truncation: int,
-             eta: Optional[Sequence[Sequence[Fraction]]] = None,
-             check_symplectic: bool = True) -> QuadraticOperator:
+             eta: Optional[Sequence[Sequence[Fraction]]] = None) -> QuadraticOperator:
     """Quantize an infinitesimally symplectic T through mode index `truncation`.
 
     The quadratic function is (1/2) Omega(f, Tf); its monomial coefficients
@@ -286,11 +319,9 @@ def quantize(op: LoopOperator, truncation: int,
     N = op.N
     eta = eta if eta is not None else [[Fraction(1 if i == j else 0) for j in range(N)]
                                        for i in range(N)]
-    if check_symplectic:
-        window = range(-truncation - 3, truncation + 3)
-        bad = check_infinitesimal_symplectic(op, eta, window)
-        if bad is not None:
-            raise VirasoroError(f"operator is not infinitesimally symplectic at basis pair {bad}")
+    bad = check_infinitesimal_symplectic(op, eta, range(-truncation - 3, truncation + 3))
+    if bad is not None:
+        raise VirasoroError(f"operator is not infinitesimally symplectic at basis pair {bad}")
 
     indices: List[Tuple[str, int, int]] = []
     for m in range(truncation + 1):
@@ -306,7 +337,7 @@ def quantize(op: LoopOperator, truncation: int,
 
     t_images = {idx: op.act(basis_elem(idx)) for idx in indices}
 
-    quad: Dict[Tuple[Tuple[str, int, int], Tuple[str, int, int]], Fraction] = {}
+    out = QuadraticOperator(N)
     for i, idx1 in enumerate(indices):
         for idx2 in indices[i:]:
             if idx1 == idx2:
@@ -315,22 +346,10 @@ def quantize(op: LoopOperator, truncation: int,
                 c = Fraction(1, 2) * (omega(basis_elem(idx1), t_images[idx2], eta)
                                       + omega(basis_elem(idx2), t_images[idx1], eta))
             if c != 0:
-                quad[(idx1, idx2)] = c
-
-    out = QuadraticOperator(N)
-    for (idx1, idx2), c in quad.items():
-        kinds = (idx1[0], idx2[0])
-        i1, i2 = (idx1[1], idx1[2]), (idx2[1], idx2[2])
-        if kinds == ("p", "p"):
-            key = tuple(sorted((i1, i2)))
-            out.dd[key] = out.dd.get(key, Fraction(0)) + c
-        elif kinds == ("q", "q"):
-            key = tuple(sorted((i1, i2)))
-            out.qq[key] = out.qq.get(key, Fraction(0)) + c
-        else:
-            # p q or q p monomial: operator c * q_j d_i
-            (pi, qi) = (i1, i2) if kinds == ("p", "q") else (i2, i1)
-            out.qd[(qi, pi)] = out.qd.get((qi, pi), Fraction(0)) + c
+                # p -> d and q -> q; a p q monomial becomes c q_j d_i
+                ps = [(m, a) for kind, m, a in (idx1, idx2) if kind == "p"]
+                qs = [(m, a) for kind, m, a in (idx1, idx2) if kind == "q"]
+                out._add_term(c, qs, ps)
     return out._clean()
 
 
@@ -388,84 +407,43 @@ def string_operator(eta: Sequence[Sequence[Fraction]], truncation: int) -> Quadr
 # Commutator harnesses.
 # ---------------------------------------------------------------------------
 
-def q_monomials(max_degree: int, max_index: int, N: int = 1) -> List[LaurentPolynomial]:
-    """All q-monomials of total degree <= max_degree in modes 0..max_index."""
-    gens = [q_var(m, a, N) for m in range(max_index + 1) for a in range(N)]
-    out = [LaurentPolynomial.constant(1)]
-    for deg in range(1, max_degree + 1):
-        for combo in itertools.combinations_with_replacement(gens, deg):
-            exps: Dict[str, int] = {}
-            for g in combo:
-                exps[g] = exps.get(g, 0) + 1
-            out.append(LaurentPolynomial.monomial(exps))
-    return out
-
-
 @dataclass
 class CommutationResult:
     m: int
     mp: int
-    scalar: Optional[Fraction]        # residual scalar when uniform, else None
-    uniform: bool
+    scalar: Fraction             # central term of the residual operator
     expected_scalar: Fraction
-    monomials_checked: int
-    window: int = 0
-    max_mismatch: Fraction = Fraction(0)   # sup-norm of (residual - scalar*P)
+    leftover_terms: int          # residual dd/qd/qq terms with every mode <= max_index
+    window: int                  # truncation mode of the operators
 
     @property
     def ok(self) -> bool:
-        return self.uniform and self.scalar == self.expected_scalar
-
-    def classification(self) -> str:
-        if self.uniform:
-            return "zero" if self.scalar == 0 else "scalar"
-        return "operator"
+        return self.leftover_terms == 0 and self.scalar == self.expected_scalar
 
 
-def commutation_check(m: int, mp: int, max_index: int = 4, degree: int = 3,
-                      operator_window: Optional[int] = None) -> CommutationResult:
-    """[L_m, L_mp] - (m - mp) L_{m+mp} on all small q-monomials.
+def commutation_check(m: int, mp: int, max_index: int = 4) -> CommutationResult:
+    """The residual r = [L_m, L_mp] - (m - mp) L_{m+mp} as one exact operator.
 
-    The residual must be multiplication by one scalar, the central shift
-    (m - mp)/16 when m + mp = 0 and zero otherwise.
+    r must be central: the shift (m - mp)/16 when m + mp = 0, zero
+    otherwise.  The operators are truncated at mode W = max_index + 7, which
+    leaves boundary terms in r near mode W only, so r is judged on its
+    terms whose modes are all <= max_index.
     """
     if m + mp < -1:
         raise VirasoroError("m + mp >= -1 required")
-    W = operator_window if operator_window is not None else max_index + degree + 4
+    W = max_index + 7
 
     def reference(mm: int) -> QuadraticOperator:
         if -1 <= mm <= 2:
             return point_virasoro(mm, W)
         return quantize(loop_d_operator(mm), W)
 
-    A, B, C = reference(m), reference(mp), reference(m + mp)
+    r = reference(m).commutator(reference(mp)) + reference(m + mp).scale(mp - m)
+    leftover = sum(1 for block in (r.dd, r.qd, r.qq) for key in block
+                   if all(mode <= max_index for mode, _ in key))
     expected = Fraction(m - mp, 16) if m + mp == 0 else Fraction(0)
-
-    scalar: Optional[Fraction] = None
-    uniform = True
-    mismatch = Fraction(0)
-    monos = q_monomials(degree, max_index)
-    for P in monos:
-        r = A.apply(B.apply(P)) - B.apply(A.apply(P)) - C.apply(P) * (m - mp)
-        if r.is_zero():
-            c = Fraction(0)
-        else:
-            # candidate scalar: coefficient of P's monomial inside r
-            _, rterms, pterms = r._aligned(P)
-            pkey, pcoeff = next(iter(pterms.items()))
-            c = rterms.get(pkey, Fraction(0)) / pcoeff
-        leftover = r - P * c
-        if not leftover.is_zero():
-            uniform = False
-            mismatch = max(mismatch, max(abs(v) for v in leftover.terms.values()))
-        elif scalar is None:
-            scalar = c
-        elif scalar != c:
-            uniform = False
-    return CommutationResult(m=m, mp=mp, scalar=scalar if uniform else None,
-                             uniform=uniform, expected_scalar=expected,
-                             monomials_checked=len(monos), window=W,
-                             max_mismatch=mismatch)
+    return CommutationResult(m=m, mp=mp, scalar=r.const, expected_scalar=expected,
+                             leftover_terms=leftover, window=W)
 
 
 @dataclass

@@ -146,7 +146,7 @@ def test_criterion_9_virasoro_algebra():
         for mp in (-1, 0, 1, 2):
             if m == mp or m + mp < -1:
                 continue
-            r = vi.commutation_check(m, mp, max_index=4, degree=3)
+            r = vi.commutation_check(m, mp, max_index=4)
             ok = ok and r.ok
     det.append("commutator scalars forced exactly")
     rng = random.Random(7)

@@ -168,11 +168,13 @@ def test_one_variable_factors():
 
 
 def test_admissible_charts():
-    g1 = mi.build_graph(1)
-    assert ig.admissible_charts(g1, (0.6, -0.6), -1.0) == [(0,)]
-    assert ig.admissible_charts(g1, (-0.6, 0.6), -1.0) == [(1,)]
-    g2 = mi.build_graph(2)
-    assert (0, 0) in ig.admissible_charts(g2, (1.2, 0.0, -1.2), -1.0)
+    def admissible_charts(n, lam):
+        return [k for k in mi.all_k_sequences(n)
+                if ig.admissible(mi.phase_in_chart(chart(n, k), lam), -1.0)]
+
+    assert admissible_charts(1, (0.6, -0.6)) == [(0,)]
+    assert admissible_charts(1, (-0.6, 0.6)) == [(1,)]
+    assert (0, 0) in admissible_charts(2, (1.2, 0.0, -1.2))
 
 
 def test_factorization_n1():

@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from todamirror import virasoro as vi
-from todamirror.exact import LaurentPolynomial as LP
 
 
 def test_omega_antisymmetry_random():
@@ -87,7 +86,7 @@ def test_commutation_relations_all_pairs():
             if m == mp or m + mp < -1:
                 continue
             r = vi.commutation_check(m, mp)
-            assert r.uniform
+            assert r.leftover_terms == 0
             assert r.scalar == r.expected_scalar == \
                 (F(m - mp, 16) if m + mp == 0 else F(0))
 
@@ -99,18 +98,62 @@ def test_central_scalar_examples():
 
 
 def test_window_audit():
-    a = vi.commutation_check(1, -1, operator_window=11)
-    b = vi.commutation_check(1, -1, operator_window=15)
+    a = vi.commutation_check(1, -1, max_index=4)
+    b = vi.commutation_check(1, -1, max_index=8)
+    assert (a.window, b.window) == (11, 15)
     assert a.scalar == b.scalar == F(1, 8)
-    assert a.uniform and b.uniform
+    assert a.leftover_terms == b.leftover_terms == 0
 
 
-def test_quadratic_operator_apply_exactness():
-    op = vi.point_virasoro(-1, 4)
-    q0, q1 = LP.variable("Q0"), LP.variable("Q1")
-    eps = LP.variable("eps")
-    out = op.apply(q1)
-    assert out == q0 ** 2 * q1 * eps ** -1 * F(1, 2) + LP.variable("Q2")
+def test_commutator_weyl_identities():
+    # hand-checked normal orderings, at N = 2 so that the Darboux index
+    # carries a basis label, independent of the Virasoro tables
+    a, b = (0, 0), (0, 1)
+    Q = vi.QuadraticOperator
+    dd_ab, qq_ab = Q(2, dd={(a, b): F(1)}), Q(2, qq={(a, b): F(1)})
+    # [eps d_a d_b, q_a q_b / eps] = q_a d_a + q_b d_b + 1
+    assert dd_ab.commutator(qq_ab) == Q(2, const=F(1), qd={(a, a): F(1), (b, b): F(1)})
+    assert qq_ab.commutator(dd_ab) == Q(2, const=F(-1), qd={(a, a): F(-1), (b, b): F(-1)})
+    # [eps d_a^2, q_a^2 / eps] = 4 q_a d_a + 2
+    assert Q(2, dd={(a, a): F(1)}).commutator(Q(2, qq={(a, a): F(1)})) == \
+        Q(2, const=F(2), qd={(a, a): F(4)})
+    # [q_a d_b, q_b d_a] = q_a d_a - q_b d_b
+    assert Q(2, qd={(a, b): F(1)}).commutator(Q(2, qd={(b, a): F(1)})) == \
+        Q(2, qd={(a, a): F(1), (b, b): F(-1)})
+    # disjoint indices commute
+    assert dd_ab.commutator(Q(2, qq={((1, 0), (1, 1)): F(1)})) == Q(2)
+
+
+def _mutate_table(monkeypatch, m, block, key, value):
+    table = vi.point_virasoro
+
+    def point_virasoro(mm, truncation):
+        op = table(mm, truncation)
+        if mm == m:
+            getattr(op, block)[key] = value
+        return op
+
+    monkeypatch.setattr(vi, "point_virasoro", point_virasoro)
+
+
+def test_wrong_l1_central_coefficient_fails_on_scalar(monkeypatch):
+    # eps/8 -> 3/16 in L_1 moves the central term of [L_1, L_-1] to 3/16
+    # (and leaves q0 d0 / 8 behind)
+    _mutate_table(monkeypatch, 1, "dd", ((0, 0), (0, 0)), F(3, 16))
+    r = vi.commutation_check(1, -1)
+    assert r.scalar == F(3, 16) != r.expected_scalar
+    assert r.leftover_terms == 1
+    assert not r.ok
+
+
+def test_wrong_l2_mixed_coefficient_fails_on_leftover_terms(monkeypatch):
+    # the 3/8 of eps d0 d1 in L_2 is forced by [L_2, L_-1] = 3 L_1; at 3/4
+    # the residual keeps 3/8 (eps d0^2 + q0 d1) and no central term
+    _mutate_table(monkeypatch, 2, "dd", ((0, 0), (1, 0)), F(3, 4))
+    r = vi.commutation_check(2, -1)
+    assert r.scalar == r.expected_scalar == 0
+    assert r.leftover_terms == 2
+    assert not r.ok
 
 
 def test_family_reduces_to_point_case():
