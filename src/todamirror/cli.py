@@ -1,16 +1,17 @@
 """Command-line front end and machine-readable reporting.
 
 Subcommands: commute | mirror | critical | eigen | classical-limit |
-virasoro | all.  Exit code 0 when every residual passes its tolerance, 1 on
-failure (a solver failure in `critical` is reported as a `failure` row, and
-a failed check in its `failed` list), 2 on invalid input.  Reports serialize
-deterministically (same config and seed give the same content) with
-rationals as "num/den" strings and complex numbers as [re, im] pairs.
+virasoro | all, each taking the flags of the settings its task reads.  Exit
+code 0 when every residual passes its tolerance, 1 on failure (a solver
+failure in `critical` or `eigen` is a `failure` row), 2 on invalid input.
+Reports serialize deterministically (same config and seed give the same
+content), rationals as "num/den" strings, complex numbers as [re, im] pairs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -31,11 +32,50 @@ from . import integrals as ig
 from . import semiclassical as sc
 from . import virasoro as vi
 
-TASKS = ("commute", "mirror", "critical", "eigen", "classical-limit", "virasoro", "all")
-
 
 class InvalidInput(ValueError):
     pass
+
+
+def rationals(text: str) -> List[Fraction]:
+    return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
+
+
+def kseq(text: str) -> Tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+# Every setting: RunConfig field -> (key, parser of its value, help).  The
+# key names the setting in a config file and in the report's params; the
+# flag is "--" + key with "-" for "_".
+FLAGS = {
+    "n": ("n", int, None),
+    "lam": ("lambda", rationals, "comma-separated rationals summing to 0, e.g. 1/4,1/8,-3/8"),
+    "q": ("q", rationals, "comma-separated positive rationals"),
+    "hbar": ("hbar", float, None),
+    "truncation": ("truncation", int, None),
+    "stirling_order": ("stirling_order", int, None),
+    "chart": ("chart", kseq, "comma-separated k-sequence selecting one chart"),
+    "seed": ("seed", int, None),
+    "tol_spectral": ("tol_spectral", float, None),
+    "tol_eigen_n1": ("tol_eigen_n1", float, None),
+    "tol_eigen_n2": ("tol_eigen_n2", float, None),
+    "tol_oracle": ("tol_oracle", float, None),
+    "tol_scaling": ("tol_scaling", float, None),
+}
+
+# The settings each task reads.  Its subcommand takes these flags and no
+# other, `validate` checks these and no other, and params echoes these.
+SETTINGS = {
+    "commute": ("n",),
+    "mirror": ("n",),
+    "critical": ("n", "lam", "q", "seed", "tol_spectral", "tol_scaling"),
+    "eigen": ("n", "lam", "q", "hbar", "chart", "seed", "tol_eigen_n1", "tol_eigen_n2", "tol_oracle"),
+    "classical-limit": ("n", "stirling_order"),
+    "virasoro": ("truncation", "seed"),
+    "all": tuple(name for name in FLAGS if name != "chart"),
+}
+TASKS = tuple(SETTINGS)
 
 
 @dataclass
@@ -59,29 +99,30 @@ class RunConfig:
     argv: List[str] = field(default_factory=list)
 
     def validate(self) -> None:
-        if self.task not in TASKS:
+        """Check the settings the task reads; the others are never used."""
+        if self.task not in SETTINGS:
             raise InvalidInput(f"unknown task {self.task!r}")
-        if self.n < 1:
+        read = SETTINGS[self.task]
+        if "n" in read and self.n < 1:
             raise InvalidInput("n must be >= 1")
-        if self.lam is not None:
-            if len(self.lam) != self.n + 1:
-                raise InvalidInput(f"lambda needs {self.n + 1} entries")
+        if "lam" in read and self.lam is not None:
+            if len(self.lam) != self.n + 1 or len(set(self.lam)) != self.n + 1:
+                raise InvalidInput(f"lambda needs {self.n + 1} distinct entries")
             if sum(self.lam) != 0:
                 raise InvalidInput("lambda must sum to zero exactly")
-            if self.task in ("critical", "eigen") and len(set(self.lam)) != self.n + 1:
-                raise InvalidInput("lambda entries must be distinct for this task")
-        if self.q is not None:
-            if len(self.q) != self.n:
-                raise InvalidInput(f"q needs {self.n} entries")
-            if any(x <= 0 for x in self.q):
-                raise InvalidInput("q entries must be positive")
-        if self.hbar >= 0:
+        if "q" in read and self.q is not None and (
+                len(self.q) != self.n or any(x <= 0 for x in self.q)):
+            raise InvalidInput(f"q needs {self.n} positive entries")
+        if "hbar" in read and self.hbar >= 0:
             raise InvalidInput("hbar must be negative")
+        for name in ("truncation", "stirling_order"):
+            if name in read and getattr(self, name) < 1:
+                raise InvalidInput(f"{FLAGS[name][0]} must be >= 1")
         if self.fmt not in ("json", "text"):
             raise InvalidInput("format must be json or text")
         if self.task == "eigen" and self.n > 2:
             raise InvalidInput("eigen quadrature supports n <= 2")
-        if self.chart is not None and self.chart not in mi.all_k_sequences(self.n):
+        if "chart" in read and self.chart is not None and self.chart not in mi.all_k_sequences(self.n):
             raise InvalidInput(f"{list(self.chart)} is not a k-sequence for n = {self.n}")
 
 
@@ -133,10 +174,6 @@ def emit_report(report: VerificationReport, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fractions(text: str) -> List[Fraction]:
-    return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _default_lambda(n: int, seed: int) -> List[Fraction]:
     rng = random.Random(seed)
     while True:
@@ -146,9 +183,35 @@ def _default_lambda(n: int, seed: int) -> List[Fraction]:
             return lam
 
 
-def _default_q(n: int, seed: int) -> List[Fraction]:
-    rng = random.Random(seed + 1)
-    return [Fraction(rng.randint(1, 16), 16) for _ in range(n)]
+def resolve_defaults(cfg: RunConfig) -> RunConfig:
+    """`cfg` with the lambda and q a critical or eigen run uses when none is
+    given: critical draws both from the seed; eigen draws lambda likewise
+    (but takes (1/2, -1/2) at n = 1) and takes q = 1."""
+    if cfg.task not in ("critical", "eigen"):
+        return cfg
+    lam, q, rng = cfg.lam, cfg.q, random.Random(cfg.seed + 1)
+    if lam is None:
+        lam = ([Fraction(1, 2), Fraction(-1, 2)] if cfg.task == "eigen" and cfg.n == 1
+               else _default_lambda(cfg.n, cfg.seed))
+    if q is None:
+        q = ([Fraction(1)] * cfg.n if cfg.task == "eigen"
+             else [Fraction(rng.randint(1, 16), 16) for _ in range(cfg.n)])
+    return dataclasses.replace(cfg, lam=lam, q=q)
+
+
+def _echo(cfg: RunConfig, names: Sequence[str]) -> dict:
+    """The settings `names` under their params keys, rationals as num/den."""
+    out = {FLAGS[name][0]: getattr(cfg, name) for name in names}
+    for key in ("lambda", "q"):
+        if out.get(key) is not None:
+            out[key] = [format_rational(x) for x in out[key]]
+    return out
+
+
+def _failure(stage: str, exc: Exception, **where):
+    """A runner's outcome when a solver stage raises: one `failure` row."""
+    failure = {"stage": stage, **where, "error": type(exc).__name__, "message": str(exc)}
+    return [{"failure": failure}], [], False, []
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +262,15 @@ def run_mirror(cfg: RunConfig):
 
 
 def run_critical(cfg: RunConfig):
-    lam = cfg.lam or _default_lambda(cfg.n, cfg.seed)
-    q = cfg.q or _default_q(cfg.n, cfg.seed)
-    lam_f = [float(x) for x in lam]
-    q_f = [float(x) for x in q]
+    lam_f = [float(x) for x in cfg.lam]
+    q_f = [float(x) for x in cfg.q]
     stage = "census"
     try:
         census = cr.census(cfg.n, lam_f, q_f)
         stage = "quasi_homogeneity"
         scaling = max(cr.scaling_residual(census.records, c) for c in (2.0, 1.0 / 3.0))
     except (cr.ContinuationError, cr.CriticalPointError, cr.DegenerateParameterError) as exc:
-        chart = list(exc.chart) if exc.chart is not None else None
-        failure = {"stage": stage, "chart": chart, "error": type(exc).__name__,
-                   "message": str(exc)}
-        return [{"failure": failure}], [], False, []
+        return _failure(stage, exc, chart=list(exc.chart) if exc.chart is not None else None)
     results = []
     for rec, point in zip(census.records, census.points):
         row = rec.report()
@@ -244,26 +302,25 @@ def run_critical(cfg: RunConfig):
 
 
 def run_eigen(cfg: RunConfig):
-    lam = cfg.lam or ([Fraction(1, 2), Fraction(-1, 2)] if cfg.n == 1
-                      else _default_lambda(cfg.n, cfg.seed))
-    q = cfg.q or [Fraction(1)] * cfg.n
-    lam_f = [float(x) for x in lam]
-    x = [math.log(float(v)) for v in q]
-    t = [0.0] * (cfg.n + 1)
-    for i in range(1, cfg.n + 1):
-        t[i] = t[i - 1] + x[i - 1]
+    lam_f = [float(x) for x in cfg.lam]
+    t = list(itertools.accumulate((math.log(float(v)) for v in cfg.q), initial=0.0))
     shift = sum(t) / (cfg.n + 1)
     t = [v - shift for v in t]
     chart = mi.make_chart(mi.build_graph(cfg.n), cfg.chart) if cfg.chart else None
-    rep = ig.eigen_residual(cfg.n, lam_f, cfg.hbar, t, chart=chart)
+    stage = "quadrature"
+    try:
+        rep = ig.eigen_residual(cfg.n, lam_f, cfg.hbar, t, chart=chart)
+        if cfg.n == 1:
+            stage = "bessel_oracle"
+            oracle = ig.whittaker_closed_form(lam_f[0], float(cfg.q[0]), cfg.hbar)
+    except ig.QuadratureError as exc:
+        return _failure(stage, exc)
     results = [{"operator": f"D{i+1}", "residual": float(r)}
                for i, r in enumerate(rep.residuals)]
     residuals = [float(r) for r in rep.residuals]
     tol = cfg.tol_eigen_n1 if cfg.n == 1 else cfg.tol_eigen_n2
     passed = all(r < tol for r in residuals)
-    warnings = []
     if cfg.n == 1:
-        oracle = ig.whittaker_closed_form(lam_f[0], float(q[0]), cfg.hbar)
         rel = float(abs(rep.base_value - oracle) / abs(oracle))
         results.append({"check": "bessel_oracle", "relative_error": rel})
         residuals.append(rel)
@@ -271,7 +328,7 @@ def run_eigen(cfg: RunConfig):
     results.append({"quadrature": {"nodes_per_axis": rep.nodes_per_axis,
                                    "evaluations": rep.evaluations,
                                    "levels": rep.levels, "error": rep.error}})
-    return results, residuals, passed, warnings
+    return results, residuals, passed, []
 
 
 def run_classical_limit(cfg: RunConfig):
@@ -293,16 +350,16 @@ def run_classical_limit(cfg: RunConfig):
 
 def run_virasoro(cfg: RunConfig):
     results, residuals = [], []
-    M = max(cfg.truncation, 4)
     for m in (-1, 0, 1, 2):
-        same = vi.quantize(vi.loop_d_operator(m), M) == vi.point_virasoro(m, M)
+        same = (vi.quantize(vi.loop_d_operator(m), cfg.truncation)
+                == vi.point_virasoro(m, cfg.truncation))
         results.append({"check": "quantize_matches_table", "m": m, "pass": same})
         residuals.append(0.0 if same else 1.0)
     for m in (-1, 0, 1, 2):
         for mp in (-1, 0, 1, 2):
             if m >= mp or m + mp < -1:
                 continue
-            r = vi.commutation_check(m, mp, max_index=M)
+            r = vi.commutation_check(m, mp, max_index=cfg.truncation)
             results.append({"check": "commutator", "pair": [m, mp],
                             "window": r.window,
                             "scalar": format_rational(r.scalar),
@@ -329,22 +386,20 @@ def run_virasoro(cfg: RunConfig):
 
 
 def run_all(cfg: RunConfig):
-    import dataclasses
-
     results, residuals, warnings = [], [], []
     passed = True
-    for task, runner in (("commute", run_commute), ("mirror", run_mirror),
-                         ("critical", run_critical), ("eigen", run_eigen),
-                         ("classical-limit", run_classical_limit),
-                         ("virasoro", run_virasoro)):
-        sub_cfg = cfg
+    shared = {name: getattr(cfg, name) for name in SETTINGS["all"]}
+    for task in TASKS[:-1]:
+        sub_cfg = RunConfig(task=task, **shared)
         if task == "eigen" and cfg.n > 2:
             # the quadrature engine is desk scale; cap the suite's eigen leg
-            sub_cfg = dataclasses.replace(cfg, n=2, lam=None, q=None)
+            sub_cfg = dataclasses.replace(sub_cfg, n=2, lam=None, q=None)
             warnings.append("eigen subtask capped at n = 2 (quadrature scale)")
-        r, res, ok, warn = runner(sub_cfg)
+        sub_cfg = resolve_defaults(sub_cfg)
+        r, res, ok, warn = RUNNERS[task](sub_cfg)
+        drawn = _echo(sub_cfg, ("lam", "q")) if "lam" in SETTINGS[task] else {}
         results.append({"task": task, "pass": bool(ok),
-                        "max_residual": float(max(res)) if res else None})
+                        "max_residual": float(max(res)) if res else None, **drawn})
         residuals.extend(res)
         warnings.extend(warn)
         passed = passed and ok
@@ -365,27 +420,13 @@ RUNNERS = {
 def run(cfg: RunConfig) -> VerificationReport:
     cfg.validate()
     t0 = time.monotonic()
+    cfg = resolve_defaults(cfg)
     results, residuals, passed, warnings = RUNNERS[cfg.task](cfg)
     if not results:
         warnings = warnings + ["no results produced; pass is vacuous"]
         passed = True
-    params = {
-        "n": cfg.n,
-        "lambda": [format_rational(x) for x in cfg.lam] if cfg.lam else None,
-        "q": [format_rational(x) for x in cfg.q] if cfg.q else None,
-        "hbar": cfg.hbar,
-        "truncation": cfg.truncation,
-        "stirling_order": cfg.stirling_order,
-        "seed": cfg.seed,
-        "tolerances": {
-            "spectral": cfg.tol_spectral,
-            "eigen_n1": cfg.tol_eigen_n1,
-            "eigen_n2": cfg.tol_eigen_n2,
-            "oracle": cfg.tol_oracle,
-            "scaling": cfg.tol_scaling,
-        },
-        "command": " ".join(shlex.quote(a) for a in cfg.argv),
-    }
+    params = {**_echo(cfg, SETTINGS[cfg.task]),
+              "command": " ".join(shlex.quote(a) for a in cfg.argv)}
     return VerificationReport(
         task=cfg.task, params=params, results=results,
         residuals=[float(r) for r in residuals], passed=bool(passed),
@@ -399,38 +440,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification suite for the quantum Toda lattice and its "
                     "equivariant mirror construction.")
     sub = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS:
-        p = sub.add_parser(task)
+    for task, names in SETTINGS.items():
+        p = sub.add_parser(task, allow_abbrev=False)
         if task == "all":
             p.add_argument("--config", type=str, default=None,
                            help="key=value file with defaults; flags override")
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--lambda", dest="lam", type=str, default=None,
-                       help="comma-separated rationals summing to 0, e.g. 1/4,1/8,-3/8")
-        p.add_argument("--q", type=str, default=None,
-                       help="comma-separated positive rationals")
-        p.add_argument("--hbar", type=float, default=-1.0)
-        p.add_argument("--truncation", type=int, default=4)
-        p.add_argument("--stirling-order", type=int, default=4)
-        p.add_argument("--chart", type=str, default=None,
-                       help="comma-separated k-sequence selecting one chart")
-        p.add_argument("--seed", type=int, default=0)
+        for name in names:
+            key, kind, text = FLAGS[name]
+            p.add_argument("--" + key.replace("_", "-"), dest=name, type=kind, help=text)
         p.add_argument("--output", type=str, default=None)
         p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-        for name, default in (("tol-spectral", 1e-8), ("tol-eigen-n1", 1e-8),
-                              ("tol-eigen-n2", 1e-8), ("tol-oracle", 1e-8),
-                              ("tol-scaling", 1e-8)):
-            p.add_argument(f"--{name}", type=float, default=default)
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Fill in values from a key=value file; explicit flags win."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    explicit = {tok.split("=")[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
+def _read_config(path: str) -> dict:
+    """Settings of `all` from a key=value file, by RunConfig field."""
+    names = {FLAGS[name][0]: name for name in SETTINGS["all"]}
+    values = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -439,61 +465,35 @@ def _apply_config_file(args: argparse.Namespace, argv: Sequence[str]) -> None:
             if "=" not in line:
                 raise InvalidInput(f"config line is not key=value: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key in explicit or not hasattr(args, key):
-                continue
-            current = getattr(args, key)
+            name = names.get(key.replace("-", "_"))
+            if name is None:
+                raise InvalidInput(f"config key {key!r} is not a setting of all")
             try:
-                if isinstance(current, int) and not isinstance(current, bool):
-                    setattr(args, key, int(value))
-                elif isinstance(current, float):
-                    setattr(args, key, float(value))
-                else:
-                    setattr(args, key, value)
+                values[name] = FLAGS[name][1](value)
             except ValueError as exc:
                 raise InvalidInput(f"config value for {key} is not valid: {value!r}") from exc
+    return values
 
 
 def config_from_args(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
-    try:
-        lam = _fractions(args.lam) if args.lam else None
-        q = _fractions(args.q) if args.q else None
-        chart = tuple(int(x) for x in args.chart.split(",")) if args.chart else None
-    except ValueError as exc:
-        raise InvalidInput(f"cannot parse a number: {exc}") from exc
-    return RunConfig(
-        task=args.task,
-        n=args.n,
-        lam=lam,
-        q=q,
-        hbar=args.hbar,
-        truncation=args.truncation,
-        stirling_order=args.stirling_order,
-        tol_spectral=args.tol_spectral,
-        tol_eigen_n1=args.tol_eigen_n1,
-        tol_eigen_n2=args.tol_eigen_n2,
-        tol_oracle=args.tol_oracle,
-        tol_scaling=args.tol_scaling,
-        chart=chart,
-        seed=args.seed,
-        output=args.output,
-        fmt=args.fmt,
-        argv=list(argv),
-    )
+    """Explicit flags win over the config file of `all`, then RunConfig's defaults."""
+    settings = _read_config(args.config) if getattr(args, "config", None) else {}
+    settings.update((name, getattr(args, name)) for name in SETTINGS[args.task]
+                    if getattr(args, name) is not None)
+    return RunConfig(task=args.task, **settings, output=args.output, fmt=args.fmt,
+                     argv=list(argv))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _apply_config_file(args, argv)
         cfg = config_from_args(args, ["todamirror"] + argv)
         report = run(cfg)
-    except (InvalidInput, OSError) as exc:
+    except (InvalidInput, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = emit_report(report, cfg.fmt)

@@ -500,8 +500,12 @@ def bernoulli(k: int) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'num/den' or integer/decimal text into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse 'num/den' or integer/decimal text into an exact Fraction; bad
+    text, a zero denominator included, raises ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from exc
 
 
 def format_rational(c: Fraction) -> str:

@@ -37,6 +37,9 @@ ABS_TOL = 1e-300
 # Nodes per slab of the trapezoid kernel (whole axis-0 rows, at least one):
 # the per-slab temporaries stay cache-sized.
 _SLAB_NODES = 1 << 16
+# Largest float64 grid one doubling level may allocate: 513^3 nodes
+# (1.08 GB) fit, 1025^3 (8.6 GB) does not.
+_GRID_BYTES = 1 << 31
 
 
 @dataclass
@@ -222,7 +225,8 @@ def _weight_grid(phase: ChartPhase, lnq: np.ndarray, center: np.ndarray,
 def _converged_grid(phase: ChartPhase, lnq: np.ndarray, hbar: float,
                     rel_tol: float, max_doublings: int) -> WeightGrid:
     """Double the nodes per axis from 17 until two trapezoid sums agree to
-    rel_tol; each unconverged grid is dropped before the next is built."""
+    rel_tol; each unconverged grid is dropped before the next is built, and
+    a grid over the memory budget is refused before it is allocated."""
     s_star = _real_peak(phase, lnq)
     f_star = float(phase.value(s_star, lnq))
     _decay_check(phase, lnq, s_star, f_star)
@@ -231,6 +235,9 @@ def _converged_grid(phase: ChartPhase, lnq: np.ndarray, hbar: float,
     widths = _axis_halfwidths(phase, lnq, s_star, f_star, threshold)
     nodes, prev, total_evals = 17, None, 0
     for level in range(1, max_doublings + 1):
+        if 8 * nodes ** phase.dim > _GRID_BYTES:
+            raise QuadratureError(f"a grid of {nodes}^{phase.dim} nodes exceeds the "
+                                  f"{_GRID_BYTES}-byte memory budget")
         axes, grid, cell = _weight_grid(phase, lnq, s_star, widths, nodes, f_star, hbar)
         raw = float(grid.sum()) * cell
         total_evals += nodes ** phase.dim
@@ -388,7 +395,8 @@ def bessel_k_cosh(nu: float, z: float, rel_tol: float = 1e-13) -> float:
             raise QuadratureError("Bessel integral tail did not close")
 
     def g(t: np.ndarray) -> np.ndarray:
-        return np.exp(-z * np.cosh(t)) * np.cosh(nu * t)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+            return np.exp(-z * np.cosh(t)) * np.cosh(nu * t)
 
     m = 65
     prev = None
@@ -398,6 +406,8 @@ def bessel_k_cosh(nu: float, z: float, rel_tol: float = 1e-13) -> float:
         vals[0] *= 0.5
         vals[-1] *= 0.5
         cur = float(vals.sum()) * (upper / (m - 1))
+        if not math.isfinite(cur):  # doubling keeps every node, so it never recovers
+            raise QuadratureError(f"Bessel integrand overflows at nu = {nu:g}, z = {z:g}")
         if prev is not None and abs(cur - prev) <= rel_tol * abs(cur):
             return cur
         prev = cur

@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from todamirror import cli
+from todamirror import integrals as ig
 
 
 def run_cli(args):
@@ -81,6 +84,10 @@ def test_critical_failure_names_the_failed_check(capsys):
     flagged = [r["k_sequence"] for r in doc["results"]
                if "k_sequence" in r and not r["nondegenerate"]]
     assert summary["degenerate_charts"] == flagged != []
+    # params echo the drawn lambda and q: passing them back reruns the draw
+    lam, q = doc["params"]["lambda"], doc["params"]["q"]
+    assert run_cli(["critical", "--n", "4", "--lambda", ",".join(lam), "--q", ",".join(q)]) == 1
+    assert json.loads(capsys.readouterr().out)["results"] == doc["results"]
 
 
 def test_eigen_n1(capsys):
@@ -127,6 +134,7 @@ def test_exit_code_on_unknown_task():
 
 def test_exit_code_on_unparsable_or_unsupported_input():
     assert run_cli(["critical", "--n", "1", "--lambda", "1/x,-1/x"]) == 2
+    assert run_cli(["critical", "--n", "1", "--lambda", "1/0,0"]) == 2
     assert run_cli(["eigen", "--n", "3"]) == 2
     assert run_cli(["eigen", "--n", "1", "--chart", "5"]) == 2
 
@@ -175,8 +183,7 @@ def test_report_schema_fields(capsys):
     assert set(doc) == {"task", "params", "results", "residuals", "pass",
                         "runtime_ms", "version", "warnings"}
     assert doc["version"] == cli.__version__
-    assert doc["params"]["command"].startswith("todamirror commute")
-    assert "tolerances" in doc["params"]
+    assert doc["params"] == {"n": 1, "command": "todamirror commute --n 1"}
 
 
 def test_determinism_same_seed(capsys):
@@ -247,8 +254,88 @@ def test_config_file_missing_is_invalid_input():
     assert run_cli(["all", "--config", "/nonexistent/suite.cfg"]) == 2
 
 
+def test_config_file_unknown_key_is_invalid_input(tmp_path, capsys):
+    cfgfile = tmp_path / "suite.cfg"
+    for line in ("sede = 5", "chart = 0,0"):
+        cfgfile.write_text(f"n = 1\n{line}\n")
+        assert run_cli(["all", "--config", str(cfgfile)]) == 2
+        assert repr(line.split(" ")[0]) in capsys.readouterr().err
+    cfgfile.write_bytes(b"n = 1\n\xff = 2\n")
+    assert run_cli(["all", "--config", str(cfgfile)]) == 2
+
+
 def test_all_suite_caps_eigen_dimension(capsys):
     assert run_cli(["all", "--n", "3", "--seed", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is True
     assert any("capped" in w for w in doc["warnings"])
+
+
+SAMPLE = {"n": "1", "lam": "1/2,-1/2", "q": "1/2", "hbar": "-2", "truncation": "2",
+          "stirling_order": "2", "chart": "0", "seed": "3", "tol_spectral": "1e-6",
+          "tol_eigen_n1": "1e-6", "tol_eigen_n2": "1e-6", "tol_oracle": "1e-6",
+          "tol_scaling": "1e-6"}
+
+
+def flag(name):
+    return "--" + cli.FLAGS[name][0].replace("_", "-")
+
+
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_each_subcommand_takes_exactly_the_settings_its_task_reads(task, monkeypatch, capsys):
+    monkeypatch.setitem(cli.RUNNERS, task, lambda cfg: ([{"ran": True}], [0.0], True, []))
+    own = cli.SETTINGS[task]
+    assert run_cli([task] + [tok for name in own for tok in (flag(name), SAMPLE[name])]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert set(params) == {cli.FLAGS[name][0] for name in own} | {"command"}
+    assert params.get("seed", 3) == 3 and params.get("n", 1) == 1
+    for name in set(cli.FLAGS) - set(own):
+        assert run_cli([task, flag(name), SAMPLE[name]]) == 2, flag(name)
+    if task != "all":
+        assert run_cli([task, "--config", "suite.cfg"]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mirror", "--n", "2", "--lambda", "1/2,1/2,-1"],  # a flag mirror does not read
+    ["all", "--n", "3", "--chart", "0,0,0"],            # all's eigen leg is capped at n = 2
+    ["virasoro", "--truncation", "-3"],
+    ["virasoro", "--truncation", "0"],
+    ["virasoro", "--trunc", "2"],                        # no abbreviations
+    ["classical-limit", "--stirling-order", "0"],
+])
+def test_unread_or_out_of_range_settings_exit_2(argv, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_virasoro_runs_at_the_truncation_it_reports(capsys):
+    assert run_cli(["virasoro", "--truncation", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["truncation"] == 2
+    windows = {r["window"] for r in doc["results"] if r["check"] == "commutator"}
+    assert windows == {2 + 7}
+
+
+@pytest.mark.parametrize("argv, stage", [
+    # the n = 1 grid converges at 257 nodes; the closed form's integrand overflows
+    (["eigen", "--n", "1", "--hbar", "-0.001"], "bessel_oracle"),
+    # never converges: the unpatched budget refuses its 1025^3 level (8 GiB)
+    (["eigen", "--n", "2", "--hbar", "-100"], "quadrature"),
+])
+def test_eigen_solver_failure_is_a_report(argv, stage, monkeypatch, capsys):
+    budget, built = 1 << 19, []
+    weight_grid = ig._weight_grid
+
+    def recording(phase, lnq, center, halfwidth, m, *args):
+        built.append(m ** phase.dim)
+        return weight_grid(phase, lnq, center, halfwidth, m, *args)
+
+    monkeypatch.setattr(ig, "_GRID_BYTES", budget)
+    monkeypatch.setattr(ig, "_weight_grid", recording)
+    assert run_cli(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False and len(doc["results"]) == 1
+    failure = doc["results"][0]["failure"]
+    assert failure["stage"] == stage and failure["error"] == "QuadratureError"
+    assert built and all(8 * nodes <= budget for nodes in built)

@@ -153,9 +153,9 @@ def test_batched_lanes_match_single_tracks():
 
 
 def default_draw(n, seed):
-    """The CLI's default (lambda, q) for a seed, as floats."""
-    return ([float(x) for x in cli._default_lambda(n, seed)],
-            [float(x) for x in cli._default_q(n, seed)])
+    """The CLI's default (lambda, q) of a critical run for a seed, as floats."""
+    cfg = cli.resolve_defaults(cli.RunConfig("critical", n=n, seed=seed))
+    return [float(x) for x in cfg.lam], [float(x) for x in cfg.q]
 
 
 # The seed-11 draw of the census benchmark: chart (3,1,0) has |w| ~ 4e3,
@@ -215,8 +215,7 @@ def test_newton_floor_lets_large_w_lanes_converge(monkeypatch):
 
 @pytest.mark.parametrize("n, lam, q", [
     (2, (0.25, 0.125, -0.375), (1.0, 1.0)),
-    (3, tuple(float(x) for x in cli._default_lambda(3, 0)),
-     tuple(float(x) for x in cli._default_q(3, 0))),
+    (3, *(tuple(v) for v in default_draw(3, 0))),
 ])
 def test_lane_kernel_agrees_with_the_chart_phase(n, lam, q):
     # the lockstep kernel evaluates f, grad f and the Hessian with its own
