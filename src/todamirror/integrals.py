@@ -10,6 +10,7 @@ geometrically.  Everything is deterministic; no Monte Carlo anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,9 +38,9 @@ ABS_TOL = 1e-300
 # Nodes per slab of the trapezoid kernel (whole axis-0 rows, at least one):
 # the per-slab temporaries stay cache-sized.
 _SLAB_NODES = 1 << 16
-# Largest float64 grid one doubling level may allocate: 513^3 nodes
-# (1.08 GB) fit, 1025^3 (8.6 GB) does not.
-_GRID_BYTES = 1 << 31
+# Most nodes one doubling level may evaluate.  At about 5e7 nodes/s (n = 2,
+# one Xeon core) a 513^3 level takes seconds; 1025^3 (~20 s) is refused.
+_LEVEL_NODES = 1 << 28
 
 
 @dataclass
@@ -76,23 +77,17 @@ class QuadratureResult:
 
 
 @dataclass
-class WeightGrid:
-    """The converged trapezoid grid of exp((f - f_ref)/hbar) on a peak-centred
-    box: its axes, the weighted integrand values, the cell volume, the
-    integral (grid sum times cell), its doubling error, and the integrand
-    evaluations and grids built by the whole doubling loop."""
-    axes: List[np.ndarray]
-    weights: np.ndarray
+class Converged:
+    """The converged level: each moment row's trapezoid sum (row 0 the integrand),
+    cell, f_ref, integral, doubling error, evaluations, nodes per axis, levels."""
+    sums: np.ndarray
     cell: float
     f_ref: float
     value: float
     error: float
     evaluations: int
+    nodes: int
     levels: int
-
-    @property
-    def nodes(self) -> int:
-        return len(self.axes[0])
 
 
 def _real_peak(phase: ChartPhase, lnq: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -169,83 +164,93 @@ def _axis_halfwidths(phase: ChartPhase, lnq: np.ndarray, s_star: np.ndarray,
     return out
 
 
-def _weight_grid(phase: ChartPhase, lnq: np.ndarray, center: np.ndarray,
-                 halfwidth: np.ndarray, m: int, f_ref: float,
-                 hbar: float) -> Tuple[List[np.ndarray], np.ndarray, float]:
-    """Axes, trapezoid-weighted exp((f - f_ref)/hbar) and cell volume of the
-    box center +/- halfwidth with m nodes per axis.
+def _trapezoid_sums(phase: ChartPhase, lnq: np.ndarray, axes: Sequence[np.ndarray],
+                    halved: Sequence[bool], exps: np.ndarray, f_ref: float,
+                    hbar: float) -> np.ndarray:
+    """For each row a of exps (K x d), the sum over the tensor grid of axes of
+    exp((f - f_ref)/hbar) prod_k t_k exp(a_k s_k); t_k is 1/2 at the two end
+    nodes of a halved axis and 1 elsewhere.
 
-    Each monomial exp(b_m + A_m . s) is exponentiated only over the axes
-    where A_m is nonzero and broadcast into the grid, which is filled in
-    slabs of whole axis-0 rows; the grid is the only full-size array.  Each
-    node sees the float operations of the dense formula in the same order
-    (b_m + a_mk s_k in axis order, monomials in row order, then sigma_k s_k,
-    - f_ref, / hbar, exp, the trapezoid halves), less only the exact
-    additions of 0 * s_k, so the grid is bitwise the dense one.
+    One reusable slab of whole axis-0 rows is filled at a time, each monomial
+    exp(b_m + A_m . s) exponentiated only over the axes where A_m is nonzero,
+    with the float operations of the dense formula in its order (b_m + a_mk s_k
+    in axis order, monomials in row order, then sigma_k s_k, - f_ref, / hbar,
+    exp) up to exact additions of zero.  The slab is contracted at once with
+    the vectors t_k exp(a_k s_k), last axis first: nothing of grid size exists.
     """
-    d = phase.dim
-    axes = [np.linspace(center[k] - halfwidth[k], center[k] + halfwidth[k], m)
-            for k in range(d)]
+    d = len(axes)
+    vecs = [np.exp(np.outer(exps[:, k], ax)) for k, ax in enumerate(axes)]
+    for v, half in zip(vecs, halved):
+        if half:
+            v[:, [0, -1]] *= 0.5
 
     def along(k: int, v: np.ndarray) -> np.ndarray:
         return v.reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
 
     b_ln = [float(b @ lnq) for b in phase.B]
-    grid = np.empty((m,) * d)
-    step = max(1, _SLAB_NODES // m ** (d - 1))
-    for r0 in range(0, m, step):
+    inner = tuple(len(ax) for ax in axes[1:])
+    step = max(1, _SLAB_NODES // math.prod(inner))
+    buf = np.empty((step,) + inner)
+    total = np.zeros(len(exps))
+    for r0 in range(0, len(axes[0]), step):
         rows = slice(r0, r0 + step)
-        local = [axes[0][rows]] + axes[1:]
-        slab = grid[rows]
-        for idx, (a, b) in enumerate(zip(phase.A, b_ln)):
+        local = [axes[0][rows]] + list(axes[1:])
+        slab = buf[:len(local[0])]
+        slab[...] = 0.0
+        for a, b in zip(phase.A, b_ln):
             term = np.full((1,) * d, b)
             for k in np.flatnonzero(a):
                 term = term + along(k, a[k] * local[k])
-            np.exp(term, out=term)
-            if idx == 0:
-                slab[...] = term
-            else:
-                slab += term
+            slab += np.exp(term, out=term)
         for k in np.flatnonzero(phase.sigma):
             slab += along(k, phase.sigma[k] * local[k])
         slab -= f_ref
         slab /= hbar
         np.exp(slab, out=slab)
-    # trapezoid weights: 1/2 at the two endpoints of each axis
-    for k in range(d):
-        sl = [slice(None)] * d
-        sl[k] = 0
-        grid[tuple(sl)] *= 0.5
-        sl[k] = m - 1
-        grid[tuple(sl)] *= 0.5
-    steps = [(2.0 * halfwidth[k]) / (m - 1) for k in range(d)]
-    return axes, grid, math.prod(steps)
+        slab_vecs = [vecs[0][:, rows]] + vecs[1:]
+        out = slab @ slab_vecs[-1].T
+        for v in reversed(slab_vecs[:-1]):
+            out = np.einsum("...jK,Kj->...K", out, v)
+        total += out
+    return total
 
 
-def _converged_grid(phase: ChartPhase, lnq: np.ndarray, hbar: float,
-                    rel_tol: float, max_doublings: int) -> WeightGrid:
-    """Double the nodes per axis from 17 until two trapezoid sums agree to
-    rel_tol; each unconverged grid is dropped before the next is built, and
-    a grid over the memory budget is refused before it is allocated."""
+def _new_nodes(axes: Sequence[np.ndarray]):
+    """The 2^d - 1 parity sublattices holding a doubled grid's new nodes, with
+    the halved flags of their axes (end nodes lie only on even sub-axes)."""
+    for parity in itertools.product((0, 1), repeat=len(axes)):
+        if any(parity):
+            yield [ax[p::2] for ax, p in zip(axes, parity)], [p == 0 for p in parity]
+
+
+def _converged_sums(phase: ChartPhase, lnq: np.ndarray, hbar: float, rel_tol: float,
+                    max_doublings: int, exps: np.ndarray) -> Converged:
+    """Double the nodes per axis from 17 until two trapezoid integrals agree
+    to rel_tol (row 0 of exps must be zero: its sum is the integral).  A level
+    keeps the nodes and trapezoid weights of the one before and adds only its
+    new nodes, so each node is evaluated once; a level over the node budget
+    is refused before any of it is evaluated."""
     s_star = _real_peak(phase, lnq)
     f_star = float(phase.value(s_star, lnq))
     _decay_check(phase, lnq, s_star, f_star)
     # e^{(f - f*)/hbar} <= eps once f - f* >= |hbar| ln(1/eps)
     threshold = abs(hbar) * math.log(1e22)
     widths = _axis_halfwidths(phase, lnq, s_star, f_star, threshold)
-    nodes, prev, total_evals = 17, None, 0
+    d = phase.dim
+    nodes, prev, sums = 17, None, np.zeros(len(exps))
     for level in range(1, max_doublings + 1):
-        if 8 * nodes ** phase.dim > _GRID_BYTES:
-            raise QuadratureError(f"a grid of {nodes}^{phase.dim} nodes exceeds the "
-                                  f"{_GRID_BYTES}-byte memory budget")
-        axes, grid, cell = _weight_grid(phase, lnq, s_star, widths, nodes, f_star, hbar)
-        raw = float(grid.sum()) * cell
-        total_evals += nodes ** phase.dim
+        if nodes ** d > _LEVEL_NODES:
+            raise QuadratureError(f"{nodes}^{d} nodes exceed the {_LEVEL_NODES}-node level budget")
+        axes = [np.linspace(s_star[k] - widths[k], s_star[k] + widths[k], nodes)
+                for k in range(d)]
+        for sub, halved in _new_nodes(axes) if level > 1 else [(axes, [True] * d)]:
+            sums += _trapezoid_sums(phase, lnq, sub, halved, exps, f_star, hbar)
+        cell = math.prod([(2.0 * widths[k]) / (nodes - 1) for k in range(d)])
+        raw = float(sums[0]) * cell
         if prev is not None:
             err = abs(raw - prev)
             if err <= max(ABS_TOL, rel_tol * abs(raw)):
-                return WeightGrid(axes, grid, cell, f_star, raw, err, total_evals, level)
-        del axes, grid
+                return Converged(sums, cell, f_star, raw, err, nodes ** d, nodes, level)
         prev = raw
         nodes = 2 * (nodes - 1) + 1
     raise QuadratureError(f"quadrature did not converge within {max_doublings} doublings")
@@ -260,14 +265,15 @@ def evaluate(task: IntegralTask) -> QuadratureResult:
     """
     phase = phase_in_chart(task.chart, task.lam)
     lnq = np.log(np.array(task.q))
-    grid = _converged_grid(phase, lnq, task.hbar, task.rel_tol, task.max_doublings)
-    log_scale = grid.f_ref / task.hbar
+    conv = _converged_sums(phase, lnq, task.hbar, task.rel_tol, task.max_doublings,
+                           np.zeros((1, phase.dim)))
+    log_scale = conv.f_ref / task.hbar
     if task.include_prefactor:
         log_scale += float(phase.rho @ lnq) / task.hbar
-    return QuadratureResult(value=math.exp(log_scale) * grid.value,
-                            error=grid.error * math.exp(log_scale),
-                            evaluations=grid.evaluations,
-                            nodes_per_axis=grid.nodes, log_scale=log_scale)
+    return QuadratureResult(value=math.exp(log_scale) * conv.value,
+                            error=conv.error * math.exp(log_scale),
+                            evaluations=conv.evaluations,
+                            nodes_per_axis=conv.nodes, log_scale=log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +347,7 @@ def eigen_residual(n: int, lam: Sequence[float], hbar: float,
 
     Each D_i - sigma_i acts on e^{F/hbar} as multiplication by an exact
     amplitude (differentiation under the integral sign), so every residual
-    is one pass over the converged trapezoid grid of the base integral.
+    combines moment sums streamed with the base integral by one doubling loop.
     """
     if n > 2:
         raise ValueError("iterated quadrature is desk scale; n <= 2")
@@ -354,29 +360,23 @@ def eigen_residual(n: int, lam: Sequence[float], hbar: float,
     x = np.array([t_base[i] - t_base[i - 1] for i in range(1, n + 1)])
 
     phase = phase_in_chart(chart, lam)
-    grid = _converged_grid(phase, x, hbar, rel_tol, max_doublings)
-
-    zero = (0,) * len(phase.B)
-
-    def moment(k: Tuple[int, ...]) -> float:
-        """Grid sum of weight * e^k; e^k is separable in s."""
-        ka = np.array(k, dtype=float)
-        out = grid.weights
-        for axis, a in reversed(list(enumerate(ka @ phase.A))):
-            out = out @ np.exp(a * grid.axes[axis])
-        return float(out) * math.exp(float(ka @ phase.B @ x))
-
     amplitudes = [_operator_amplitude(poly, phase, x, hbar)
                   for poly in ops.toda_polynomials(n)]
-    moments = {k: moment(k) for k in {zero}.union(*amplitudes)}
+    zero = (0,) * len(phase.B)
+    keys = [zero] + sorted(set().union(*amplitudes) - {zero})
+    # e^k is separable in s: its s-part is a moment exponent, its x-part a constant
+    kas = np.array(keys, dtype=float)
+    conv = _converged_sums(phase, x, hbar, rel_tol, max_doublings, kas @ phase.A)
+    moments = {k: float(total) * math.exp(float(ka @ phase.B @ x))
+               for k, ka, total in zip(keys, kas, conv.sums)}
     base = moments[zero]
     residuals = [abs(sum(c * moments[k] for k, c in amp.items()) - sigma * base) / abs(base)
                  for amp, sigma in zip(amplitudes, elementary_symmetric_sigma(lam))]
-    base_value = math.exp((grid.f_ref + float(phase.rho @ x)) / hbar) * base * grid.cell
+    base_value = math.exp((conv.f_ref + float(phase.rho @ x)) / hbar) * base * conv.cell
     return EigenReport(n=n, lam=lam, q=tuple(math.exp(v) for v in x), hbar=hbar,
                        residuals=residuals, base_value=base_value,
-                       evaluations=grid.evaluations, nodes_per_axis=grid.nodes,
-                       levels=grid.levels, error=grid.error / abs(grid.value))
+                       evaluations=conv.evaluations, nodes_per_axis=conv.nodes,
+                       levels=conv.levels, error=conv.error / abs(conv.value))
 
 
 # ---------------------------------------------------------------------------

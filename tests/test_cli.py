@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report schema, determinism, serialization."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -320,22 +321,23 @@ def test_virasoro_runs_at_the_truncation_it_reports(capsys):
 @pytest.mark.parametrize("argv, stage", [
     # the n = 1 grid converges at 257 nodes; the closed form's integrand overflows
     (["eigen", "--n", "1", "--hbar", "-0.001"], "bessel_oracle"),
-    # never converges: the unpatched budget refuses its 1025^3 level (8 GiB)
+    # never converges: the unpatched budget refuses its 1025^3 level
     (["eigen", "--n", "2", "--hbar", "-100"], "quadrature"),
 ])
 def test_eigen_solver_failure_is_a_report(argv, stage, monkeypatch, capsys):
-    budget, built = 1 << 19, []
-    weight_grid = ig._weight_grid
+    budget, built = 1 << 16, []
+    trapezoid_sums = ig._trapezoid_sums
 
-    def recording(phase, lnq, center, halfwidth, m, *args):
-        built.append(m ** phase.dim)
-        return weight_grid(phase, lnq, center, halfwidth, m, *args)
+    def recording(phase, lnq, axes, *args):
+        # nodes evaluated so far: each level's total is its m^d
+        built.append((built[-1] if built else 0) + math.prod(map(len, axes)))
+        return trapezoid_sums(phase, lnq, axes, *args)
 
-    monkeypatch.setattr(ig, "_GRID_BYTES", budget)
-    monkeypatch.setattr(ig, "_weight_grid", recording)
+    monkeypatch.setattr(ig, "_LEVEL_NODES", budget)
+    monkeypatch.setattr(ig, "_trapezoid_sums", recording)
     assert run_cli(argv) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False and len(doc["results"]) == 1
     failure = doc["results"][0]["failure"]
     assert failure["stage"] == stage and failure["error"] == "QuadratureError"
-    assert built and all(8 * nodes <= budget for nodes in built)
+    assert built and all(nodes <= budget for nodes in built)

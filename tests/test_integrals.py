@@ -10,6 +10,7 @@ import scipy.special as sp
 
 from todamirror import integrals as ig
 from todamirror import mirror as mi
+from todamirror import operators as ops
 
 
 def chart(n, kseq):
@@ -89,7 +90,7 @@ def dense_weight_grid(phase, lnq, center, halfwidth, m, f_ref, hbar):
 
 
 def grid_box(n, kseq, lam, q, hbar=-1.0):
-    """The phase, ln q and the peak-centred box that _converged_grid uses."""
+    """The phase, ln q and the peak-centred box that _converged_sums uses."""
     phase = mi.phase_in_chart(chart(n, kseq), lam)
     lnq = np.log(np.array(q))
     s_star = ig._real_peak(phase, lnq)
@@ -98,48 +99,95 @@ def grid_box(n, kseq, lam, q, hbar=-1.0):
     return phase, lnq, s_star, widths, f_star
 
 
-def test_weight_grid_is_bitwise_the_dense_grid():
+def box_axes(center, halfwidth, m):
+    return [np.linspace(c - h, c + h, m) for c, h in zip(center, halfwidth)]
+
+
+def moment_exps(phase, lnq, n, hbar=-1.0):
+    """The moment exponents k.A that eigen_residual sums: k = 0 first, then
+    every k its amplitudes use."""
+    amps = [ig._operator_amplitude(p, phase, lnq, hbar) for p in ops.toda_polynomials(n)]
+    zero = (0,) * len(phase.B)
+    return np.array([zero] + sorted(set().union(*amps) - {zero}), dtype=float) @ phase.A
+
+
+def dense_moments(grid, axes, exps):
+    """Each moment of a full weight grid: contract with exp(a_k s_k), last axis first."""
+    out = []
+    for a in exps:
+        moment = grid
+        for k in reversed(range(len(axes))):
+            moment = moment @ np.exp(a[k] * axes[k])
+        out.append(float(moment))
+    return np.array(out)
+
+
+def test_trapezoid_sums_match_the_dense_grid():
     sizes = (17, 65, 129)
     # at least one size leaves a ragged last slab of axis-0 rows
     assert any(m % max(1, ig._SLAB_NODES // m ** 2) for m in sizes)
     lam, q = (0.25, 0.125, -0.375), (0.75, 1.25)
-    cases = [(2, k, lam, q, m) for k in mi.all_k_sequences(2) for m in sizes]
-    cases.append((1, (0,), (0.25, -0.25), (0.5,), 513))
-    for n, kseq, lam_, q_, m in cases:
+    # a box narrowed to 1/8 puts real weight on the end halves
+    boxes = [(m, 1.0) for m in sizes] + [(17, 0.125)]
+    cases = [(2, k, lam, q, m, scale) for k in mi.all_k_sequences(2) for m, scale in boxes]
+    cases.append((1, (0,), (0.25, -0.25), (0.5,), 513, 1.0))
+    for n, kseq, lam_, q_, m, scale in cases:
         phase, lnq, center, widths, f_ref = grid_box(n, kseq, lam_, q_)
-        axes, grid, _ = ig._weight_grid(phase, lnq, center, widths, m, f_ref, -1.0)
-        assert np.array_equal(grid, dense_weight_grid(phase, lnq, center, widths, m,
-                                                      f_ref, -1.0)), (kseq, m)
-    # spot nodes against the phase itself, trapezoid factor included
+        widths = scale * widths
+        axes, exps = box_axes(center, widths, m), moment_exps(phase, lnq, n)
+        sums = ig._trapezoid_sums(phase, lnq, axes, [True] * phase.dim, exps, f_ref, -1.0)
+        dense = dense_moments(dense_weight_grid(phase, lnq, center, widths, m, f_ref, -1.0),
+                              axes, exps)
+        assert np.all(np.abs(sums - dense) <= 1e-14 * dense), (kseq, m)
+    # spot nodes against the phase itself, each a one-node grid without end halves
     phase, lnq, center, widths, f_ref = grid_box(2, (1, 0), lam, q)
     m, c = 65, 32
-    axes, grid, _ = ig._weight_grid(phase, lnq, center, widths, m, f_ref, -1.0)
+    axes = box_axes(center, widths, m)
     for node in ((c, c, c), (c + 3, c - 2, c + 1), (c - 5, c, c + 4), (0, c, c), (c, m - 1, c)):
         s = np.array([axes[k][i] for k, i in enumerate(node)])
-        factor = 0.5 ** sum(i in (0, m - 1) for i in node)
-        expected = math.exp((float(phase.value(s, lnq)) - f_ref) / -1.0) * factor
-        assert abs(grid[node] - expected) <= 1e-13 * expected, node
+        got, = ig._trapezoid_sums(phase, lnq, [s[k:k + 1] for k in range(3)], [False] * 3,
+                                  np.zeros((1, 3)), f_ref, -1.0)
+        expected = math.exp((float(phase.value(s, lnq)) - f_ref) / -1.0)
+        assert abs(got - expected) <= 1e-13 * expected, node
 
 
-def test_weight_grid_peak_memory_is_the_grid():
+def test_a_level_is_the_level_before_plus_its_new_nodes():
+    phase, lnq, center, widths, f_ref = grid_box(2, (0, 1), (0.25, 0.125, -0.375), (0.75, 1.25))
+    exps = moment_exps(phase, lnq, 2)
+    for m in (17, 65):
+        fine = box_axes(center, widths, 2 * m - 1)
+        parts = list(ig._new_nodes(fine))
+        assert sum(math.prod(map(len, sub)) for sub, _ in parts) == (2 * m - 1) ** 3 - m ** 3
+        nested = ig._trapezoid_sums(phase, lnq, box_axes(center, widths, m), [True] * 3,
+                                    exps, f_ref, -1.0)
+        for sub, halved in parts:
+            nested = nested + ig._trapezoid_sums(phase, lnq, sub, halved, exps, f_ref, -1.0)
+        full = ig._trapezoid_sums(phase, lnq, fine, [True] * 3, exps, f_ref, -1.0)
+        assert np.all(np.abs(nested - full) <= 1e-14 * full), m
+
+
+def test_trapezoid_sums_hold_no_grid():
     phase, lnq, center, widths, f_ref = grid_box(2, (0, 0), (0.25, 0.125, -0.375), (1.0, 1.0))
+    exps = moment_exps(phase, lnq, 2)
+    assert exps.shape == (15, 3)
+    axes = box_axes(center, widths, 129)           # a 129^3 grid would be 17.2 MB
     tracemalloc.start()
     try:
-        _, grid, _ = ig._weight_grid(phase, lnq, center, widths, 129, f_ref, -1.0)
+        ig._trapezoid_sums(phase, lnq, axes, [True] * 3, exps, f_ref, -1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * grid.nbytes
+    assert peak <= 2e6
 
 
 def test_eigen_residuals_n2_generic_point():
     rep = ig.eigen_residual(2, (0.25, 0.125, -0.375), -1.0, (0.0, 0.0, 0.0))
     assert all(r < 1e-8 for r in rep.residuals)
-    # the doubling loop from 17 nodes per axis; the amplitudes reuse its last grid
+    # the doubling loop from 17 nodes per axis evaluates each node once
     levels = [17]
     while levels[-1] < rep.nodes_per_axis:
         levels.append(2 * levels[-1] - 1)
-    assert rep.evaluations == sum(m ** 3 for m in levels)
+    assert rep.evaluations == rep.nodes_per_axis ** 3
     assert rep.levels == len(levels)
     assert 0 < rep.error <= 1e-11           # the default rel_tol
 
