@@ -4,10 +4,9 @@ For n = 1 the integral over the positive contour reduces, after u = sqrt(q)
 e^s, to a modified Bessel function of the second kind, which gives an
 independent oracle.  The operators act by differentiation under the
 integral sign, as exact amplitudes summed over the converged grid; every
-residual |D_i I - sigma_i I| / |I| should be tiny.
+residual |D_i I - sigma_i I| / |I| should be tiny.  One IntegralTask
+(lambda, hbar, chart, q) is the input of both the integral and the residuals.
 """
-
-import math
 
 from todamirror import (
     build_graph,
@@ -29,11 +28,12 @@ print(f"Bessel-K oracle:                    {oracle:.12f}")
 print(f"relative difference: {abs(res.value - oracle) / oracle:.2e} "
       f"({res.nodes_per_axis} nodes/axis, {res.evaluations} evaluations)")
 
-t = (-math.log(q) / 2, math.log(q) / 2)
-rep = eigen_residual(1, (lam0, -lam0), -1.0, t)
+rep = eigen_residual(task)
 print(f"\nn=1 eigen residuals: {['%.2e' % r for r in rep.residuals]}")
 
-rep2 = eigen_residual(2, (0.25, 0.125, -0.375), -1.0, (0.0, 0.0, 0.0))
+task2 = IntegralTask(n=2, lam=(0.25, 0.125, -0.375), hbar=-1.0,
+                     chart=make_chart(build_graph(2), (0, 0)), q=(1.0, 1.0))
+rep2 = eigen_residual(task2)
 print(f"n=2 eigen residuals: {['%.2e' % r for r in rep2.residuals]}")
 
 lam = (0.6, -0.6)

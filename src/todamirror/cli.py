@@ -302,17 +302,14 @@ def run_critical(cfg: RunConfig):
 
 
 def run_eigen(cfg: RunConfig):
-    lam_f = [float(x) for x in cfg.lam]
-    t = list(itertools.accumulate((math.log(float(v)) for v in cfg.q), initial=0.0))
-    shift = sum(t) / (cfg.n + 1)
-    t = [v - shift for v in t]
-    chart = mi.make_chart(mi.build_graph(cfg.n), cfg.chart) if cfg.chart else None
+    chart = mi.make_chart(mi.build_graph(cfg.n), cfg.chart or (0,) * cfg.n)
+    task = ig.IntegralTask(n=cfg.n, lam=cfg.lam, hbar=cfg.hbar, chart=chart, q=cfg.q)
     stage = "quadrature"
     try:
-        rep = ig.eigen_residual(cfg.n, lam_f, cfg.hbar, t, chart=chart)
+        rep = ig.eigen_residual(task)
         if cfg.n == 1:
             stage = "bessel_oracle"
-            oracle = ig.whittaker_closed_form(lam_f[0], float(cfg.q[0]), cfg.hbar)
+            oracle = ig.whittaker_closed_form(task.lam[0], task.q[0], cfg.hbar)
     except ig.QuadratureError as exc:
         return _failure(stage, exc)
     results = [{"operator": f"D{i+1}", "residual": float(r)}

@@ -13,18 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .exact import LaurentPolynomial, elementary_symmetric_sigma
-from .mirror import (
-    ChartPhase,
-    MirrorGraph,
-    SigmaChart,
-    make_chart,
-    phase_in_chart,
-)
+# make_chart is looked up here by bench/tracing.py, which wraps it per module
+from .mirror import ChartPhase, SigmaChart, make_chart, phase_in_chart
 from . import operators as ops
 from . import critical as crit
 
@@ -35,6 +30,14 @@ class QuadratureError(RuntimeError):
 
 # Absolute floor of the doubling test; the relative tolerance governs.
 ABS_TOL = 1e-300
+# Relative tolerance of the doubling test: the bare integral, and the eigen
+# moment sums, whose residuals are cancellations between sums of size |I|.
+_REL_TOL = 1e-10
+_EIGEN_REL_TOL = 1e-11
+# Most doubling levels (17 to 2^15 + 1 nodes per axis).  At d = 1 the level
+# budget alone would allow 2^28-node axes, and the kernel holds K x (nodes
+# per axis) moment vectors.
+_MAX_DOUBLINGS = 12
 # Nodes per slab of the trapezoid kernel (whole axis-0 rows, at least one):
 # the per-slab temporaries stay cache-sized.
 _SLAB_NODES = 1 << 16
@@ -43,51 +46,50 @@ _SLAB_NODES = 1 << 16
 _LEVEL_NODES = 1 << 28
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegralTask:
+    """One integral of e^{f/hbar} over the positive contour of a chart, the
+    only input of evaluate and eigen_residual.  It is checked whole when it
+    is made, so a bad input never reaches a node."""
     n: int
     lam: Tuple[float, ...]
     hbar: float
     chart: SigmaChart
     q: Tuple[float, ...]
-    rel_tol: float = 1e-10
-    max_doublings: int = 12
-    include_prefactor: bool = True             # multiply by prod q_i^{rho/hbar}
 
     def __post_init__(self):
         if self.n > 2:
             raise ValueError("iterated quadrature is desk scale; n <= 2")
-        self.lam = tuple(float(x) for x in self.lam)
-        if abs(sum(self.lam)) > 1e-9:
+        lam, q = tuple(float(x) for x in self.lam), tuple(float(x) for x in self.q)
+        if len(lam) != self.n + 1 or len(q) != self.n:
+            raise ValueError(f"n = {self.n} needs {self.n + 1} lambda and {self.n} q entries")
+        if abs(sum(lam)) > 1e-9:
             raise ValueError("lambda must sum to zero")
-        if self.hbar >= 0:
+        if not self.hbar < 0:
             raise ValueError("hbar must be negative")
-        self.q = tuple(float(x) for x in self.q)
-        if any(x <= 0 for x in self.q):
+        if not all(x > 0 for x in q):
             raise ValueError("q must be positive")
+        if self.chart.n != self.n:
+            raise ValueError(f"the chart is for n = {self.chart.n}, not {self.n}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "q", q)
 
 
 @dataclass
 class QuadratureResult:
+    """A converged doubling level: the integral of e^{f/hbar}, its last
+    doubling difference relative to it, the nodes evaluated, the nodes per
+    axis and the levels built, and each moment row's trapezoid sum (row 0
+    the integrand) in units of e^{f_ref/hbar}, so value = e^{f_ref/hbar}
+    sums[0] cell."""
     value: float
     error: float
     evaluations: int
-    nodes_per_axis: int = 0
-    log_scale: float = 0.0   # the factored-out exponent: value = exp(log_scale) * raw
-
-
-@dataclass
-class Converged:
-    """The converged level: each moment row's trapezoid sum (row 0 the integrand),
-    cell, f_ref, integral, doubling error, evaluations, nodes per axis, levels."""
+    nodes_per_axis: int
+    levels: int
     sums: np.ndarray
     cell: float
     f_ref: float
-    value: float
-    error: float
-    evaluations: int
-    nodes: int
-    levels: int
 
 
 def _real_peak(phase: ChartPhase, lnq: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -224,7 +226,7 @@ def _new_nodes(axes: Sequence[np.ndarray]):
 
 
 def _converged_sums(phase: ChartPhase, lnq: np.ndarray, hbar: float, rel_tol: float,
-                    max_doublings: int, exps: np.ndarray) -> Converged:
+                    exps: np.ndarray) -> QuadratureResult:
     """Double the nodes per axis from 17 until two trapezoid integrals agree
     to rel_tol (row 0 of exps must be zero: its sum is the integral).  A level
     keeps the nodes and trapezoid weights of the one before and adds only its
@@ -238,7 +240,7 @@ def _converged_sums(phase: ChartPhase, lnq: np.ndarray, hbar: float, rel_tol: fl
     widths = _axis_halfwidths(phase, lnq, s_star, f_star, threshold)
     d = phase.dim
     nodes, prev, sums = 17, None, np.zeros(len(exps))
-    for level in range(1, max_doublings + 1):
+    for level in range(1, _MAX_DOUBLINGS + 1):
         if nodes ** d > _LEVEL_NODES:
             raise QuadratureError(f"{nodes}^{d} nodes exceed the {_LEVEL_NODES}-node level budget")
         axes = [np.linspace(s_star[k] - widths[k], s_star[k] + widths[k], nodes)
@@ -250,30 +252,22 @@ def _converged_sums(phase: ChartPhase, lnq: np.ndarray, hbar: float, rel_tol: fl
         if prev is not None:
             err = abs(raw - prev)
             if err <= max(ABS_TOL, rel_tol * abs(raw)):
-                return Converged(sums, cell, f_star, raw, err, nodes ** d, nodes, level)
+                return QuadratureResult(
+                    value=math.exp(f_star / hbar) * raw, error=err / abs(raw),
+                    evaluations=nodes ** d, nodes_per_axis=nodes, levels=level,
+                    sums=sums, cell=cell, f_ref=f_star)
         prev = raw
         nodes = 2 * (nodes - 1) + 1
-    raise QuadratureError(f"quadrature did not converge within {max_doublings} doublings")
+    raise QuadratureError(f"quadrature did not converge within {_MAX_DOUBLINGS} doublings")
 
 
 def evaluate(task: IntegralTask) -> QuadratureResult:
-    """The chart integral of e^{f/hbar} over the positive subtorus.
-
-    The returned value includes the prefactor prod q_i^{rho_{1,i-1}/hbar}
-    unless include_prefactor is False (the q -> 0 factorisation check needs
-    the bare integral).
-    """
+    """The chart integral of e^{f/hbar} over the positive subtorus, without
+    the prefactor prod q_i^{rho_{1,i-1}/hbar} of the Whittaker function
+    (eigen_residual's base_value carries it)."""
     phase = phase_in_chart(task.chart, task.lam)
-    lnq = np.log(np.array(task.q))
-    conv = _converged_sums(phase, lnq, task.hbar, task.rel_tol, task.max_doublings,
+    return _converged_sums(phase, np.log(np.array(task.q)), task.hbar, _REL_TOL,
                            np.zeros((1, phase.dim)))
-    log_scale = conv.f_ref / task.hbar
-    if task.include_prefactor:
-        log_scale += float(phase.rho @ lnq) / task.hbar
-    return QuadratureResult(value=math.exp(log_scale) * conv.value,
-                            error=conv.error * math.exp(log_scale),
-                            evaluations=conv.evaluations,
-                            nodes_per_axis=conv.nodes, log_scale=log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +319,6 @@ def _operator_amplitude(poly: Dict[Tuple[int, ...], LaurentPolynomial],
 @dataclass
 class EigenReport:
     n: int
-    lam: Tuple[float, ...]
-    q: Tuple[float, ...]
-    hbar: float
     residuals: List[float]
     base_value: float
     evaluations: int
@@ -339,52 +330,40 @@ class EigenReport:
         return max(self.residuals)
 
 
-def eigen_residual(n: int, lam: Sequence[float], hbar: float,
-                   t_base: Sequence[float], rel_tol: float = 1e-11,
-                   chart: Optional[SigmaChart] = None,
-                   max_doublings: int = 12) -> EigenReport:
-    """Relative residuals |D_i I - sigma_i I| / |I| at t_base.
+def eigen_residual(task: IntegralTask) -> EigenReport:
+    """Relative residuals |D_i I - sigma_i I| / |I| of the task's integral.
 
     Each D_i - sigma_i acts on e^{F/hbar} as multiplication by an exact
     amplitude (differentiation under the integral sign), so every residual
     combines moment sums streamed with the base integral by one doubling loop.
     """
-    if n > 2:
-        raise ValueError("iterated quadrature is desk scale; n <= 2")
-    lam = tuple(float(x) for x in lam)
-    t_base = tuple(float(x) for x in t_base)
-    if abs(sum(t_base)) > 1e-9:
-        raise ValueError("t must sum to zero")
-    graph = MirrorGraph(n)
-    chart = chart or make_chart(graph, (0,) * n)
-    x = np.array([t_base[i] - t_base[i - 1] for i in range(1, n + 1)])
-
-    phase = phase_in_chart(chart, lam)
-    amplitudes = [_operator_amplitude(poly, phase, x, hbar)
-                  for poly in ops.toda_polynomials(n)]
+    phase = phase_in_chart(task.chart, task.lam)
+    x = np.log(np.array(task.q))
+    amplitudes = [_operator_amplitude(poly, phase, x, task.hbar)
+                  for poly in ops.toda_polynomials(task.n)]
     zero = (0,) * len(phase.B)
     keys = [zero] + sorted(set().union(*amplitudes) - {zero})
     # e^k is separable in s: its s-part is a moment exponent, its x-part a constant
     kas = np.array(keys, dtype=float)
-    conv = _converged_sums(phase, x, hbar, rel_tol, max_doublings, kas @ phase.A)
+    conv = _converged_sums(phase, x, task.hbar, _EIGEN_REL_TOL, kas @ phase.A)
     moments = {k: float(total) * math.exp(float(ka @ phase.B @ x))
                for k, ka, total in zip(keys, kas, conv.sums)}
     base = moments[zero]
     residuals = [abs(sum(c * moments[k] for k, c in amp.items()) - sigma * base) / abs(base)
-                 for amp, sigma in zip(amplitudes, elementary_symmetric_sigma(lam))]
-    base_value = math.exp((conv.f_ref + float(phase.rho @ x)) / hbar) * base * conv.cell
-    return EigenReport(n=n, lam=lam, q=tuple(math.exp(v) for v in x), hbar=hbar,
-                       residuals=residuals, base_value=base_value,
-                       evaluations=conv.evaluations, nodes_per_axis=conv.nodes,
-                       levels=conv.levels, error=conv.error / abs(conv.value))
+                 for amp, sigma in zip(amplitudes, elementary_symmetric_sigma(task.lam))]
+    base_value = math.exp((conv.f_ref + float(phase.rho @ x)) / task.hbar) * base * conv.cell
+    return EigenReport(n=task.n, residuals=residuals, base_value=base_value,
+                       evaluations=conv.evaluations, nodes_per_axis=conv.nodes_per_axis,
+                       levels=conv.levels, error=conv.error)
 
 
 # ---------------------------------------------------------------------------
 # Bessel oracle and the n = 1 closed form.
 # ---------------------------------------------------------------------------
 
-def bessel_k_cosh(nu: float, z: float, rel_tol: float = 1e-13) -> float:
-    """K_nu(z) = int_0^inf e^{-z cosh t} cosh(nu t) dt by doubling trapezoid."""
+def bessel_k_cosh(nu: float, z: float) -> float:
+    """K_nu(z) = int_0^inf e^{-z cosh t} cosh(nu t) dt by doubling trapezoid,
+    to 1e-13 relative."""
     if z <= 0:
         raise ValueError("z must be positive")
     nu = abs(float(nu))
@@ -408,7 +387,7 @@ def bessel_k_cosh(nu: float, z: float, rel_tol: float = 1e-13) -> float:
         cur = float(vals.sum()) * (upper / (m - 1))
         if not math.isfinite(cur):  # doubling keeps every node, so it never recovers
             raise QuadratureError(f"Bessel integrand overflows at nu = {nu:g}, z = {z:g}")
-        if prev is not None and abs(cur - prev) <= rel_tol * abs(cur):
+        if prev is not None and abs(cur - prev) <= 1e-13 * abs(cur):
             return cur
         prev = cur
         m = 2 * (m - 1) + 1
@@ -435,15 +414,13 @@ def one_variable_factor(c_over_hbar: float, hbar: float) -> float:
 
 
 def q_to_zero_factorization(n: int, lam: Sequence[float], hbar: float,
-                            chart: SigmaChart, q_small: float,
-                            rel_tol: float = 1e-10) -> Tuple[float, float, float]:
+                            chart: SigmaChart, q_small: float) -> Tuple[float, float, float]:
     """Relative mismatch between the rescaled integral at small q and the
     product of one-variable Gamma factors.  Returns (mismatch, value, product)."""
-    phase = phase_in_chart(chart, lam)
+    task = IntegralTask(n=n, lam=lam, hbar=hbar, chart=chart, q=(q_small,) * n)
+    phase = phase_in_chart(chart, task.lam)
     if not admissible(phase, hbar):
         raise ValueError("chart is not admissible at this lambda (sigma/hbar <= 0)")
-    task = IntegralTask(n=n, lam=lam, hbar=hbar, chart=chart,
-                        q=(q_small,) * n, include_prefactor=False, rel_tol=rel_tol)
     value = evaluate(task).value
     product = 1.0
     for s in phase.sigma:

@@ -84,14 +84,16 @@ def test_criterion_5_eigenvalue_equations():
     # n = 1 against both quadrature and the cosh-integral oracle
     ok, det = True, []
     lam0, q = 0.5, 1.0
-    t = (-math.log(q) / 2, math.log(q) / 2)
-    rep = ig.eigen_residual(1, (lam0, -lam0), -1.0, t)
+    ch1 = mi.make_chart(mi.build_graph(1), (0,))
+    rep = ig.eigen_residual(ig.IntegralTask(n=1, lam=(lam0, -lam0), hbar=-1.0, chart=ch1, q=(q,)))
     oracle = ig.whittaker_closed_form(lam0, q, -1.0)
     rel = abs(rep.base_value - oracle) / abs(oracle)
     ok = ok and max(rep.residuals) < 1e-8 and rel < 1e-8
     det.append(f"n=1 residual {max(rep.residuals):.2e} oracle {rel:.2e}")
     # n = 2 at one generic point
-    rep2 = ig.eigen_residual(2, (0.25, 0.125, -0.375), -1.0, (0.0, 0.0, 0.0))
+    ch2 = mi.make_chart(mi.build_graph(2), (0, 0))
+    rep2 = ig.eigen_residual(ig.IntegralTask(n=2, lam=(0.25, 0.125, -0.375), hbar=-1.0,
+                                             chart=ch2, q=(1.0, 1.0)))
     ok = ok and all(r < 1e-8 for r in rep2.residuals)
     det.append(f"n=2 residuals {['%.1e' % r for r in rep2.residuals]}")
     _report("criterion 5: eigenvalue equations (n=1 < 1e-8 + oracle < 1e-8; "

@@ -107,7 +107,7 @@ def test_eigen_quadrature_block_is_deterministic(capsys):
         blocks.append(next(r["quadrature"] for r in doc["results"] if "quadrature" in r))
     assert blocks[0] == blocks[1]
     assert set(blocks[0]) == {"nodes_per_axis", "evaluations", "levels", "error"}
-    assert blocks[0]["error"] <= 1e-11          # eigen_residual's rel_tol
+    assert blocks[0]["error"] <= 1e-11          # the eigen doubling tolerance
 
 
 def test_classical_limit_and_factorization_do_not_import_scipy():

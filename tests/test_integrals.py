@@ -1,8 +1,10 @@
 """Oscillatory integrals: quadrature vs oracles, eigenvalue residuals,
 q -> 0 factorisation, and the projective-line example."""
 
+import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +19,9 @@ def chart(n, kseq):
     return mi.make_chart(mi.build_graph(n), kseq)
 
 
-def task(n, lam, q, hbar=-1.0, kseq=None, **kw):
+def task(n, lam, q, hbar=-1.0, kseq=None):
     kseq = kseq if kseq is not None else (0,) * n
-    return ig.IntegralTask(n=n, lam=lam, hbar=hbar, chart=chart(n, kseq), q=q, **kw)
+    return ig.IntegralTask(n=n, lam=lam, hbar=hbar, chart=chart(n, kseq), q=q)
 
 
 def test_bessel_oracle_against_scipy():
@@ -52,16 +54,16 @@ def test_positive_contour_positive_value():
 
 
 def test_error_estimate_within_tolerance():
-    r = ig.evaluate(task(1, (0.5, -0.5), (1.0,), rel_tol=1e-9))
-    assert r.error <= max(1e-9 * abs(r.value), 1e-300)
+    r = ig.evaluate(task(1, (0.5, -0.5), (1.0,)))
+    assert r.error <= 1e-10                 # relative, at the default tolerance
+    assert r.value == math.exp(r.f_ref / -1.0) * float(r.sums[0]) * r.cell
 
 
 def test_eigen_residuals_n1_grid():
     # D_1 telescopes to zero on functions of t_1 - t_0; D_2 via quadrature
     for lam0 in (0.0, 0.25, 0.5):
         for q in (0.5, 1.0, 2.0):
-            t = (-math.log(q) / 2, math.log(q) / 2)
-            rep = ig.eigen_residual(1, (lam0, -lam0), -1.0, t)
+            rep = ig.eigen_residual(task(1, (lam0, -lam0), (q,)))
             assert rep.residuals[0] == 0.0
             assert rep.residuals[1] < 1e-8
             oracle = ig.whittaker_closed_form(lam0, q, -1.0)
@@ -181,7 +183,7 @@ def test_trapezoid_sums_hold_no_grid():
 
 
 def test_eigen_residuals_n2_generic_point():
-    rep = ig.eigen_residual(2, (0.25, 0.125, -0.375), -1.0, (0.0, 0.0, 0.0))
+    rep = ig.eigen_residual(task(2, (0.25, 0.125, -0.375), (1.0, 1.0)))
     assert all(r < 1e-8 for r in rep.residuals)
     # the doubling loop from 17 nodes per axis evaluates each node once
     levels = [17]
@@ -189,7 +191,7 @@ def test_eigen_residuals_n2_generic_point():
         levels.append(2 * levels[-1] - 1)
     assert rep.evaluations == rep.nodes_per_axis ** 3
     assert rep.levels == len(levels)
-    assert 0 < rep.error <= 1e-11           # the default rel_tol
+    assert 0 < rep.error <= 1e-11           # the eigen doubling tolerance
 
 
 @pytest.mark.parametrize("n, lam", [(1, (0.25, -0.25)), (2, (0.25, 0.125, -0.375))])
@@ -198,7 +200,7 @@ def test_eigen_residual_detects_shifted_eigenvalues(monkeypatch, n, lam):
     exact_sigma = ig.elementary_symmetric_sigma
     monkeypatch.setattr(ig, "elementary_symmetric_sigma",
                         lambda lams: [s + delta for s in exact_sigma(lams)])
-    rep = ig.eigen_residual(n, lam, -1.0, (0.0,) * (n + 1))
+    rep = ig.eigen_residual(task(n, lam, (1.0,) * n))
     assert all(abs(r - delta) < 0.1 * delta for r in rep.residuals)
 
 
@@ -206,8 +208,7 @@ def test_one_variable_factors():
     assert abs(ig.one_variable_factor(1.0, -1.0) - 1.0) < 1e-12
     assert abs(ig.one_variable_factor(0.5, -1.0) - math.sqrt(math.pi)) < 1e-12
     # quadrature cross-check of the Gamma value on one axis
-    val = ig.evaluate(task(1, (0.25, -0.25), (1e-9,), kseq=(0,),
-                           include_prefactor=False)).value
+    val = ig.evaluate(task(1, (0.25, -0.25), (1e-9,), kseq=(0,))).value
     # at tiny q the integral is the one-variable factor with c = sigma(1,0)
     ch = chart(1, (0,))
     c = float(ch.sigma[(1, 0)].evaluate((0.25, -0.25)))
@@ -264,17 +265,44 @@ def test_cp1_momentum_branch_algebra():
 
 
 def test_task_validation():
-    with pytest.raises(ValueError):
-        ig.IntegralTask(n=1, lam=(0.5, -0.5), hbar=1.0, chart=chart(1, (0,)), q=(1.0,))
-    with pytest.raises(ValueError):
-        ig.IntegralTask(n=1, lam=(0.5, -0.4), hbar=-1.0, chart=chart(1, (0,)), q=(1.0,))
-    with pytest.raises(ValueError):
-        ig.IntegralTask(n=1, lam=(0.5, -0.5), hbar=-1.0, chart=chart(1, (0,)), q=(-1.0,))
+    t = task(1, (Fraction(1, 2), Fraction(-1, 2)), (Fraction(2),))
+    assert t.lam == (0.5, -0.5) and t.q == (2.0,)
+    # the checks ran once, when the task was made; it cannot be changed after
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.hbar = 1.0
 
 
-def test_quadrature_nonconvergence_reported():
+BAD_TASKS = [   # (overrides of a good n = 1 task, the refusal it must get)
+    pytest.param(dict(hbar=0.0), "hbar must be negative", id="hbar=0"),
+    pytest.param(dict(hbar=1.0), "hbar must be negative", id="hbar=1"),
+    pytest.param(dict(n=2, lam=(0.25, 0.125, -0.375), q=(1.0, 1.0), hbar=1.0),
+                 "hbar must be negative", id="hbar=1,n=2"),
+    pytest.param(dict(lam=(0.5, -0.4)), "sum to zero", id="lambda-sum"),
+    pytest.param(dict(q=(1.0, 1.0)), "needs 2 lambda and 1 q", id="q-length"),
+    pytest.param(dict(q=(0.0,)), "q must be positive", id="q=0"),
+    pytest.param(dict(q=(-1.0,)), "q must be positive", id="q<0"),
+    pytest.param(dict(n=3, lam=(0.4, 0.1, -0.2, -0.3), q=(1.0,) * 3), "desk scale", id="n=3"),
+    pytest.param(dict(kseq=(0, 0)), "chart is for n = 2", id="chart-n"),
+]
+
+
+@pytest.mark.parametrize("entry", [ig.evaluate, ig.eigen_residual], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad, refusal", BAD_TASKS)
+def test_bad_input_is_refused_before_any_node(entry, bad, refusal, monkeypatch):
+    def no_nodes(*args):
+        raise AssertionError("a node was evaluated")
+
+    monkeypatch.setattr(ig, "_trapezoid_sums", no_nodes)
+    kw = {"n": 1, "lam": (0.5, -0.5), "q": (1.0,), "hbar": -1.0, **bad}
+    kseq = kw.pop("kseq", (0,) * kw["n"])
+    with pytest.raises(ValueError, match=refusal):
+        entry(ig.IntegralTask(chart=chart(len(kseq), kseq), **kw))
+
+
+def test_quadrature_nonconvergence_reported(monkeypatch):
+    monkeypatch.setattr(ig, "_MAX_DOUBLINGS", 1)
     with pytest.raises(ig.QuadratureError, match="doubling"):
-        ig.evaluate(task(2, (0.25, 0.125, -0.375), (1.0, 1.0), max_doublings=1))
+        ig.evaluate(task(2, (0.25, 0.125, -0.375), (1.0, 1.0)))
 
 
 def test_decay_check_reports_offending_face():
@@ -286,8 +314,8 @@ def test_decay_check_reports_offending_face():
 
 
 def test_dimension_guards():
-    with pytest.raises(ValueError, match="desk scale"):
-        ig.eigen_residual(3, (0.4, 0.1, -0.2, -0.3), -1.0, (0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="desk scale"):
-        ig.IntegralTask(n=3, lam=(0.4, 0.1, -0.2, -0.3), hbar=-1.0,
-                        chart=chart(2, (0, 0)), q=(1.0, 1.0, 1.0))
+    # both entry points take an IntegralTask, and none exists at n = 3
+    for entry in (ig.evaluate, ig.eigen_residual):
+        with pytest.raises(ValueError, match="desk scale"):
+            entry(ig.IntegralTask(n=3, lam=(0.4, 0.1, -0.2, -0.3), hbar=-1.0,
+                                  chart=chart(3, (0, 0, 0)), q=(1.0, 1.0, 1.0)))
