@@ -8,10 +8,10 @@ branch points is a bijection on sheets, so two charts landing on one point
 means the tracker jumped sheets: that, like a lane that does not arrive, is
 an error naming the charts, never a cue to re-run them on another path.
 
-Records carry Hessians in both chart coordinates w and log coordinates
-s = ln w (the volume form is translation-invariant in s, so the log Hessian
-is the one entering stationary-phase prefactors), the critical value, and
-all edge values for chart-independent comparisons.
+Records carry the Hessian in log coordinates s = ln w (the volume form is
+translation-invariant in s, so it is the one entering stationary-phase
+prefactors and the nondegeneracy flag), the critical value, and all edge
+values for chart-independent comparisons.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ class CriticalPointRecord:
     coordinates: np.ndarray            # chart coordinates w = exp(s)
     u_sigma: complex                   # critical value of f_q (rho ln q included)
     gradient_norm: float
-    hessian: np.ndarray                # w-coordinate Hessian
-    hessian_det: complex
     log_hessian: np.ndarray            # s-coordinate Hessian
     log_hessian_det: complex
     sqrt_log_hessian_det: complex      # branch continued from q -> 0
@@ -104,7 +102,7 @@ class CriticalPointRecord:
             "permutation": list(self.chart.permutation),
             "coordinates": [[z.real, z.imag] for z in self.coordinates.tolist()],
             "u_sigma": [self.u_sigma.real, self.u_sigma.imag],
-            "hessian_det": [self.hessian_det.real, self.hessian_det.imag],
+            "log_hessian_det": [self.log_hessian_det.real, self.log_hessian_det.imag],
             "gradient_norm": self.gradient_norm,
             "nondegenerate": self.nondegenerate,
         }
@@ -421,13 +419,8 @@ class _Lanes:
         """The record of every lane; call it once every lane has arrived."""
         s, h_s, dim = ends.s, ends.h, ends.s.shape[1]
         vals = np.array([ph.exponentials(x, self.lnq) for ph, x in zip(self.phases, s)])
-        grad = np.array([ph.gradient(x, self.lnq) for ph, x in zip(self.phases, s)])
         w = vals[:, :dim]  # the first d monomials are the chart variables
-        # w-coordinate Hessian: e^{-s_k-s_l} (H_s - diag(grad_s)) at the solution
-        inv_w = 1.0 / w
-        h_w = (h_s - grad[:, :, None] * np.eye(dim)) * inv_w[:, :, None] * inv_w[:, None, :]
         det_s = np.linalg.det(h_s)
-        det_w = np.linalg.det(h_w)
         u = self.critical_values(s)
         # Nondegeneracy on the row-scaled log-Hessian.  The log coordinates
         # are the translation-invariant ones (the volume form is flat there),
@@ -444,7 +437,6 @@ class _Lanes:
                 chart=chart, lam=self.lam, q=self.q,
                 s=s[k], coordinates=w[k], u_sigma=complex(u[k]),
                 gradient_norm=float(ends.gnorm[k]),
-                hessian=h_w[k], hessian_det=complex(det_w[k]),
                 log_hessian=h_s[k], log_hessian_det=complex(det_s[k]),
                 sqrt_log_hessian_det=complex(np.exp(ends.log_det[k] / 2)),
                 nondegenerate=bool(abs(det_scaled[k]) > 1e-8),
@@ -512,53 +504,29 @@ def all_critical_points(n: int, lam: Sequence[float],
     return records
 
 
-def pairwise_min_distance(records: Sequence[CriticalPointRecord]) -> float:
-    """Minimal sup-distance between records in ambient edge coordinates."""
-    return float(np.min(_sup_distances(records), initial=math.inf))
-
-
-def _distinct(dist: np.ndarray) -> int:
-    """Records not within COLLISION_DISTANCE of an earlier record, read off
-    their `_sup_distances` matrix."""
-    return len(dist) - int(np.any(dist <= COLLISION_DISTANCE, axis=0).sum())
-
-
-def distinct_count(records: Sequence[CriticalPointRecord]) -> int:
-    """Records that are not within COLLISION_DISTANCE of an earlier record."""
-    return _distinct(_sup_distances(records)) if records else 0
-
-
 @dataclass
 class CensusResult:
+    """The records of a fiber, which `all_critical_points` has already
+    checked to be (n+1)! distinct points, with their Lagrangian images."""
     records: List[CriticalPointRecord]
     points: List[LagrangianPoint]      # to_lagrangian of each record
-    count: int
-    expected: int
-    all_nondegenerate: bool
     min_pairwise_distance: float
     max_spectral_residual: float
-    max_lagrangian_residual: float
 
 
 def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
     """Every record of the fiber with its point on the Lagrangian variety.
 
     The spectral identity and the Toda relations are one identity, read in
-    edge and in (p, q) coordinates, so both maxima are the largest residual
-    of those points."""
+    edge and in (p, q) coordinates, so one maximum over those points is the
+    residual of both."""
     records = all_critical_points(n, lam, q)
     points = [to_lagrangian(r) for r in records]
-    worst = max(pt.max_residual for pt in points)
-    dist = _sup_distances(records)
     return CensusResult(
         records=records,
         points=points,
-        count=_distinct(dist),
-        expected=math.factorial(n + 1),
-        all_nondegenerate=all(r.nondegenerate for r in records),
-        min_pairwise_distance=float(np.min(dist, initial=math.inf)),
-        max_spectral_residual=worst,
-        max_lagrangian_residual=worst,
+        min_pairwise_distance=float(np.min(_sup_distances(records), initial=math.inf)),
+        max_spectral_residual=max(pt.max_residual for pt in points),
     )
 
 
@@ -700,6 +668,10 @@ def uv_identity_check(n: int, kseq: Optional[Sequence[int]] = None) -> bool:
     minus diag(df/dT_{k,i}, 0), as Laurent polynomials after replacing the
     eliminated edges of a chart by their monomials (so the box relations
     hold identically) and lam_n by -(lam_0 + ... + lam_{n-1}).
+
+    A wrong lam_k, or a wrong coefficient on any edge monomial but two, makes
+    it False.  u_{1,0} and v_{1,n-1} enter both sides linearly, so scaling
+    either cancels; `SigmaChart.relations_hold` checks their monomials.
     """
     if not uv_factorization_exact(n):
         return False

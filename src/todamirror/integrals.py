@@ -41,6 +41,8 @@ _MAX_DOUBLINGS = 12
 # Nodes per slab of the trapezoid kernel (whole axis-0 rows, at least one):
 # the per-slab temporaries stay cache-sized.
 _SLAB_NODES = 1 << 16
+# Largest n the tensor trapezoid reaches: n = 3 has 6 axes.
+MAX_N = 2
 # Most nodes one doubling level may evaluate.  At about 5e7 nodes/s (n = 2,
 # one Xeon core) a 513^3 level takes seconds; 1025^3 (~20 s) is refused.
 _LEVEL_NODES = 1 << 28
@@ -58,8 +60,8 @@ class IntegralTask:
     q: Tuple[float, ...]
 
     def __post_init__(self):
-        if self.n > 2:
-            raise ValueError("iterated quadrature is desk scale; n <= 2")
+        if self.n > MAX_N:
+            raise ValueError(f"iterated quadrature is desk scale; n <= {MAX_N}")
         lam, q = tuple(float(x) for x in self.lam), tuple(float(x) for x in self.q)
         if len(lam) != self.n + 1 or len(q) != self.n:
             raise ValueError(f"n = {self.n} needs {self.n + 1} lambda and {self.n} q entries")

@@ -70,9 +70,25 @@ def test_critical_reports_six_points(capsys):
                     "--q", "1,1"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    count_row = [r for r in doc["results"] if "count" in r][0]
-    assert count_row["count"] == 6 and count_row["all_nondegenerate"]
-    assert count_row["failed"] == [] and count_row["degenerate_charts"] == []
+    records = [r for r in doc["results"] if "k_sequence" in r]
+    assert len(records) == 6 and all(r["nondegenerate"] for r in records)
+    summary = [r for r in doc["results"] if "failed" in r][0]
+    assert summary["failed"] == [] and summary["degenerate_charts"] == []
+    assert summary["min_pairwise_distance"] > 1e-6
+    assert len(doc["residuals"]["values"]) == 2 and doc["residuals"]["max"] < 1e-8
+
+
+def test_critical_names_each_check_that_fails(monkeypatch, capsys):
+    # the census guarantees (n+1)! distinct points; the other checks can each
+    # fail for their own reason, and the summary names exactly those
+    from todamirror import critical as cr
+    from todamirror.exact import LaurentPolynomial as LP
+    lam_poly = cr._lam_poly
+    monkeypatch.setattr(cr, "_lam_poly", lambda k, n: lam_poly(k, n) + LP.constant(k == 0))
+    assert run_cli(["critical", "--n", "2", "--lambda", "1/4,1/8,-3/8", "--q", "1,1",
+                    "--tol-spectral", "1e-300", "--tol-scaling", "1e-300"]) == 1
+    summary = [r for r in json.loads(capsys.readouterr().out)["results"] if "failed" in r][0]
+    assert summary["failed"] == ["spectral", "scaling", "uv_identity"]
 
 
 def test_critical_failure_names_the_failed_check(capsys):

@@ -11,6 +11,7 @@ import pytest
 from todamirror import cli
 from todamirror import critical as cr
 from todamirror import mirror as mi
+from todamirror.exact import LaurentPolynomial
 
 LAM1 = (0.5, -0.5)
 
@@ -39,7 +40,9 @@ def test_n1_critical_roots_and_hessian():
     rec = cr.continue_to(chart(1, (1,)), LAM1, (1.0,))
     u = rec.coordinates[0]
     assert abs(u - (-0.5 - math.sqrt(5) / 2)) < 1e-10
-    assert abs(rec.hessian[0, 0] - (2 / u ** 3 - 1.0 / u ** 2)) < 1e-10
+    # f = u + q/u + sigma ln u, so d^2f/ds^2 = u + q/u at s = ln u
+    assert abs(rec.log_hessian[0, 0] - (-math.sqrt(5))) < 1e-10
+    assert abs(rec.log_hessian_det - (-math.sqrt(5))) < 1e-10
     rec_v = cr.continue_to(chart(1, (0,)), LAM1, (1.0,))
     v = rec_v.coordinates[0]
     assert abs(v - (0.5 + math.sqrt(5) / 2)) < 1e-10
@@ -79,11 +82,12 @@ def test_census_counts():
                       (2, (0.25, 0.125, -0.375), (1.0, 1.0)),
                       (3, (0.4, 0.1, -0.2, -0.3), (0.7, 1.1, 0.9))):
         c = cr.census(n, lam, q)
-        assert c.count == c.expected == math.factorial(n + 1)
-        assert c.all_nondegenerate
+        assert len(c.records) == len(c.points) == math.factorial(n + 1)
+        assert len({r.chart.permutation for r in c.records}) == math.factorial(n + 1)
+        assert all(r.nondegenerate for r in c.records)
         assert c.min_pairwise_distance > 1e-6
         assert c.max_spectral_residual < 1e-8
-        assert c.max_lagrangian_residual < 1e-8
+        assert max(max(pt.residuals) for pt in c.points) < 1e-8
 
 
 def test_fiber_cardinality_matches_projection_degree():
@@ -98,7 +102,7 @@ def test_merged_residual_sees_a_perturbed_edge():
     # relative 1e-6 error on any row-1 edge of any record must show in it
     lam, q = (0.25, 0.125, -0.375), (1.0, 1.0)
     c = cr.census(2, lam, q)
-    assert c.max_spectral_residual == c.max_lagrangian_residual < 1e-8
+    assert c.max_spectral_residual == max(max(pt.residuals) for pt in c.points) < 1e-8
     for rec in c.records:
         for name in (e for e in rec.edge_values if e.startswith(("u[1,", "v[1,"))):
             edges = dict(rec.edge_values, **{name: rec.edge_values[name] * (1 + 1e-6)})
@@ -170,16 +174,14 @@ def test_census_holds_across_seeds(n, seeds):
     bad = []
     for seed in seeds:
         lam, q = default_draw(n, seed)
+        # census raises unless all (n+1)! lanes arrive at distinct points
         try:
-            records = cr.all_critical_points(n, lam, q)
+            c = cr.census(n, lam, q)
         except cr.CriticalPointError as exc:
             bad.append((seed, str(exc)))
             continue
-        spectral = max(cr.spectral_check(r) for r in records)
-        lagrangian = max(cr.to_lagrangian(r).max_residual for r in records)
-        if not (cr.distinct_count(records) == math.factorial(n + 1)
-                and spectral < 1e-8 and lagrangian < 1e-8):
-            bad.append((seed, cr.distinct_count(records), spectral, lagrangian))
+        if not c.max_spectral_residual < 1e-8:
+            bad.append((seed, c.max_spectral_residual))
     assert bad == []
 
 
@@ -228,11 +230,22 @@ def test_lane_kernel_agrees_with_the_chart_phase(n, lam, q):
         assert np.max(np.abs(phase.hessian(rec.s, lnq) - rec.log_hessian)) < 1e-10
 
 
-def test_census_counts_distinct_points():
-    records = cr.all_critical_points(2, (0.25, 0.125, -0.375), (1.0, 1.0))
-    assert cr.distinct_count(records) == 6
-    assert cr.distinct_count(records + [records[2]]) == 6
-    assert cr.pairwise_min_distance(records + [records[2]]) == 0.0
+def test_census_counts_distinct_points(monkeypatch):
+    # a record that repeats another's point is a collision, named by charts
+    lam, q = (0.25, 0.125, -0.375), (1.0, 1.0)
+    assert cr.census(2, lam, q).min_pairwise_distance > 1e-6
+    records = cr._Lanes.records
+
+    def repeat(lanes, ends):
+        out = records(lanes, ends)
+        out[5] = dataclasses.replace(out[5], edge_values=out[2].edge_values)
+        return out
+
+    monkeypatch.setattr(cr._Lanes, "records", repeat)
+    kseqs = cr.all_k_sequences(2)
+    with pytest.raises(cr.CriticalPointError, match="one point") as err:
+        cr.census(2, lam, q)
+    assert f"{kseqs[2]} and {kseqs[5]}" in str(err.value)
 
 
 def test_rejects_bad_q():
@@ -250,6 +263,32 @@ def test_uv_factorization_presubstitution():
 def test_uv_identity_exact():
     for n in (1, 2, 3):
         assert cr.uv_identity_check(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_uv_identity_fails_on_a_shifted_lambda(n, monkeypatch):
+    lam_poly = cr._lam_poly
+    for i in range(n + 1):
+        shift = lambda k, m, i=i: lam_poly(k, m) + LaurentPolynomial.constant(k == i)
+        monkeypatch.setattr(cr, "_lam_poly", shift)
+        assert not cr.uv_identity_check(n), i
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_uv_identity_fails_on_a_doubled_edge_monomial(n, monkeypatch):
+    substitution = cr._chart_substitution
+    names = list(cr.make_chart(cr.MirrorGraph(n), (0,) * n).row_of)
+    missed = []
+    for name in names:
+        def doubled(chart, name=name):
+            table = substitution(chart)
+            table[name] = table[name] + table[name]
+            return table
+        monkeypatch.setattr(cr, "_chart_substitution", doubled)
+        if cr.uv_identity_check(n):
+            missed.append(name)
+    # the two outer edges of row 1 enter both sides linearly (see the docstring)
+    assert sorted(missed) == ["u[1,0]", f"v[1,{n - 1}]"]
 
 
 def test_uv_identity_alternate_chart():

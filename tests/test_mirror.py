@@ -1,13 +1,16 @@
 """Mirror graph, weights, charts, and the phase-function bookkeeping."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from todamirror import mirror as mi
 from todamirror.mirror import LambdaForm
+from todamirror.semiclassical import FixedPointData
 
 
 def lam_form(n, entries):
@@ -138,6 +141,20 @@ def test_rho_multiset_property_all_charts():
         g = mi.build_graph(n)
         for k in mi.all_k_sequences(n):
             assert mi.make_chart(g, k).rho_multiset_ok()
+
+
+def test_chart_exponents_are_the_fixed_point_weights():
+    # the sigma(i, j) of a chart are the Gamma arguments of its q -> 0 term;
+    # they must be the cotangent weights of the chart's fixed point, and for
+    # n <= 3 no other fixed point has the same weights
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n + 1)))
+        weights = {p: Counter(FixedPointData.from_permutation(n, p).weights) for p in perms}
+        for ch in mi.enumerate_charts(mi.build_graph(n)):
+            sigma = Counter(ch.sigma.values())
+            assert sigma == weights[ch.permutation], ch.kseq
+            if n <= 3:
+                assert [p for p in perms if weights[p] == sigma] == [ch.permutation], ch.kseq
 
 
 def test_eliminated_monomials_satisfy_relations():
