@@ -43,9 +43,15 @@ _MAX_DOUBLINGS = 12
 _SLAB_NODES = 1 << 16
 # Largest n the tensor trapezoid reaches: n = 3 has 6 axes.
 MAX_N = 2
-# Most nodes one doubling level may evaluate.  At about 5e7 nodes/s (n = 2,
-# one Xeon core) a 513^3 level takes seconds; 1025^3 (~20 s) is refused.
+# Most nodes one doubling level may evaluate, which bounds the time a level
+# that does not converge can take.  At about 1.3e8 nodes/s (n = 2 with the 15
+# eigen moments, one core of a 2-vCPU Xeon VM) a 513^3 level takes about 1 s;
+# 1025^3 (about 8 s) is refused.
 _LEVEL_NODES = 1 << 28
+# Floor of the integrand's exponent (f - f_ref)/hbar before its exp: numpy's
+# exp is several times slower below about -708, and over a hundred times
+# slower where its result is subnormal.
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -175,12 +181,17 @@ def _trapezoid_sums(phase: ChartPhase, lnq: np.ndarray, axes: Sequence[np.ndarra
     exp((f - f_ref)/hbar) prod_k t_k exp(a_k s_k); t_k is 1/2 at the two end
     nodes of a halved axis and 1 elsewhere.
 
-    One reusable slab of whole axis-0 rows is filled at a time, each monomial
-    exp(b_m + A_m . s) exponentiated only over the axes where A_m is nonzero,
-    with the float operations of the dense formula in its order (b_m + a_mk s_k
-    in axis order, monomials in row order, then sigma_k s_k, - f_ref, / hbar,
-    exp) up to exact additions of zero.  The slab is contracted at once with
-    the vectors t_k exp(a_k s_k), last axis first: nothing of grid size exists.
+    Every term of (f - f_ref)/hbar that depends on one axis only is summed
+    once per call into that axis's line: l_k = (sum of the monomials e_m with
+    support {k} + sigma_k s_k, less f_ref on axis 0) / hbar.  A node's exponent
+    is the sum of its lines less exp(b_m - ln|hbar| + A_m . s) = e_m/|hbar| for
+    each monomial on two or more axes (one of six at n = 2, none at n = 1).
+    The exponent is floored at _EXP_FLOOR before its exp, which keeps numpy's
+    exp off its slow and subnormal paths: the box is cut where the integrand
+    falls to e^-50.7, so a node below e^-700, some 280 decades further down,
+    adds nothing any sum can see.  One reusable slab of whole axis-0 rows is
+    filled at a time and contracted at once with the vectors t_k exp(a_k s_k),
+    last axis first: nothing of grid size exists.
     """
     d = len(axes)
     vecs = [np.exp(np.outer(exps[:, k], ax)) for k, ax in enumerate(axes)]
@@ -191,25 +202,40 @@ def _trapezoid_sums(phase: ChartPhase, lnq: np.ndarray, axes: Sequence[np.ndarra
     def along(k: int, v: np.ndarray) -> np.ndarray:
         return v.reshape((1,) * k + (-1,) + (1,) * (d - 1 - k))
 
-    b_ln = [float(b @ lnq) for b in phase.B]
+    def plane(head, parts: Sequence[np.ndarray]):
+        # head + sum_k parts[k](s_k) over the axes after axis 0, summed once
+        # per call: a slab then adds its axis-0 part over contiguous planes
+        for k in range(1, d):
+            head = head + along(k, parts[k])
+        return head
+
+    lines = [np.zeros(len(ax)) for ax in axes]
+    multi = []      # (axis-0 part, plane) of b_m - ln|hbar| + A_m . s, per multi-axis monomial
+    for a, b in zip(phase.A, phase.B @ lnq):
+        support = np.flatnonzero(a)
+        if len(support) > 1:
+            multi.append((a[0] * axes[0],
+                          plane(b - math.log(-hbar), [a[k] * ax for k, ax in enumerate(axes)])))
+        else:
+            k = support[0] if len(support) else 0
+            lines[k] += np.exp(b + a[k] * axes[k])
+    lines = [line + phase.sigma[k] * ax for k, (line, ax) in enumerate(zip(lines, axes))]
+    lines[0] -= f_ref
+    lines = [line / hbar for line in lines]
+    line_plane = plane(0.0, lines)
     inner = tuple(len(ax) for ax in axes[1:])
     step = max(1, _SLAB_NODES // math.prod(inner))
     buf = np.empty((step,) + inner)
+    term_buf = np.empty_like(buf) if multi else None
     total = np.zeros(len(exps))
     for r0 in range(0, len(axes[0]), step):
         rows = slice(r0, r0 + step)
-        local = [axes[0][rows]] + list(axes[1:])
-        slab = buf[:len(local[0])]
-        slab[...] = 0.0
-        for a, b in zip(phase.A, b_ln):
-            term = np.full((1,) * d, b)
-            for k in np.flatnonzero(a):
-                term = term + along(k, a[k] * local[k])
-            slab += np.exp(term, out=term)
-        for k in np.flatnonzero(phase.sigma):
-            slab += along(k, phase.sigma[k] * local[k])
-        slab -= f_ref
-        slab /= hbar
+        size = len(lines[0][rows])
+        slab = np.add(along(0, lines[0][rows]), line_plane, out=buf[:size])
+        for axis0, m_plane in multi:
+            term = np.add(along(0, axis0[rows]), m_plane, out=term_buf[:size])
+            slab -= np.exp(term, out=term)
+        np.maximum(slab, _EXP_FLOOR, out=slab)
         np.exp(slab, out=slab)
         slab_vecs = [vecs[0][:, rows]] + vecs[1:]
         out = slab @ slab_vecs[-1].T

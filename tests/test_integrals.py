@@ -133,14 +133,20 @@ def test_trapezoid_sums_match_the_dense_grid():
     boxes = [(m, 1.0) for m in sizes] + [(17, 0.125)]
     cases = [(2, k, lam, q, m, scale) for k in mi.all_k_sequences(2) for m, scale in boxes]
     cases.append((1, (0,), (0.25, -0.25), (0.5,), 513, 1.0))
+    # the q = 1e-5 factorisation box, where most nodes lie below the kernel's
+    # exponent floor; the dense reference exponentiates them unfloored
+    small_q = (1e-5, 1e-5)
+    cases += [(2, (0, 0), (1.2, 0.0, -1.2), small_q, m, 1.0) for m in (65, 129)]
     for n, kseq, lam_, q_, m, scale in cases:
         phase, lnq, center, widths, f_ref = grid_box(n, kseq, lam_, q_)
         widths = scale * widths
         axes, exps = box_axes(center, widths, m), moment_exps(phase, lnq, n)
         sums = ig._trapezoid_sums(phase, lnq, axes, [True] * phase.dim, exps, f_ref, -1.0)
-        dense = dense_moments(dense_weight_grid(phase, lnq, center, widths, m, f_ref, -1.0),
-                              axes, exps)
-        assert np.all(np.abs(sums - dense) <= 1e-14 * dense), (kseq, m)
+        grid = dense_weight_grid(phase, lnq, center, widths, m, f_ref, -1.0)
+        dense = dense_moments(grid, axes, exps)
+        assert np.all(np.abs(sums - dense) <= 1e-14 * dense), (kseq, q_, m)
+        if q_ == small_q:
+            assert np.mean(grid < math.exp(ig._EXP_FLOOR)) > 0.5, m
     # spot nodes against the phase itself, each a one-node grid without end halves
     phase, lnq, center, widths, f_ref = grid_box(2, (1, 0), lam, q)
     m, c = 65, 32
@@ -166,6 +172,14 @@ def test_a_level_is_the_level_before_plus_its_new_nodes():
             nested = nested + ig._trapezoid_sums(phase, lnq, sub, halved, exps, f_ref, -1.0)
         full = ig._trapezoid_sums(phase, lnq, fine, [True] * 3, exps, f_ref, -1.0)
         assert np.all(np.abs(nested - full) <= 1e-14 * full), m
+
+
+def test_nodes_stay_off_the_subnormal_exp():
+    # the kernel floors each node's exponent before its exp, so no exp it
+    # takes underflows, here or in the moment vectors
+    with np.errstate(under="raise"):
+        ig.evaluate(task(2, (1.2, 0.0, -1.2), (1e-5, 1e-5)))
+        ig.eigen_residual(task(2, (0.25, 0.125, -0.375), (1.0, 1.0)))
 
 
 def test_trapezoid_sums_hold_no_grid():
