@@ -223,16 +223,12 @@ def run_commute(cfg: RunConfig):
     for n in range(1, cfg.n + 1):
         d_ops = ops.toda_operators(n)
         ham = ops.build_hamiltonian(n)
-        for i in range(len(d_ops)):
-            for j in range(i + 1, len(d_ops)):
-                comm = ops.commutator(d_ops[i], d_ops[j])
-                results.append({"n": n, "pair": f"D{i+1},D{j+1}",
-                                "residual_terms": len(comm.terms)})
-                residuals.append(float(len(comm.terms)))
-        for i in range(len(d_ops)):
-            comm = ops.commutator(ham, d_ops[i])
-            results.append({"n": n, "pair": f"H,D{i+1}",
-                            "residual_terms": len(comm.terms)})
+        pairs = [(f"D{i+1},D{j+1}", d_ops[i], d_ops[j])
+                 for i in range(len(d_ops)) for j in range(i + 1, len(d_ops))]
+        pairs += [(f"H,D{i+1}", ham, d) for i, d in enumerate(d_ops)]
+        for name, a, b in pairs:
+            comm = ops.commutator(a, b)
+            results.append({"n": n, "pair": name, "residual_terms": len(comm.terms)})
             residuals.append(float(len(comm.terms)))
     return results, residuals, all(r == 0 for r in residuals), []
 
@@ -339,6 +335,10 @@ def run_classical_limit(cfg: RunConfig):
     return results, residuals, all(r == 0 for r in residuals), []
 
 
+# the mode pairs m < m' with m + m' >= -1 among -1..2
+_MODE_PAIRS = [(m, mp) for m in range(-1, 3) for mp in range(-1, 3) if m < mp and m + mp >= -1]
+
+
 def run_virasoro(cfg: RunConfig):
     results, residuals = [], []
     for m in (-1, 0, 1, 2):
@@ -346,18 +346,13 @@ def run_virasoro(cfg: RunConfig):
                 == vi.point_virasoro(m, cfg.truncation))
         results.append({"check": "quantize_matches_table", "m": m, "pass": same})
         residuals.append(0.0 if same else 1.0)
-    for m in (-1, 0, 1, 2):
-        for mp in (-1, 0, 1, 2):
-            if m >= mp or m + mp < -1:
-                continue
-            r = vi.commutation_check(m, mp, max_index=cfg.truncation)
-            results.append({"check": "commutator", "pair": [m, mp],
-                            "window": r.window,
-                            "scalar": format_rational(r.scalar),
-                            "expected": format_rational(r.expected_scalar),
-                            "leftover_terms": r.leftover_terms,
-                            "pass": r.ok})
-            residuals.append(0.0 if r.ok else 1.0)
+    for m, mp in _MODE_PAIRS:
+        r = vi.commutation_check(m, mp, max_index=cfg.truncation)
+        results.append({"check": "commutator", "pair": [m, mp], "window": r.window,
+                        "scalar": format_rational(r.scalar),
+                        "expected": format_rational(r.expected_scalar),
+                        "leftover_terms": r.leftover_terms, "pass": r.ok})
+        residuals.append(0.0 if r.ok else 1.0)
     rng = random.Random(cfg.seed)
     for N in (1, 2, 3):
         mu = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(N)]
@@ -365,14 +360,11 @@ def run_virasoro(cfg: RunConfig):
         for i in range(N):
             for j in range(i):
                 rho[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        for m in (-1, 0, 1, 2):
-            for mp in (-1, 0, 1, 2):
-                if m >= mp or m + mp < -1:
-                    continue
-                res = vi.family_bracket_check(mu, rho, m, mp, range(-6, 7))
-                results.append({"check": "family_bracket", "N": N, "pair": [m, mp],
-                                "coefficient": res.coefficient, "pass": res.exact})
-                residuals.append(0.0 if res.exact else 1.0)
+        for m, mp in _MODE_PAIRS:
+            res = vi.family_bracket_check(mu, rho, m, mp, range(-6, 7))
+            results.append({"check": "family_bracket", "N": N, "pair": [m, mp],
+                            "coefficient": res.coefficient, "pass": res.exact})
+            residuals.append(0.0 if res.exact else 1.0)
     return results, residuals, all(r == 0 for r in residuals), []
 
 

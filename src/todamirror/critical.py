@@ -486,6 +486,13 @@ def all_critical_points(n: int, lam: Sequence[float],
     jump: continuation off the branch points is a bijection on sheets),
     raises CriticalPointError naming the charts.
     """
+    return _distinct_critical_points(n, lam, q)[0]
+
+
+def _distinct_critical_points(n: int, lam: Sequence[float], q: Sequence[float]
+                              ) -> Tuple[List[CriticalPointRecord], float]:
+    """`all_critical_points` with the least sup-distance of its records,
+    which the collision check has already computed."""
     graph = MirrorGraph(n)
     kseqs = all_k_sequences(n)
     lanes = _Lanes([make_chart(graph, k) for k in kseqs], lam, q)
@@ -496,12 +503,13 @@ def all_critical_points(n: int, lam: Sequence[float],
             f"continuation failed for chart(s) {[kseqs[k] for k in failed]}: "
             f"{ends.errors[failed[0]]}", kseqs[failed[0]])
     records = lanes.records(ends)
-    close = np.argwhere(_sup_distances(records) < COLLISION_DISTANCE)
+    dist = _sup_distances(records)
+    close = np.argwhere(dist < COLLISION_DISTANCE)
     if close.size:
         pairs = ", ".join(f"{kseqs[a]} and {kseqs[b]}" for a, b in close.tolist())
         raise CriticalPointError(f"charts land on one point (a sheet jump): {pairs}",
                                  kseqs[close[0][0]])
-    return records
+    return records, float(np.min(dist, initial=math.inf))
 
 
 @dataclass
@@ -520,12 +528,12 @@ def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
     The spectral identity and the Toda relations are one identity, read in
     edge and in (p, q) coordinates, so one maximum over those points is the
     residual of both."""
-    records = all_critical_points(n, lam, q)
+    records, min_distance = _distinct_critical_points(n, lam, q)
     points = [to_lagrangian(r) for r in records]
     return CensusResult(
         records=records,
         points=points,
-        min_pairwise_distance=float(np.min(_sup_distances(records), initial=math.inf)),
+        min_pairwise_distance=min_distance,
         max_spectral_residual=max(pt.max_residual for pt in points),
     )
 
@@ -606,18 +614,11 @@ def scaling_residual(records: Sequence[CriticalPointRecord], c: float) -> float:
 # The symbolic U_k V_k factorisation identity.
 # ---------------------------------------------------------------------------
 
-def _edge_poly(name: str) -> LaurentPolynomial:
-    return LaurentPolynomial.variable(name)
-
-
 def _lam_poly(i: int, n: int) -> LaurentPolynomial:
     """lam_i with lam_n eliminated through sum(lam) = 0."""
     if i < n:
         return LaurentPolynomial.variable(f"lam{i}")
-    out = LaurentPolynomial.zero()
-    for j in range(n):
-        out = out - LaurentPolynomial.variable(f"lam{j}")
-    return out
+    return -sum((LaurentPolynomial.variable(f"lam{j}") for j in range(n)), LaurentPolynomial.zero())
 
 
 def _chart_substitution(chart: SigmaChart) -> Dict[str, LaurentPolynomial]:
@@ -628,31 +629,26 @@ def _chart_substitution(chart: SigmaChart) -> Dict[str, LaurentPolynomial]:
 
 
 def _u_factor(n: int, k: int, sub) -> ops.Matrix:
-    size = n - k + 2
-    zero = LaurentPolynomial.zero()
-    m = [[zero for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        if i < size - 1:
-            m[i][i] = sub(Edge("u", k, i).name)
-        if i > 0:
-            m[i][i - 1] = LaurentPolynomial.constant(1)
+    """u_{k,0}, ..., u_{k,n-k}, 0 on the diagonal and 1 below it."""
+    one, zero = LaurentPolynomial.constant(1), LaurentPolynomial.zero()
+    m = [[one if j == i - 1 else zero for j in range(n - k + 2)] for i in range(n - k + 2)]
+    for i in range(n - k + 1):
+        m[i][i] = sub(Edge("u", k, i).name)
     return m
 
 
 def _v_factor(n: int, k: int, sub) -> ops.Matrix:
-    size = n - k + 2
-    zero = LaurentPolynomial.zero()
-    m = [[zero for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        m[i][i] = LaurentPolynomial.constant(-1)
-        if i < size - 1:
-            m[i][i + 1] = sub(Edge("v", k, i).name)
+    """-1 on the diagonal and v_{k,0}, ..., v_{k,n-k} above it."""
+    minus_one, zero = LaurentPolynomial.constant(-1), LaurentPolynomial.zero()
+    m = [[minus_one if j == i else zero for j in range(n - k + 2)] for i in range(n - k + 2)]
+    for i in range(n - k + 1):
+        m[i][i + 1] = sub(Edge("v", k, i).name)
     return m
 
 
 def uv_factorization_exact(n: int) -> bool:
     """A_k = U_k V_k identically in the free edge symbols, for k = 1..n."""
-    sub = _edge_poly
+    sub = LaurentPolynomial.variable
     for k in range(1, n + 1):
         lhs = _a_matrix(n, k, sub)
         rhs = ops.mat_mul(_u_factor(n, k, sub), _v_factor(n, k, sub))
@@ -669,8 +665,10 @@ def uv_identity_check(n: int, kseq: Optional[Sequence[int]] = None) -> bool:
     eliminated edges of a chart by their monomials (so the box relations
     hold identically) and lam_n by -(lam_0 + ... + lam_{n-1}).
 
-    A wrong lam_k, or a wrong coefficient on any edge monomial but two, makes
-    it False.  u_{1,0} and v_{1,n-1} enter both sides linearly, so scaling
+    Only differences lam_{k-1} - lam_k enter the blocks, so a common shift
+    of every lam_k cancels there; a last row checks sum(lam) = 0.  A wrong
+    lam_k, or a wrong coefficient on any edge monomial but two, makes it
+    False.  u_{1,0} and v_{1,n-1} enter both sides linearly, so scaling
     either cancels; `SigmaChart.relations_hold` checks their monomials.
     """
     if not uv_factorization_exact(n):
@@ -686,27 +684,18 @@ def uv_identity_check(n: int, kseq: Optional[Sequence[int]] = None) -> bool:
         vu = ops.mat_mul(_v_factor(n, k, sub), _u_factor(n, k, sub))
         lhs = ops.mat_sub(vu, ops.mat_scalar_diag(size, _lam_poly(k - 1, n)))
 
-        zero = LaurentPolynomial.zero()
-        block = [[zero for _ in range(size)] for _ in range(size)]
-        a_next = _a_matrix(n, k + 1, sub)
-        lam_k = _lam_poly(k, n)
-        for i in range(size - 1):
-            for j in range(size - 1):
-                block[i][j] = a_next[i][j] - (lam_k if i == j else zero)
-        block[size - 1][size - 2] = LaurentPolynomial.constant(-1)
-        block[size - 1][size - 1] = -_lam_poly(k - 1, n)
+        zero, lam_k = LaurentPolynomial.zero(), _lam_poly(k, n)
+        block = [[a - lam_k if i == j else a for j, a in enumerate(row)] + [zero]
+                 for i, row in enumerate(_a_matrix(n, k + 1, sub))]
+        block.append([zero] * (size - 2) + [LaurentPolynomial.constant(-1), -_lam_poly(k - 1, n)])
 
         for i in range(size - 1):
             edge_coeffs, lam_part = graph.gradient_at(k, i)
-            grad = LaurentPolynomial.zero()
-            for name, sign in edge_coeffs.items():
-                grad = grad + sign * table[name]
-            reduced = lam_part.reduce_last()
-            for idx, c in enumerate(reduced.coeffs[:-1]):
-                if c != 0:
-                    grad = grad + LaurentPolynomial.monomial({f"lam{idx}": 1}, c)
-            block[i][i] = block[i][i] - grad
+            terms = [sign * table[name] for name, sign in edge_coeffs.items()]
+            terms += [LaurentPolynomial.monomial({f"lam{idx}": 1}, c)
+                      for idx, c in enumerate(lam_part.reduce_last().coeffs[:-1]) if c != 0]
+            block[i][i] = block[i][i] - sum(terms, LaurentPolynomial.zero())
 
         if not ops.mat_is_zero(ops.mat_sub(lhs, block)):
             return False
-    return True
+    return sum((_lam_poly(k, n) for k in range(n + 1)), LaurentPolynomial.zero()).is_zero()

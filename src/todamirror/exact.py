@@ -9,6 +9,7 @@ every identity checked against this layer is checked bit-exactly.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
@@ -63,20 +64,31 @@ class LaurentPolynomial:
             if len(exps) != len(variables):
                 raise ExactAlgebraError("exponent vector length mismatch")
             clean[tuple(exps)] = c
-        # prune unused variables
-        if variables:
-            used = [i for i in range(len(variables))
-                    if any(e[i] != 0 for e in clean)]
-            if len(used) != len(variables):
-                variables = tuple(variables[i] for i in used)
-                clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
         # sort variables by global order
         order = sorted(range(len(variables)), key=lambda i: variable_order(variables[i]))
         if order != list(range(len(variables))):
             variables = tuple(variables[i] for i in order)
             clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        self._set_pruned(variables, clean)
+
+    @classmethod
+    def _of(cls, variables: Tuple[str, ...],
+            terms: Dict[Tuple[int, ...], Fraction]) -> "LaurentPolynomial":
+        """The polynomial of `terms` as arithmetic leaves them: variables sorted
+        by the global order and nonzero Fraction values, so nothing is checked."""
+        out = object.__new__(cls)
+        out._set_pruned(variables, terms)
+        return out
+
+    def _set_pruned(self, variables: Tuple[str, ...], terms: Dict[Tuple[int, ...], Fraction]):
+        """Store `terms` without the variables that no term uses."""
+        if variables:
+            used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
+            if len(used) != len(variables):
+                variables = tuple(variables[i] for i in used)
+                terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        _set_variables(self, variables)
+        _set_terms(self, terms)
 
     def __setattr__(self, *a):  # immutable after construction
         raise AttributeError("LaurentPolynomial is immutable")
@@ -134,17 +146,20 @@ class LaurentPolynomial:
         variables, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
+            if e in out:
+                s = out[e] + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
             else:
-                out[e] = s
-        return LaurentPolynomial(variables, out)
+                out[e] = c
+        return LaurentPolynomial._of(variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial._of(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPolynomial":
         return self + (-_as_poly(other))
@@ -158,13 +173,16 @@ class LaurentPolynomial:
         out: Dict[Tuple[int, ...], Fraction] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
+                e = tuple(map(operator.add, e1, e2))
+                if e in out:
+                    s = out[e] + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
                 else:
-                    out[e] = s
-        return LaurentPolynomial(variables, out)
+                    out[e] = c1 * c2
+        return LaurentPolynomial._of(variables, out)
 
     __rmul__ = __mul__
 
@@ -280,6 +298,10 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.canonical_str()})"
 
 
+_set_variables = LaurentPolynomial.variables.__set__
+_set_terms = LaurentPolynomial.terms.__set__
+
+
 def _as_poly(x) -> LaurentPolynomial:
     if isinstance(x, LaurentPolynomial):
         return x
@@ -350,12 +372,8 @@ class HbarSeries:
         lo = min(self.valuation(), other.valuation())
         if lo > order:
             return HbarSeries.zero(order)
-        coeffs = []
-        for e in range(lo, order + 1):
-            a = self.coeffs[e - self.low] if self.coeffs and self.low <= e < self.low + len(self.coeffs) else LaurentPolynomial.zero()
-            b = other.coeffs[e - other.low] if other.coeffs and other.low <= e < other.low + len(other.coeffs) else LaurentPolynomial.zero()
-            coeffs.append(a + b)
-        return HbarSeries(lo, coeffs, order)
+        return HbarSeries(lo, [self.coefficient(e) + other.coefficient(e)
+                               for e in range(lo, order + 1)], order)
 
     __radd__ = __add__
 

@@ -17,7 +17,7 @@ quadrature and the checks all read.
 
 The chart layer is integer arithmetic.  A `LambdaForm` is one int tuple
 `num` over one positive int `den`, reduced by their gcd.  Each chart solves
-its monomial relations once, by integer Gauss-Jordan elimination, into one
+its monomial relations once, by substitution from the top row down, into one
 exponent matrix E: a row per edge (the d chart edges, then their eliminated
 partners) and a column per chart variable w_0..w_{d-1}, then q_1..q_n.
 `eliminated`, `edge_monomial` and `phase_in_chart` read E, and the exact
@@ -28,6 +28,7 @@ lam_n = -(lam_0 + ... + lam_{n-1}).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -158,14 +159,7 @@ class LambdaForm:
 
     def report(self) -> List[str]:
         """Each coefficient as "p/q" in lowest terms, as `format_rational`."""
-        den = self.den
-        if den == 1:
-            return [f"{x}/1" for x in self.num]
-        out = []
-        for x in self.num:
-            g = math.gcd(x, den)
-            out.append(f"{x // g}/{den // g}")
-        return out
+        return list(_form_text(self.num, self.den))
 
     def __repr__(self):
         terms = [f"{c}*lam{i}" for i, c in enumerate(self.coeffs) if c != 0]
@@ -174,6 +168,13 @@ class LambdaForm:
 
 _set_num = LambdaForm.num.__set__
 _set_den = LambdaForm.den.__set__
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _form_text(num: Tuple[int, ...], den: int) -> Tuple[str, ...]:
+    """`LambdaForm.report` of num / den; the charts of one n share a few
+    hundred forms."""
+    return tuple(f"{x // math.gcd(x, den)}/{den // math.gcd(x, den)}" for x in num)
 
 
 def _form_matrix(forms: List[LambdaForm]) -> Tuple[np.ndarray, int]:
@@ -236,6 +237,17 @@ class MirrorGraph:
             name: self._weight(e) for name, e in self.edges.items()
         }
         self.dimension = n * (n + 1) // 2
+        self.edge_row = {name: k for k, name in enumerate(self.edges)}
+        self._weight_rows: Optional[tuple] = None
+
+    def weight_matrix(self) -> Tuple[np.ndarray, int]:
+        """The edge weights as integer rows over their common denominator, in
+        edge order (row `edge_row[name]`): (M, den), rebuilt only when
+        `weights` changes."""
+        forms = tuple(self.weights.values())
+        if self._weight_rows is None or self._weight_rows[0] != forms:
+            self._weight_rows = (forms, *_form_matrix(list(forms)))
+        return self._weight_rows[1:]
 
     def _weight(self, e: Edge) -> LambdaForm:
         n = self.n
@@ -423,49 +435,42 @@ class SigmaChart:
 
     # ---- the exponent matrix ----
     def _solve_eliminated(self) -> np.ndarray:
-        graph, n, dim = self.graph, self.n, len(self.positions)
-        # rows: the vertices below the top row in position order, then the
-        # top row.  The chart edge at position p touches vertex p, so the
-        # pivot of column p is found in row p without a swap.
-        vindex = {v: k for k, v in enumerate(self.positions + [(0, j) for j in range(n + 1)])}
-        ncols = dim + n
-        # unknowns: the chart edges and q_1..q_n; right-hand sides: the partners
-        tvecs = [graph.edge_t_vector(self.chart_edges[p]) for p in self.positions]
-        tvecs += [graph.q_t_vector(k) for k in range(1, n + 1)]
-        tvecs += [graph.edge_t_vector(self.partner_edges[p]) for p in self.positions]
-        entries = [(vindex[v], c, x) for c, tvec in enumerate(tvecs) for v, x in tvec.items()]
-        rows, cols, vals = zip(*entries)
-        aug = np.zeros((len(vindex), len(tvecs)), dtype=np.int64)
-        aug[rows, cols] = vals
+        """E by substitution from the top row down: each vertex log-coordinate
+        t_v (t_(0,0) = 0) as a sparse int row over w_0..w_{d-1}, q_1..q_n.
 
-        # Gauss-Jordan elimination in integers.  Every column is the
-        # head-minus-tail incidence vector of an edge of a directed graph, so
-        # the system is totally unimodular: each pivot is +-1, every entry
-        # stays in {-1, 0, 1} and no fraction ever appears.  A larger pivot
-        # means the graph itself is wrong.  Column `col` pivots in row `col`.
-        for col in range(ncols):
-            unit = int(aug[col, col])
-            if unit == 0:
-                below = aug[col:, col].nonzero()[0]
-                if below.size == 0:
-                    raise MonomialSolveError(
-                        f"chart {self.kseq}: rank deficiency at column {col}")
-                piv = col + int(below[0])
-                aug[[col, piv]] = aug[[piv, col]]
-                unit = int(aug[col, col])
+        ln q_k = t_(0,k) - t_(0,k-1) gives the top row; the chart edge at
+        (i, j) joins vertex (i, j) to row i - 1, so t_(i,j) is its parent's
+        row +- e_w; a partner edge's row is head minus tail.  Log-edges are
+        incidence vectors, so a solved vertex's coefficient is +-1 unless the
+        graph itself is wrong."""
+        graph, n, dim = self.graph, self.n, len(self.positions)
+        solve = [((0, k), graph.q_t_vector(k), dim + k - 1) for k in range(1, n + 1)]
+        solve += [(p, graph.edge_t_vector(self.chart_edges[p]), c)
+                  for c, p in enumerate(self.positions)]
+        t: Dict[Tuple[int, int], Dict[int, int]] = {(0, 0): {}}
+        for vertex, tvec, col in solve:
+            unit = tvec.get(vertex, 0)
             if unit not in (1, -1):
                 raise MonomialSolveError(
-                    f"chart {self.kseq}: non-unit pivot {unit} at column {col}")
-            pivot_row = aug[col]
-            if unit == -1:
-                pivot_row *= -1
-            update = aug[:, col, None] * pivot_row
-            update[col] = 0
-            aug -= update
-        if aug[ncols:, ncols:].any():
-            raise MonomialSolveError(f"chart {self.kseq}: inconsistent relation system")
-
-        return np.concatenate((np.eye(dim, ncols, dtype=np.int64), aug[:ncols, ncols:].T))
+                    f"chart {self.kseq}: non-unit pivot {unit} at vertex {vertex}")
+            row = {col: unit}  # t_vertex = unit * (e_col - the other vertices)
+            for v, c in tvec.items():
+                if v != vertex:
+                    for k, x in t[v].items():
+                        row[k] = row.get(k, 0) - unit * c * x
+            t[vertex] = row
+        rows, cols, vals = list(range(dim)), list(range(dim)), [1] * dim
+        for r, name in enumerate(self.partner_edges.values(), dim):
+            row: Dict[int, int] = {}
+            for v, c in graph.edge_t_vector(name).items():
+                for k, x in t[v].items():
+                    row[k] = row.get(k, 0) + c * x
+            rows += [r] * len(row)
+            cols += row
+            vals += row.values()
+        E = np.zeros((2 * dim, dim + n), dtype=np.int64)
+        E[rows, cols] = vals
+        return E
 
     @property
     def eliminated(self) -> Dict[str, ChartMonomial]:
@@ -613,7 +618,9 @@ def phase_consistency(chart: SigmaChart) -> bool:
     equal [sigma; rho_{1,.}] after lam_n = -(lam_0 + ... + lam_{n-1}), compared
     as integer matrices over a common denominator.
     """
-    weights, wden = _form_matrix([chart.graph.weights[name] for name in chart.row_of])
+    graph = chart.graph
+    weights, wden = graph.weight_matrix()
+    weights = weights[[graph.edge_row[name] for name in chart.row_of]]
     target, tden = _form_matrix([chart.sigma[p] for p in chart.positions]
                                 + [chart.rho[(1, k)] for k in range(chart.n)])
     lhs, rhs = chart.E.T @ weights * tden, target * wden

@@ -20,8 +20,12 @@ Kernel.  `compose` and `commutator` write both operands once as flat terms
 being the coefficient variables plus hbar and the numerators taken over each
 operand's common denominator.  Every product of terms is added to one dict
 keyed by (kappa_out, extra hbar power, exponent vector), with int values; a
-commutator subtracts b . a in the same dict.  Exact Fractions and one
-`LaurentPolynomial` per output kappa are built only at the boundary.
+commutator subtracts b . a in the same dict.  The d = 0 term of a pair,
+c_a c_b q^(m_a + m_b) (hbar d)^(kappa + mu), is the same in a . b and in
+b . a, so a commutator never expands it.  Exact Fractions and one
+`LaurentPolynomial` per output kappa are built only at the boundary, and
+only for the accumulators that are not 0 (for the commuting Toda operators,
+none are).
 """
 
 from __future__ import annotations
@@ -156,16 +160,20 @@ def _flat_terms(op: DifferentialOperator, index: Mapping[str, int],
     return flat, den
 
 
-def _leibniz(kappa: Tuple[int, ...], mu: Tuple[int, ...], w: Tuple[int, ...]) -> list:
+def _leibniz(kappa: Tuple[int, ...], mu: Tuple[int, ...], w: Tuple[int, ...],
+             identity: bool = True) -> list:
     """(hbar d)^kappa q^m (hbar d)^mu as (kappa_out, extra hbar power, integer
     factor) triples: the closed form's terms, with d = kappa - nu taken one
-    axis at a time, skipping the axes where kappa_i or w_i is 0."""
+    axis at a time, skipping the axes where kappa_i or w_i is 0.  Without
+    `identity` the d = 0 term (kappa + mu, 0, 1) is left out."""
+    moved = [(i, k, w_i) for i, (k, w_i) in enumerate(zip(kappa, w)) if k and w_i]
+    if not (moved or identity):
+        return []
     out = [(tuple(map(add, kappa, mu)), 0, 1)]
-    for i, (k, w_i) in enumerate(zip(kappa, w)):
-        if k and w_i:
-            out = [(ko[:i] + (ko[i] - d,) + ko[i + 1:], dh + d, f * math.comb(k, d) * w_i ** d)
-                   for ko, dh, f in out for d in range(k + 1)]
-    return out
+    for i, k, w_i in moved:
+        out = [(ko[:i] + (ko[i] - d,) + ko[i + 1:], dh + d, f * math.comb(k, d) * w_i ** d)
+               for ko, dh, f in out for d in range(k + 1)]
+    return out if identity else out[1:]
 
 
 def _normal_ordered(a: DifferentialOperator, b: DifferentialOperator,
@@ -190,7 +198,8 @@ def _normal_ordered(a: DifferentialOperator, b: DifferentialOperator,
         for kappa, e, _, c in left:
             by_kappa.setdefault(kappa, []).append((e, c))
         for kappa, left_terms in by_kappa.items():
-            expansions = [(e, sign * c, _leibniz(kappa, mu, w)) for mu, e, w, c in right]
+            expansions = [(e, sign * c, leibniz) for mu, e, w, c in right
+                          for leibniz in (_leibniz(kappa, mu, w, not commute),) if leibniz]
             for ea, ca in left_terms:
                 for eb, cb, leibniz in expansions:
                     e = tuple(map(add, ea, eb))
@@ -198,18 +207,18 @@ def _normal_ordered(a: DifferentialOperator, b: DifferentialOperator,
                     for ko, dh, f in leibniz:
                         key = (ko, dh, e)
                         acc[key] = acc.get(key, 0) + c * f
-    # the boundary: fold the extra hbar powers in, then one polynomial per kappa
+    # the boundary: fold the extra hbar powers in; build nonzero polynomials only
     h = index[HBAR]
     terms: Dict[Tuple[int, ...], Dict[tuple, int]] = {}
     for (ko, dh, e), v in acc.items():
-        if dh:
-            e = e[:h] + (e[h] + dh,) + e[h + 1:]
-        t = terms.setdefault(ko, {})
-        t[e] = t.get(e, 0) + v
+        if v:
+            e = e[:h] + (e[h] + dh,) + e[h + 1:] if dh else e
+            t = terms.setdefault(ko, {})
+            t[e] = t.get(e, 0) + v
     den = a_den * b_den
     return DifferentialOperator(a.n, {
-        ko: LaurentPolynomial(layout, {e: Fraction(v, den) for e, v in t.items()})
-        for ko, t in terms.items()})
+        ko: LaurentPolynomial(layout, {e: Fraction(v, den) for e, v in t.items() if v})
+        for ko, t in terms.items() if any(t.values())})
 
 
 def compose(a: DifferentialOperator, b: DifferentialOperator) -> DifferentialOperator:
@@ -290,11 +299,7 @@ def toda_polynomials(n: int) -> List[Dict[Tuple[int, ...], LaurentPolynomial]]:
 
 def toda_operators(n: int) -> List[DifferentialOperator]:
     """D_1..D_{n+1} with p_i replaced by hbar d/dt_i, coefficients on the left."""
-    ops = []
-    for poly in toda_polynomials(n):
-        terms = {kappa: coeff for kappa, coeff in poly.items()}
-        ops.append(DifferentialOperator(n, terms))
-    return ops
+    return [DifferentialOperator(n, poly) for poly in toda_polynomials(n)]
 
 
 def build_hamiltonian(n: int) -> DifferentialOperator:
@@ -304,10 +309,8 @@ def build_hamiltonian(n: int) -> DifferentialOperator:
         kappa = [0] * (n + 1)
         kappa[i] = 2
         terms[tuple(kappa)] = LaurentPolynomial.constant(Fraction(1, 2))
-    const = LaurentPolynomial.zero()
-    for i in range(1, n + 1):
-        const = const - LaurentPolynomial.variable(q_name(i))
-    terms[(0,) * (n + 1)] = const
+    terms[(0,) * (n + 1)] = -sum((LaurentPolynomial.variable(q_name(i)) for i in range(1, n + 1)),
+                                 LaurentPolynomial.zero())
     return DifferentialOperator(n, terms)
 
 
@@ -319,17 +322,8 @@ Matrix = List[List[LaurentPolynomial]]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            s = LaurentPolynomial.zero()
-            for k in range(inner):
-                s = s + a[i][k] * b[k][j]
-            row.append(s)
-        out.append(row)
-    return out
+    return [[sum((x * y for x, y in zip(row, col)), LaurentPolynomial.zero())
+             for col in zip(*b)] for row in a]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

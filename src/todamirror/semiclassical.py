@@ -55,10 +55,8 @@ class FixedPointData:
 
     def n_l_symbolic(self, l: int) -> LaurentPolynomial:
         """N_l = sum_j chi_j^{-l} over formal weight symbols."""
-        out = LaurentPolynomial.zero()
-        for k in range(len(self.weights)):
-            out = out + LaurentPolynomial.monomial({f"chi{k}": -l})
-        return out
+        return sum((LaurentPolynomial.monomial({f"chi{k}": -l}) for k in range(len(self.weights))),
+                   LaurentPolynomial.zero())
 
     def n_l_numeric(self, l: int, lam: Sequence[Fraction]) -> Fraction:
         vals = [w.evaluate(lam) for w in self.weights]
@@ -83,14 +81,19 @@ def gamma_stirling_tail(K: int) -> List[Fraction]:
 
 
 def stirling_tail_series(weights: Sequence[LaurentPolynomial], K: int) -> HbarSeries:
-    """sum over weights of the Stirling tail at z = weight/hbar, through hbar^{2K-1}."""
-    order = 2 * K - 1
+    """sum over weights of the Stirling tail at z = weight/hbar, through hbar^{2K-1}.
+
+    The hbar^{2i-1} coefficient is c_i sum_w w^{1-2i}, summed in one
+    polynomial per power while w^{1-2i} steps down by w^{-2}."""
     coeffs = gamma_stirling_tail(K)
-    out = HbarSeries.zero(order)
+    sums = [LaurentPolynomial.zero() for _ in coeffs]
     for w in weights:
-        for i, c in enumerate(coeffs, start=1):
-            out = out + HbarSeries.hbar_term(w ** (-(2 * i - 1)) * c, 2 * i - 1, order)
-    return out
+        power, step = w ** -1, w ** -2
+        for i, c in enumerate(coeffs):
+            sums[i] = sums[i] + power * c
+            power = power * step
+    odd = [p for s in sums for p in (s, LaurentPolynomial.zero())]
+    return HbarSeries(1, odd[:-1], 2 * K - 1)
 
 
 def classical_limit_b(fp: FixedPointData, K: int,
@@ -135,12 +138,8 @@ def verify_classical_limit(n: int, permutation: Sequence[int], K: int) -> Classi
     b = classical_limit_b(fp, K)
     tail = stirling_tail_series(fp.weight_symbols(), K)
     match = (b == tail)
-    first = None
-    if not match:
-        for e in range(1, 2 * K):
-            if b.coefficient(e) != tail.coefficient(e):
-                first = e
-                break
+    first = None if match else next(
+        (e for e in range(1, 2 * K) if b.coefficient(e) != tail.coefficient(e)), None)
     return ClassicalLimitReport(permutation=fp.permutation, order=2 * K - 1,
                                 match=match, orthogonal=(b + b.negate_hbar()).is_zero(),
                                 first_mismatch=first)

@@ -248,6 +248,37 @@ def test_census_counts_distinct_points(monkeypatch):
     assert f"{kseqs[2]} and {kseqs[5]}" in str(err.value)
 
 
+# The 11 draws of the census benchmark's seed-1 batch, each with its fiber's
+# least pairwise sup-distance as a float hex: one distance matrix per census
+# must give the same value to the bit.
+CENSUS_SEED1 = [
+    ("-6/13,-1/6,-3/13,67/78", "3/8,5/8,3/16", "0x1.e92fd6e93b551p-2"),
+    ("-5/11,1/7,-1/2,125/154", "7/8,1/16,1/16", "0x1.0494b24266ae4p-2"),
+    ("-7/12,-5/11,1/16,515/528", "9/16,13/16,3/4", "0x1.47be08a4ee1f2p-1"),
+    ("-5/16,1/6,1/3,-3/16", "13/16,15/16,7/16", "0x1.397ab5e89436ep+0"),
+    ("-3/11,4/11,5/16,-71/176", "3/8,11/16,5/16", "0x1.e2c8474b60be6p-1"),
+    ("4/15,3/16,-2/5,-13/240", "1/4,1/8,15/16", "0x1.1459bc6f6e70bp-1"),
+    ("2/5,6/13,5/16,-1221/1040", "3/8,1/2,7/8", "0x1.d79f0be2a5254p-1"),
+    ("3/5,-5/11,-2/5,14/55", "3/16,1/8,3/4", "0x1.614bcd9ad29fap-3"),
+    ("2/3,1/13,-3/7,-86/273", "13/16,1/4,11/16", "0x1.6126e11e72783p-1"),
+    ("1/4,1/2,5/16,-17/16", "5/8,5/16,1/16", "0x1.366399e262e58p-1"),
+    ("1/12,-1/3,-4/9,25/36", "1/16,7/16,7/16", "0x1.ed2139ce39510p-2"),
+]
+
+
+def test_census_builds_the_distance_matrix_once(monkeypatch):
+    calls = []
+    sup_distances = cr._sup_distances
+    monkeypatch.setattr(cr, "_sup_distances",
+                        lambda records: calls.append(len(records)) or sup_distances(records))
+    for lam, q, least in CENSUS_SEED1:
+        calls.clear()
+        census = cr.census(3, [float(Fraction(x)) for x in lam.split(",")],
+                           [float(Fraction(x)) for x in q.split(",")])
+        assert calls == [24]
+        assert census.min_pairwise_distance == float.fromhex(least), lam
+
+
 def test_rejects_bad_q():
     with pytest.raises(cr.DegenerateParameterError):
         cr.continue_to(chart(1, (0,)), LAM1, (-1.0,))
@@ -272,6 +303,15 @@ def test_uv_identity_fails_on_a_shifted_lambda(n, monkeypatch):
         shift = lambda k, m, i=i: lam_poly(k, m) + LaurentPolynomial.constant(k == i)
         monkeypatch.setattr(cr, "_lam_poly", shift)
         assert not cr.uv_identity_check(n), i
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_uv_identity_fails_on_a_common_lambda_shift(n, monkeypatch):
+    # only differences of lambda enter the blocks; the sum(lam) = 0 row sees it
+    lam_poly = cr._lam_poly
+    monkeypatch.setattr(cr, "_lam_poly",
+                        lambda k, m: lam_poly(k, m) + LaurentPolynomial.constant(1))
+    assert not cr.uv_identity_check(n)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -95,6 +95,26 @@ def test_ring_axioms_random():
         assert a * LP.constant(1) == a
 
 
+def test_arithmetic_results_are_canonical():
+    # +, *, - and ** skip the public constructor's checks; each result must be
+    # what that constructor makes of it: sorted, pruned, nonzero Fractions
+    rng = random.Random(77)
+    x, y = LP.variable("x"), LP.variable("y")
+    cases = [(x + y) - y, x * y * y ** -1, (x + y) * (x - y) + y ** 2, -(x - x)]
+    for _ in range(30):
+        a, b = random_poly(rng), random_poly(rng, nvars=rng.randint(1, 4))
+        cases += [a + b, a - b, a * b, -a, a ** 2, b ** -1 if len(b.terms) == 1 else b ** 3,
+                  (a + b) - b]
+    for p in cases:
+        rebuilt = LP(p.variables, dict(p.terms))
+        assert p == rebuilt and hash(p) == hash(rebuilt)
+        assert p.variables == rebuilt.variables
+        assert all(type(c) is F and c != 0 for c in p.terms.values())
+    assert ((x + y) - y).variables == ("x",)
+    assert (x * y * y ** -1).variables == ("x",)
+    assert (-(x - x)).variables == ()
+
+
 def test_polynomial_substitution_and_evaluation():
     x, y = LP.variable("x"), LP.variable("y")
     p = x * x * y + 2 * x - 3

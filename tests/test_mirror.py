@@ -1,11 +1,13 @@
 """Mirror graph, weights, charts, and the phase-function bookkeeping."""
 
+import hashlib
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from todamirror import mirror as mi
@@ -174,6 +176,19 @@ def test_non_unit_pivot_is_rejected(monkeypatch):
         mi.make_chart(g, (0, 0))
 
 
+def test_chart_exponent_matrices_are_pinned():
+    # every E for n <= 5, as the integer Gauss-Jordan elimination gave them
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 6):
+        g = mi.build_graph(n)
+        for k in mi.all_k_sequences(n):
+            digest.update(np.ascontiguousarray(mi.make_chart(g, k).E, dtype="<i8").tobytes())
+            count += 1
+    assert count == 872
+    assert digest.hexdigest() == (
+        "9e7bd650640b088bce34b5151e26cb3bfe8f47e6dfd24fd6a6ca8fb7b515986a")
+
+
 def test_eliminated_monomials_have_q_factor():
     for n in (1, 2, 3, 4):
         g = mi.build_graph(n)
@@ -263,7 +278,6 @@ def test_chart_report_shape():
 def test_chart_coordinates_are_unimodular_on_fiber():
     # chart log-coordinates differ from the non-top vertex coordinates by a
     # determinant +-1 integer matrix, so the volume form is +- prod dw/w
-    import numpy as np
     for n in (1, 2, 3):
         g = mi.build_graph(n)
         non_top = [v for v in g.vertices if v[0] > 0]
@@ -281,7 +295,6 @@ def test_vertex_phase_numeric_matches_chart_phase():
     # pick free values for chart variables and q, reconstruct vertex
     # coordinates, and compare the two numeric phase evaluations
     import math
-    import numpy as np
     from todamirror.mirror import phase_in_chart
 
     n = 2

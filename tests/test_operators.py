@@ -166,3 +166,23 @@ def test_perturbed_operator_fails_to_commute():
         d = ops.toda_operators(n)
         d2 = d[1] + ops.DifferentialOperator.multiplication(n, bump)
         assert not ops.commutator(ops.build_hamiltonian(n), d2).is_zero()
+
+
+def test_commutator_is_the_difference_of_products():
+    # a commutator drops the d = 0 Leibniz terms, which a . b and b . a share
+    rng = random.Random(31)
+    pairs = [tuple(random_operator(rng, n, nterms=4, laurent=True) for _ in range(2))
+             for n in [rng.randint(1, 3) for _ in range(12)]]
+    hq1 = LP.variable("hbar") * LP.variable("q1")
+    for n in (1, 2, 3):
+        qs = [ops.DifferentialOperator.multiplication(n, LP.monomial({f"q{j}": e}))
+              for j in range(1, n + 1) for e in (1, -2)]
+        pairs += [(ops.DifferentialOperator.partial(n, i), q) for i in range(n + 1) for q in qs]
+        d2 = ops.toda_operators(n)[1] + ops.DifferentialOperator.multiplication(n, hq1)
+        pairs.append((ops.build_hamiltonian(n), d2))
+    nonzero = 0
+    for a, b in pairs:
+        comm = ops.commutator(a, b)
+        assert comm == ops.compose(a, b) - ops.compose(b, a)
+        nonzero += not comm.is_zero()
+    assert nonzero > len(pairs) // 2
