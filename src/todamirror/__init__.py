@@ -33,7 +33,6 @@ from .mirror import (
     SigmaChart,
     all_k_sequences,
     build_graph,
-    enumerate_charts,
     make_chart,
     phase_consistency,
     phase_in_chart,

@@ -16,10 +16,18 @@ turns them into the one numeric phase (`ChartPhase`) that continuation,
 quadrature and the checks all read.
 
 The chart layer is integer arithmetic.  A `LambdaForm` is one int tuple
-`num` over one positive int `den`, reduced by their gcd.  Each chart solves
-its monomial relations once, by substitution from the top row down, into one
-exponent matrix E: a row per edge (the d chart edges, then their eliminated
-partners) and a column per chart variable w_0..w_{d-1}, then q_1..q_n.
+`num` over one positive int `den`, reduced by their gcd.  A chart's tables
+come from insertion words: w_{n+1} = [n], and w_i is w_{i+1} with the letter
+i - 1 inserted at slot k_i.  rho(i, j) sums lam over the first j + 1 letters
+of w_i, sigma(i, j) is the unit difference lam_{i-1} - lam_{w_i[j]} (u-slot)
+or lam_{w_i[j+1]} - lam_{i-1} (v-slot), and the permutation is w_1.  The
+forms are shared, immutable entries of tables on the `MirrorGraph` (the
+(n+1)^2 unit differences and the subset sums), which also holds everything
+else that depends only on n: the slot positions, edge names, the box/roof
+matrix R and the report keys.  Each chart solves its monomial relations
+once, by substitution from the top row down, into one int64 exponent matrix
+E: a row per edge (the d chart edges, then their eliminated partners) and a
+column per chart variable w_0..w_{d-1}, then q_1..q_n.
 `eliminated`, `edge_monomial` and `phase_in_chart` read E, and the exact
 checks are integer matrix identities on it: R E = [0; e_{q_k}] for the
 box/roof matrix R, and E^T W = [sigma; rho_1] for the edge weights W after
@@ -180,7 +188,8 @@ def _form_text(num: Tuple[int, ...], den: int) -> Tuple[str, ...]:
 def _form_matrix(forms: List[LambdaForm]) -> Tuple[np.ndarray, int]:
     """The forms as integer rows over their common denominator: (M, den)."""
     den = math.lcm(*(f.den for f in forms))
-    return np.array([[x * (den // f.den) for x in f.num] for f in forms], dtype=np.int64), den
+    return np.array([f.num if f.den == den else [x * (den // f.den) for x in f.num]
+                     for f in forms], dtype=np.int64), den
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +245,54 @@ class MirrorGraph:
         self.weights: Dict[str, LambdaForm] = {
             name: self._weight(e) for name, e in self.edges.items()
         }
-        self.dimension = n * (n + 1) // 2
+        self.dimension = d = n * (n + 1) // 2
         self.edge_row = {name: k for k, name in enumerate(self.edges)}
         self._weight_rows: Optional[tuple] = None
+        # ---- what every chart of this graph shares ----
+        # slot c = positions[c] is a non-top vertex (i, j), which owns the
+        # edges u[i,j] and v[i,j] (edges 2c and 2c + 1)
+        self.positions: Tuple[Tuple[int, int], ...] = tuple(self.vertices[n + 1:])
+        self.position_index = {p: c for c, p in enumerate(self.positions)}
+        names = list(self.edges)
+        self.slot_edges = tuple(zip(names[0::2], names[1::2]))
+        self.vertex_index = {v: k for k, v in enumerate(self.vertices)}
+        self.heads, self.tails = np.array([(self.vertex_index[e.head], self.vertex_index[e.tail])
+                                           for e in self.edges.values()], dtype=np.int64).T
+        # vertex log-coordinates over w_0..w_{d-1}, q_1..q_n: the top row
+        # from ln q_k = t_(0,k) - t_(0,k-1) with t_(0,0) = 0
+        self.top_rows = np.zeros((len(self.vertices), d + n), dtype=np.int64)
+        self.top_rows[1:n + 1, d:] = np.tri(n, dtype=np.int64)
+        self.chart_rows = np.eye(d, d + n, dtype=np.int64)  # E's rows for w_0..w_{d-1}
+        # the sigma entries: lam_a - lam_b, by [a][b]
+        self.unit_differences = [[LambdaForm._of(tuple((k == a) - (k == b) for k in range(n + 1)))
+                                  for b in range(n + 1)] for a in range(n + 1)]
+        # rho steps: unit_rows[m] holds the units e_m, ..., e_n as int tuples
+        self.unit_rows = [{tuple(int(x == k) for x in range(n + 1)) for k in range(m, n + 1)}
+                          for m in range(n + 1)]
+        # the rho entries: sums of lam_k over subsets, by bit mask, on demand
+        self._subset_forms: Dict[int, LambdaForm] = {}
+        # box/roof relations in log form, v + u - u' - v' and u + v, over the
+        # edges in graph order, and R E's target: 0 on a box, e_{q_k} on a roof
+        self.relations = np.zeros((len(self.boxes) + len(self.roofs), len(names)), dtype=np.int64)
+        self.relation_target = np.zeros((len(self.relations), d + n), dtype=np.int64)
+        for r, box in enumerate(self.boxes):
+            for name, sign in zip(box, (1, 1, -1, -1)):
+                self.relations[r, self.edge_row[name]] += sign
+        for r, (u, v, qk) in enumerate(self.roofs, len(self.boxes)):
+            self.relations[r, [self.edge_row[u], self.edge_row[v]]] = 1
+            self.relation_target[r, d + qk - 1] = 1
+        # chart report keys, sorted as (i, j)
+        self.rho_keys = tuple((p, f"{p[0]},{p[1]}") for p in sorted(
+            (i, j) for i in range(1, n + 2) for j in range(-1, n - i + 2)))
+        self.sigma_keys = tuple((p, f"{p[0]},{p[1]}") for p in self.positions)
+
+    def subset_form(self, mask: int) -> LambdaForm:
+        """The sum of lam_k over the bits k of `mask`."""
+        form = self._subset_forms.get(mask)
+        if form is None:
+            form = self._subset_forms[mask] = LambdaForm._of(
+                tuple((mask >> k) & 1 for k in range(self.n + 1)))
+        return form
 
     def weight_matrix(self) -> Tuple[np.ndarray, int]:
         """The edge weights as integer rows over their common denominator, in
@@ -305,10 +359,6 @@ class MirrorGraph:
             total += math.exp(log_edge) + weight * log_edge
         return total
 
-    def q_t_vector(self, k: int) -> Dict[Tuple[int, int], int]:
-        """log q_k = t_k - t_{k-1} in vertex coordinates."""
-        return {(0, k): 1, (0, k - 1): -1}
-
 
 def build_graph(n: int) -> MirrorGraph:
     return MirrorGraph(n)
@@ -349,6 +399,10 @@ class SigmaChart:
     exponent matrix E: row k < d is the chart edge at positions[k] (the
     variable w_k itself), row d + k its eliminated partner, and the columns
     are the exponents of w_0..w_{d-1} followed by those of q_1..q_n.
+
+    rho, sigma and the permutation come from the insertion words w_i (see
+    the module docstring): row i's rho-differences are lam_{w_i[0]}, ...,
+    lam_{w_i[n-i+1]}.
     """
 
     def __init__(self, graph: MirrorGraph, kseq: Sequence[int]):
@@ -359,118 +413,86 @@ class SigmaChart:
         self.graph = graph
         self.n = n
         self.kseq = kseq
-        self.positions: List[Tuple[int, int]] = [
-            (i, j) for i in range(1, n + 1) for j in range(n - i + 1)
-        ]
-        self.position_index = {p: k for k, p in enumerate(self.positions)}
+        self.positions = graph.positions
+        self.position_index = graph.position_index
         self.chart_edges: Dict[Tuple[int, int], str] = {}
         self.partner_edges: Dict[Tuple[int, int], str] = {}
-        for (i, j) in self.positions:
-            u, v = f"u[{i},{j}]", f"v[{i},{j}]"  # the names of Edge("u"/"v", i, j)
-            self.chart_edges[(i, j)], self.partner_edges[(i, j)] = (
-                (u, v) if j < kseq[i - 1] else (v, u))
+        # row r of E is graph edge row_edges[r]; slot c owns edges 2c (u), 2c + 1 (v)
+        chart_rows, partner_rows = [], []
+        for c, ((i, j), (u, v)) in enumerate(zip(self.positions, graph.slot_edges)):
+            on_u = j < kseq[i - 1]
+            self.chart_edges[(i, j)], self.partner_edges[(i, j)] = (u, v) if on_u else (v, u)
+            chart_rows.append(2 * c + 1 - on_u)
+            partner_rows.append(2 * c + on_u)
+        self.row_edges = np.array(chart_rows + partner_rows)
         # edge name -> row of E
         self.row_of: Dict[str, int] = {
             name: k for k, name in enumerate(itertools.chain(
                 self.chart_edges.values(), self.partner_edges.values()))
         }
-        self.rho = self._rho_table()
-        self.sigma = self._sigma_table()
-        self.permutation = self._permutation()
+        # w_{n+1} is [] with n inserted at slot 0, so k_{n+1} = 0
+        diff, ks = graph.unit_differences, kseq + (0,)
+        self.rho: Dict[Tuple[int, int], LambdaForm] = {}
+        self.sigma: Dict[Tuple[int, int], LambdaForm] = {}
+        word: List[int] = []
+        for i in range(n + 1, 0, -1):
+            word.insert(ks[i - 1], i - 1)
+            mask = 0
+            self.rho[(i, -1)] = graph.subset_form(0)
+            for j, letter in enumerate(word):
+                mask |= 1 << letter
+                self.rho[(i, j)] = graph.subset_form(mask)
+            for j in range(n - i + 1):
+                self.sigma[(i, j)] = (diff[i - 1][word[j]] if j < ks[i - 1]
+                                      else diff[word[j + 1]][i - 1])
+        self.permutation = tuple(word)
         self.E = self._solve_eliminated()
 
-    # ---- rho / sigma / permutation ----
-    def _rho_table(self) -> Dict[Tuple[int, int], LambdaForm]:
-        n = self.n
-        zero = LambdaForm.zero(n)
-        unit = [LambdaForm.unit(n, k) for k in range(n + 1)]
-        rho: Dict[Tuple[int, int], LambdaForm] = {}
-        for i in range(n + 1, 0, -1):
-            rho[(i, -1)] = zero
-            # lam_{i-1} + ... + lam_n
-            rho[(i, n - i + 1)] = LambdaForm._of((0,) * (i - 1) + (1,) * (n - i + 2))
-            for j in range(0, n - i + 1):
-                if self.chart_edges[(i, j)].startswith("u"):
-                    rho[(i, j)] = rho[(i + 1, j)]
-                else:
-                    rho[(i, j)] = rho[(i + 1, j - 1)] + unit[i - 1]
-        return rho
-
-    def _sigma_table(self) -> Dict[Tuple[int, int], LambdaForm]:
-        n = self.n
-        out: Dict[Tuple[int, int], LambdaForm] = {}
-        unit = [LambdaForm.unit(n, k) for k in range(n + 1)]
-        for (i, j) in self.positions:
-            lam = unit[i - 1]
-            if j < self.kseq[i - 1]:
-                out[(i, j)] = lam - (self.rho[(i, j)] - self.rho[(i, j - 1)])
-            else:
-                out[(i, j)] = (self.rho[(i, j + 1)] - self.rho[(i, j)]) - lam
-        return out
-
-    def _permutation(self) -> Tuple[int, ...]:
-        perm = []
-        for j in range(self.n + 1):
-            diff = self.rho[(1, j)] - self.rho[(1, j - 1)]
-            idx = diff.unit_index()
-            if idx is None:
-                raise MirrorModelError(
-                    f"rho differences of chart {self.kseq} do not define a permutation")
-            perm.append(idx)
-        if sorted(perm) != list(range(self.n + 1)):
-            raise MirrorModelError(f"chart {self.kseq} gave a non-permutation {perm}")
-        return tuple(perm)
-
     def rho_multiset_ok(self) -> bool:
-        """{rho_{i,j} - rho_{i,j-1}} must equal {lam_{i-1}, ..., lam_n} rowwise."""
-        n = self.n
-        unit = [LambdaForm.unit(n, k) for k in range(n + 1)]
+        """{rho_{i,j} - rho_{i,j-1}} must equal {lam_{i-1}, ..., lam_n} rowwise.
+
+        b - a is lam_k exactly when a and b share a denominator D and their
+        numerators differ by D e_k, so each row is compared as integer steps.
+        """
+        n, rho, units = self.n, self.rho, self.graph.unit_rows
         for i in range(1, n + 2):
-            diffs = [self.rho[(i, j)] - self.rho[(i, j - 1)] for j in range(n - i + 2)]
-            # n - i + 2 differences against as many distinct units: equal
-            # sets are equal multisets
-            if set(diffs) != set(unit[i - 1:]):
+            row = [rho[(i, j)] for j in range(-1, n - i + 2)]
+            den = row[0].den
+            if any(f.den != den for f in row):
+                return False
+            steps = {tuple(map(operator.sub, b.num, a.num)) for a, b in zip(row, row[1:])}
+            # n - i + 2 steps against as many distinct units: equal sets are
+            # equal multisets
+            if steps != (units[i - 1] if den == 1 else
+                         {tuple(den * x for x in e) for e in units[i - 1]}):
                 return False
         return True
 
     # ---- the exponent matrix ----
     def _solve_eliminated(self) -> np.ndarray:
         """E by substitution from the top row down: each vertex log-coordinate
-        t_v (t_(0,0) = 0) as a sparse int row over w_0..w_{d-1}, q_1..q_n.
+        t_v as an int row over w_0..w_{d-1}, q_1..q_n.
 
-        ln q_k = t_(0,k) - t_(0,k-1) gives the top row; the chart edge at
-        (i, j) joins vertex (i, j) to row i - 1, so t_(i,j) is its parent's
-        row +- e_w; a partner edge's row is head minus tail.  Log-edges are
-        incidence vectors, so a solved vertex's coefficient is +-1 unless the
-        graph itself is wrong."""
-        graph, n, dim = self.graph, self.n, len(self.positions)
-        solve = [((0, k), graph.q_t_vector(k), dim + k - 1) for k in range(1, n + 1)]
-        solve += [(p, graph.edge_t_vector(self.chart_edges[p]), c)
-                  for c, p in enumerate(self.positions)]
-        t: Dict[Tuple[int, int], Dict[int, int]] = {(0, 0): {}}
-        for vertex, tvec, col in solve:
-            unit = tvec.get(vertex, 0)
+        The top row is the graph's; the chart edge at (i, j) joins vertex
+        (i, j) to a parent in row i - 1, so t_(i,j) is its parent's row +-
+        e_w; a partner edge's row is head minus tail.  Log-edges are incidence
+        vectors, so the pivot on the solved vertex is +-1 unless the graph
+        itself is wrong."""
+        graph = self.graph
+        t, index = graph.top_rows.copy(), graph.vertex_index
+        for c, p in enumerate(self.positions):
+            tvec = graph.edge_t_vector(self.chart_edges[p])
+            unit = tvec.pop(p, 0)
             if unit not in (1, -1):
                 raise MonomialSolveError(
-                    f"chart {self.kseq}: non-unit pivot {unit} at vertex {vertex}")
-            row = {col: unit}  # t_vertex = unit * (e_col - the other vertices)
-            for v, c in tvec.items():
-                if v != vertex:
-                    for k, x in t[v].items():
-                        row[k] = row.get(k, 0) - unit * c * x
-            t[vertex] = row
-        rows, cols, vals = list(range(dim)), list(range(dim)), [1] * dim
-        for r, name in enumerate(self.partner_edges.values(), dim):
-            row: Dict[int, int] = {}
-            for v, c in graph.edge_t_vector(name).items():
-                for k, x in t[v].items():
-                    row[k] = row.get(k, 0) + c * x
-            rows += [r] * len(row)
-            cols += row
-            vals += row.values()
-        E = np.zeros((2 * dim, dim + n), dtype=np.int64)
-        E[rows, cols] = vals
-        return E
+                    f"chart {self.kseq}: non-unit pivot {unit} at vertex {p}")
+            (parent, x), = tvec.items()
+            row = t[index[p]]  # t_p = unit * (e_c - x t_parent)
+            np.multiply(t[index[parent]], -unit * x, out=row)
+            row[c] += unit
+        partners = self.row_edges[len(self.positions):]
+        return np.concatenate((graph.chart_rows,
+                               t[graph.heads[partners]] - t[graph.tails[partners]]))
 
     @property
     def eliminated(self) -> Dict[str, ChartMonomial]:
@@ -484,38 +506,21 @@ class SigmaChart:
         return ChartMonomial(self.E[self.row_of[name]], self.positions)
 
     def relations_hold(self) -> bool:
-        """Substituting the monomials turns every box/roof into an identity.
-
-        R has one row per relation in logarithmic form, v + u - u' - v' for
-        a box and u + v for the roof over q_k, with a column per row of E;
-        R E must vanish on the boxes and be e_{q_k} on each roof.
-        """
-        graph, dim = self.graph, len(self.positions)
-        nrel = len(graph.boxes) + len(graph.roofs)
-        R = np.zeros((nrel, len(self.row_of)), dtype=np.int64)
-        expect = np.zeros((nrel, self.E.shape[1]), dtype=np.int64)
-        for r, (v, u, u2, v2) in enumerate(graph.boxes):
-            for name, sign in ((v, 1), (u, 1), (u2, -1), (v2, -1)):
-                R[r, self.row_of[name]] += sign
-        for r, (u, v, qk) in enumerate(graph.roofs, len(graph.boxes)):
-            R[r, self.row_of[u]] += 1
-            R[r, self.row_of[v]] += 1
-            expect[r, dim + qk - 1] = 1
-        return np.array_equal(R @ self.E, expect)
+        """Substituting the monomials turns every box/roof into an identity:
+        with the graph's relation matrix R (a row per relation in log form, a
+        column per edge), R E must vanish on the boxes and be e_{q_k} on each
+        roof."""
+        graph = self.graph
+        return np.array_equal(graph.relations[:, self.row_edges] @ self.E, graph.relation_target)
 
     def report(self) -> dict:
         """Machine-readable chart summary."""
+        rho, sigma = self.rho, self.sigma
         return {
             "k_sequence": list(self.kseq),
             "permutation": list(self.permutation),
-            "rho": {
-                f"{i},{j}": self.rho[(i, j)].report()
-                for (i, j) in sorted(self.rho)
-            },
-            "exponents": {
-                f"{i},{j}": self.sigma[(i, j)].report()
-                for (i, j) in sorted(self.sigma)
-            },
+            "rho": {key: rho[p].report() for p, key in self.graph.rho_keys},
+            "exponents": {key: sigma[p].report() for p, key in self.graph.sigma_keys},
         }
 
 
@@ -526,10 +531,6 @@ def make_chart(graph: MirrorGraph, kseq: Sequence[int]) -> SigmaChart:
 def all_k_sequences(n: int) -> List[Tuple[int, ...]]:
     ranges = [range(n - i + 2) for i in range(1, n + 1)]
     return [tuple(k) for k in itertools.product(*ranges)]
-
-
-def enumerate_charts(graph: MirrorGraph) -> List[SigmaChart]:
-    return [SigmaChart(graph, k) for k in all_k_sequences(graph.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +621,7 @@ def phase_consistency(chart: SigmaChart) -> bool:
     """
     graph = chart.graph
     weights, wden = graph.weight_matrix()
-    weights = weights[[graph.edge_row[name] for name in chart.row_of]]
+    weights = weights[chart.row_edges]
     target, tden = _form_matrix([chart.sigma[p] for p in chart.positions]
                                 + [chart.rho[(1, k)] for k in range(chart.n)])
     lhs, rhs = chart.E.T @ weights * tden, target * wden

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -133,7 +134,8 @@ def test_rho_table_reproduces_reference_chart():
 
 def test_chart_count_and_permutation_bijection():
     for n in (1, 2, 3, 4):
-        charts = mi.enumerate_charts(mi.build_graph(n))
+        g = mi.build_graph(n)
+        charts = [mi.make_chart(g, k) for k in mi.all_k_sequences(n)]
         assert len(charts) == math.factorial(n + 1)
         assert len({c.permutation for c in charts}) == math.factorial(n + 1)
 
@@ -152,7 +154,8 @@ def test_chart_exponents_are_the_fixed_point_weights():
     for n in range(1, 6):
         perms = list(itertools.permutations(range(n + 1)))
         weights = {p: Counter(FixedPointData.from_permutation(n, p).weights) for p in perms}
-        for ch in mi.enumerate_charts(mi.build_graph(n)):
+        g = mi.build_graph(n)
+        for ch in [mi.make_chart(g, k) for k in mi.all_k_sequences(n)]:
             sigma = Counter(ch.sigma.values())
             assert sigma == weights[ch.permutation], ch.kseq
             if n <= 3:
@@ -187,6 +190,20 @@ def test_chart_exponent_matrices_are_pinned():
     assert count == 872
     assert digest.hexdigest() == (
         "9e7bd650640b088bce34b5151e26cb3bfe8f47e6dfd24fd6a6ca8fb7b515986a")
+
+
+def test_chart_reports_are_pinned():
+    # every report (k-sequence, permutation, rho, sigma) for n <= 5, as the
+    # LambdaForm table builders gave them
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 6):
+        g = mi.build_graph(n)
+        for k in mi.all_k_sequences(n):
+            digest.update(json.dumps(mi.make_chart(g, k).report(), sort_keys=True).encode())
+            count += 1
+    assert count == 872
+    assert digest.hexdigest() == (
+        "dab8c3705d8fcfe024563b7d94c3044dae1aeeb3e635630af4473cacd9fb5dd8")
 
 
 def test_eliminated_monomials_have_q_factor():
