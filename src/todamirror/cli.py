@@ -1,9 +1,11 @@
 """Command-line front end and machine-readable reporting.
 
 Subcommands: commute | mirror | critical | eigen | classical-limit |
-virasoro | all, each taking the flags of the settings its task reads.  Exit
-code 0 when every residual passes its tolerance, 1 on failure (a solver
-failure in `critical` or `eigen` is a `failure` row), 2 on invalid input.
+virasoro | all, each taking the flags of the settings its task reads and
+`--output FILE`.  The report is one line of JSON with sorted keys, on stdout
+or in FILE.  Exit code 0 when every residual passes its tolerance (a
+`RunConfig` constant), 1 on failure (a solver failure in `critical` or
+`eigen` is a `failure` row), 2 on invalid input or an unwritable `--output`.
 Reports serialize deterministically (same config and seed give the same
 content), rationals as "num/den" strings, complex numbers as [re, im] pairs.
 """
@@ -21,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .exact import format_rational, parse_rational
@@ -46,8 +48,8 @@ def kseq(text: str) -> Tuple[int, ...]:
 
 
 # Every setting: RunConfig field -> (key, parser of its value, help).  The
-# key names the setting in a config file and in the report's params; the
-# flag is "--" + key with "-" for "_".
+# key names the setting in the report's params; the flag is "--" + key with
+# "-" for "_".
 FLAGS = {
     "n": ("n", int, None),
     "lam": ("lambda", rationals, "comma-separated rationals summing to 0, e.g. 1/4,1/8,-3/8"),
@@ -57,11 +59,6 @@ FLAGS = {
     "stirling_order": ("stirling_order", int, None),
     "chart": ("chart", kseq, "comma-separated k-sequence selecting one chart"),
     "seed": ("seed", int, None),
-    "tol_spectral": ("tol_spectral", float, None),
-    "tol_eigen_n1": ("tol_eigen_n1", float, None),
-    "tol_eigen_n2": ("tol_eigen_n2", float, None),
-    "tol_oracle": ("tol_oracle", float, None),
-    "tol_scaling": ("tol_scaling", float, None),
 }
 
 # The settings each task reads.  Its subcommand takes these flags and no
@@ -69,8 +66,8 @@ FLAGS = {
 SETTINGS = {
     "commute": ("n",),
     "mirror": ("n",),
-    "critical": ("n", "lam", "q", "seed", "tol_spectral", "tol_scaling"),
-    "eigen": ("n", "lam", "q", "hbar", "chart", "seed", "tol_eigen_n1", "tol_eigen_n2", "tol_oracle"),
+    "critical": ("n", "lam", "q", "seed"),
+    "eigen": ("n", "lam", "q", "hbar", "chart", "seed"),
     "classical-limit": ("n", "stirling_order"),
     "virasoro": ("truncation", "seed"),
     "all": tuple(name for name in FLAGS if name != "chart"),
@@ -87,16 +84,18 @@ class RunConfig:
     hbar: float = -1.0
     truncation: int = 4
     stirling_order: int = 4
-    tol_spectral: float = 1e-8
-    tol_eigen_n1: float = 1e-8
-    tol_eigen_n2: float = 1e-8
-    tol_oracle: float = 1e-8
-    tol_scaling: float = 1e-8
     chart: Optional[Tuple[int, ...]] = None
     seed: int = 0
-    output: Optional[str] = None
-    fmt: str = "json"
     argv: List[str] = field(default_factory=list)
+    # The gates' tolerances: constants, not settings, so no run can loosen a
+    # check; they may only get tighter, by a change to this code.  They stay
+    # on the config because the runners and the benchmark's margins read them
+    # from it.
+    tol_spectral: ClassVar[float] = 1e-8
+    tol_scaling: ClassVar[float] = 1e-8
+    tol_eigen_n1: ClassVar[float] = 1e-8
+    tol_eigen_n2: ClassVar[float] = 1e-8
+    tol_oracle: ClassVar[float] = 1e-8
 
     def validate(self) -> None:
         """Check the settings the task reads; the others are never used."""
@@ -118,8 +117,6 @@ class RunConfig:
         for name in ("truncation", "stirling_order"):
             if name in read and getattr(self, name) < 1:
                 raise InvalidInput(f"{FLAGS[name][0]} must be >= 1")
-        if self.fmt not in ("json", "text"):
-            raise InvalidInput("format must be json or text")
         if self.task == "eigen" and self.n > ig.MAX_N:
             raise InvalidInput(f"eigen quadrature supports n <= {ig.MAX_N}")
         if "chart" in read and self.chart is not None and self.chart not in mi.all_k_sequences(self.n):
@@ -153,25 +150,6 @@ class VerificationReport:
             "version": self.version,
             "warnings": self.warnings,
         }
-
-
-def emit_report(report: VerificationReport, fmt: str) -> str:
-    doc = report.to_dict()
-    if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    lines = []
-
-    def walk(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            for k in sorted(value):
-                walk(f"{prefix}.{k}" if prefix else str(k), value[k])
-        elif isinstance(value, list):
-            lines.append(f"{prefix} = {json.dumps(value, sort_keys=True)}")
-        else:
-            lines.append(f"{prefix} = {json.dumps(value)}")
-
-    walk("", doc)
-    return "\n".join(lines) + "\n"
 
 
 def _default_lambda(n: int, seed: int) -> List[Fraction]:
@@ -425,46 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="task", required=True)
     for task, names in SETTINGS.items():
         p = sub.add_parser(task, allow_abbrev=False)
-        if task == "all":
-            p.add_argument("--config", type=str, default=None,
-                           help="key=value file with defaults; flags override")
         for name in names:
             key, kind, text = FLAGS[name]
             p.add_argument("--" + key.replace("_", "-"), dest=name, type=kind, help=text)
-        p.add_argument("--output", type=str, default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
+        p.add_argument("--output", type=str, default=None, help="write the report to this file")
     return parser
 
 
-def _read_config(path: str) -> dict:
-    """Settings of `all` from a key=value file, by RunConfig field."""
-    names = {FLAGS[name][0]: name for name in SETTINGS["all"]}
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidInput(f"config line is not key=value: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            name = names.get(key.replace("-", "_"))
-            if name is None:
-                raise InvalidInput(f"config key {key!r} is not a setting of all")
-            try:
-                values[name] = FLAGS[name][1](value)
-            except ValueError as exc:
-                raise InvalidInput(f"config value for {key} is not valid: {value!r}") from exc
-    return values
-
-
 def config_from_args(args: argparse.Namespace, argv: Sequence[str]) -> RunConfig:
-    """Explicit flags win over the config file of `all`, then RunConfig's defaults."""
-    settings = _read_config(args.config) if getattr(args, "config", None) else {}
-    settings.update((name, getattr(args, name)) for name in SETTINGS[args.task]
-                    if getattr(args, name) is not None)
-    return RunConfig(task=args.task, **settings, output=args.output, fmt=args.fmt,
-                     argv=list(argv))
+    """The flags given, and RunConfig's defaults for the others."""
+    settings = {name: getattr(args, name) for name in SETTINGS[args.task]
+                if getattr(args, name) is not None}
+    return RunConfig(task=args.task, **settings, argv=list(argv))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -474,15 +424,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = config_from_args(args, ["todamirror"] + argv)
-        report = run(cfg)
-    except (InvalidInput, OSError, UnicodeDecodeError) as exc:
+        report = run(config_from_args(args, ["todamirror"] + argv))
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = emit_report(report, cfg.fmt)
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(doc)
+    # no indent: only then does json use its C encoder
+    doc = json.dumps(report.to_dict(), sort_keys=True) + "\n"
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(doc)
     return 0 if report.passed else 1

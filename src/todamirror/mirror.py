@@ -144,13 +144,6 @@ class LambdaForm:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def unit_index(self) -> Optional[int]:
-        """Index i when the form is exactly lam_i, else None."""
-        hits = [i for i, x in enumerate(self.num) if x]
-        if len(hits) == 1 and self.num[hits[0]] == self.den:
-            return hits[0]
-        return None
-
     def reduce_last(self) -> "LambdaForm":
         """Substitute lam_n = -(lam_0 + ... + lam_{n-1}); last slot becomes 0."""
         cn = self.num[-1]

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report schema, determinism, serialization."""
 
+import inspect
 import json
 import math
 import subprocess
@@ -80,13 +81,13 @@ def test_critical_reports_six_points(capsys):
 
 def test_critical_names_each_check_that_fails(monkeypatch, capsys):
     # the census guarantees (n+1)! distinct points; the other checks can each
-    # fail for their own reason, and the summary names exactly those
-    from todamirror import critical as cr
-    from todamirror.exact import LaurentPolynomial as LP
-    lam_poly = cr._lam_poly
-    monkeypatch.setattr(cr, "_lam_poly", lambda k, n: lam_poly(k, n) + LP.constant(k == 0))
-    assert run_cli(["critical", "--n", "2", "--lambda", "1/4,1/8,-3/8", "--q", "1,1",
-                    "--tol-spectral", "1e-300", "--tol-scaling", "1e-300"]) == 1
+    # fail for their own reason, and the summary names exactly those: here
+    # every critical mutation of tests/test_checks_can_fail.py at once
+    from test_checks_can_fail import MUTATIONS
+    for task, _, _, install in MUTATIONS:
+        if task == "critical":
+            install(monkeypatch)
+    assert run_cli(["critical", "--n", "2", "--lambda", "1/4,1/8,-3/8", "--q", "1,1"]) == 1
     summary = [r for r in json.loads(capsys.readouterr().out)["results"] if "failed" in r][0]
     assert summary["failed"] == ["spectral", "scaling", "uv_identity"]
 
@@ -212,12 +213,18 @@ def test_determinism_same_seed(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_text_format_contains_all_fields(capsys):
-    run_cli(["commute", "--n", "1", "--format", "text"])
+def test_report_is_one_line_of_json(monkeypatch, capsys):
+    reports, run = [], cli.run
+
+    def recording(cfg):
+        reports.append(run(cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run", recording)
+    assert run_cli(["critical", "--n", "1", "--lambda", "1/2,-1/2", "--q", "1"]) == 0
     out = capsys.readouterr().out
-    for key in ("task", "params.n", "pass", "runtime_ms", "version",
-                "residuals.max"):
-        assert key in out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out) == reports[0].to_dict()
 
 
 def test_json_output_to_file(tmp_path):
@@ -225,6 +232,13 @@ def test_json_output_to_file(tmp_path):
     assert run_cli(["commute", "--n", "1", "--output", str(target)]) == 0
     doc = json.loads(target.read_text())
     assert doc["pass"] is True
+
+
+def test_unwritable_output_is_invalid_input(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    assert run_cli(["commute", "--n", "1", "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "no-such-dir" in err
 
 
 def test_empty_results_vacuous_pass_flagged(monkeypatch, capsys):
@@ -251,36 +265,6 @@ def test_installed_entry_point():
     assert json.loads(proc.stdout)["pass"] is True
 
 
-def test_config_file_for_suite_runs(tmp_path, capsys):
-    cfgfile = tmp_path / "suite.cfg"
-    cfgfile.write_text("# defaults for the full suite\nn = 1\nseed = 5\n")
-    assert run_cli(["all", "--config", str(cfgfile)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["params"]["n"] == 1 and doc["params"]["seed"] == 5
-
-
-def test_config_file_flags_override(tmp_path, capsys):
-    cfgfile = tmp_path / "suite.cfg"
-    cfgfile.write_text("n = 1\nseed = 5\n")
-    assert run_cli(["all", "--config", str(cfgfile), "--seed", "9"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["params"]["n"] == 1 and doc["params"]["seed"] == 9
-
-
-def test_config_file_missing_is_invalid_input():
-    assert run_cli(["all", "--config", "/nonexistent/suite.cfg"]) == 2
-
-
-def test_config_file_unknown_key_is_invalid_input(tmp_path, capsys):
-    cfgfile = tmp_path / "suite.cfg"
-    for line in ("sede = 5", "chart = 0,0"):
-        cfgfile.write_text(f"n = 1\n{line}\n")
-        assert run_cli(["all", "--config", str(cfgfile)]) == 2
-        assert repr(line.split(" ")[0]) in capsys.readouterr().err
-    cfgfile.write_bytes(b"n = 1\n\xff = 2\n")
-    assert run_cli(["all", "--config", str(cfgfile)]) == 2
-
-
 def test_all_suite_caps_eigen_dimension(capsys):
     assert run_cli(["all", "--n", "3", "--seed", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -289,9 +273,12 @@ def test_all_suite_caps_eigen_dimension(capsys):
 
 
 SAMPLE = {"n": "1", "lam": "1/2,-1/2", "q": "1/2", "hbar": "-2", "truncation": "2",
-          "stirling_order": "2", "chart": "0", "seed": "3", "tol_spectral": "1e-6",
-          "tol_eigen_n1": "1e-6", "tol_eigen_n2": "1e-6", "tol_oracle": "1e-6",
-          "tol_scaling": "1e-6"}
+          "stirling_order": "2", "chart": "0", "seed": "3"}
+TOLERANCES = ("tol_spectral", "tol_scaling", "tol_eigen_n1", "tol_eigen_n2", "tol_oracle")
+# flags the CLI no longer takes: a second input format, a second output
+# format, and the tolerances, which are constants
+REMOVED = [["--config", "suite.cfg"], ["--format", "text"]] + [
+    ["--" + name.replace("_", "-"), "1"] for name in TOLERANCES]
 
 
 def flag(name):
@@ -308,9 +295,17 @@ def test_each_subcommand_takes_exactly_the_settings_its_task_reads(task, monkeyp
     assert params.get("seed", 3) == 3 and params.get("n", 1) == 1
     for name in set(cli.FLAGS) - set(own):
         assert run_cli([task, flag(name), SAMPLE[name]]) == 2, flag(name)
-    if task != "all":
-        assert run_cli([task, "--config", "suite.cfg"]) == 2
-        assert "unrecognized arguments: --config" in capsys.readouterr().err
+    for tokens in REMOVED:
+        assert run_cli([task] + tokens) == 2, tokens
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {tokens[0]}" in err
+
+
+def test_tolerances_are_constants_of_every_config():
+    assert not set(TOLERANCES) & set(inspect.signature(cli.RunConfig).parameters)
+    for task in cli.TASKS:
+        cfg = cli.RunConfig(task=task)
+        assert {name: getattr(cfg, name) for name in TOLERANCES} == dict.fromkeys(TOLERANCES, 1e-8)
 
 
 @pytest.mark.parametrize("argv", [
