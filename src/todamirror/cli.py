@@ -13,6 +13,7 @@ content), rationals as "num/den" strings, complex numbers as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -423,22 +424,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    cfg = config_from_args(args, ["todamirror"] + argv)
+    # parse, validate, open, run: invalid input or an unwritable --output
+    # exits 2 before any of the run's work
     try:
-        report = run(config_from_args(args, ["todamirror"] + argv))
-    except InvalidInput as exc:
+        cfg.validate()
+        out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+    except (InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # no indent: only then does json use its C encoder
-    doc = json.dumps(report.to_dict(), sort_keys=True) + "\n"
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(doc)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(doc)
+    with out as fh:
+        report = run(cfg)
+        # no indent: only then does json use its C encoder
+        fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     return 0 if report.passed else 1
 
 

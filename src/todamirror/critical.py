@@ -207,16 +207,19 @@ class _Lanes:
         self.bq = B @ self.lnq
         self.qdeg = B.sum(axis=2)
 
-    def track(self) -> _Endpoints:
+    def track(self, at: Optional[np.ndarray] = None) -> _Endpoints:
         """Track every lane along tau(theta) * q from the explicit q = 0 start
-        to the target q.
+        to the target q; or, given one point per lane `at`, enter at theta = 1
+        and run only the final Newton solve at the target q from those points.
 
         Per lane: Euler predictor, damped Newton (each step backtracking on
         the gradient norm), step halving on Newton failure
         and on a jump of det(log-Hessian) or of the solution.  The log of that
         determinant is continued along the path, so square roots stay on the
-        branch that is positive at a positive q = 0 limit.
+        branch that is positive at a positive q = 0 limit; a solve from `at`
+        has no path, and its log det is only the log of the determinant.
         """
+        start = self.start if at is None else np.asarray(at, dtype=complex)
         count, dim = self.A.shape[0], self.A.shape[2]
         ends = _Endpoints(np.zeros((count, dim), dtype=complex), np.full(count, np.inf),
                           np.zeros((count, dim, dim), dtype=complex),
@@ -228,17 +231,21 @@ class _Lanes:
             absA=np.abs(self.A), abs_sigma=np.abs(self.sigma),
             bq=self.bq, qdeg=self.qdeg, sigma=self.sigma,
             # path: accepted point, its theta, next step, det tracking, predictor
-            path=self.start, theta=np.zeros(count), step=np.full(count, FIRST_STEP),
+            path=start, theta=np.full(count, float(at is not None)),
+            step=np.full(count, FIRST_STEP),
             prev_det=det0, log_det=np.log(det0), final=np.zeros(count, dtype=bool),
             pred=np.zeros((count, dim), dtype=complex), pred_norm=np.full(count, np.inf),
             # Newton solve at theta_next: start point y, iterate s, direction
             # dirn, the next line-search step t and the tolerance at s
             th_next=np.zeros(count), c=np.zeros(self.bq.shape, dtype=complex),
-            y=self.start.copy(), s=self.start.copy(), gnorm=np.full(count, np.inf),
+            y=start.copy(), s=start.copy(), gnorm=np.full(count, np.inf),
             dirn=np.zeros((count, dim), dtype=complex), t=np.ones(count),
             tol=np.full(count, NEWTON_TOL),
             it=np.zeros(count, dtype=int), fresh=np.zeros(count, dtype=bool))
-        self._attempt(run, np.ones(count, dtype=bool))
+        if at is None:
+            self._attempt(run, np.ones(count, dtype=bool))
+        else:
+            self._polish(run, np.ones(count, dtype=bool))
         with np.errstate(all="ignore"):
             while run.lane.size:
                 finished = self._tick(run, ends)
@@ -259,6 +266,16 @@ class _Lanes:
         run.c[rows] = run.bq[rows] + np.log(_tau(th_next))[:, None] * run.qdeg[rows]
         run.fresh[rows] = True
         run.it[rows] = -1   # taking the start point counts as step 0
+
+    @staticmethod
+    def _polish(run: _Running, rows: np.ndarray) -> None:
+        """Start the final Newton solve at the target q itself, from the
+        lane's path point."""
+        run.final[rows] = True
+        run.c[rows] = run.bq[rows]
+        run.y[rows] = run.path[rows]
+        run.fresh[rows] = True
+        run.it[rows] = -1
 
     def _tick(self, run: _Running, ends: _Endpoints) -> Optional[np.ndarray]:
         """One round of gradient evaluations on every running lane and the
@@ -400,12 +417,7 @@ class _Lanes:
             run.pred_norm[grow] = np.where(ds_ok[inner], np.abs(ds[inner]).max(axis=1), np.inf)
             restart[grow] = True
             # theta = 1: polish at the target q itself, from the point reached
-            last = rows[~inner]
-            run.final[last] = True
-            run.c[last] = run.bq[last]
-            run.y[last] = run.path[last]
-            run.fresh[last] = True
-            run.it[last] = -1
+            self._polish(run, rows[~inner])
         if restart.any():
             self._attempt(run, restart)
         return finished
@@ -591,16 +603,18 @@ def scaling_residual(records: Sequence[CriticalPointRecord], c: float) -> float:
     """Relative failure of u_sigma(c^2 q, c lam) = c u_sigma(q, lam) over the
     records of one fiber.
 
-    w -> c w and q -> c^2 q scale every monomial of the phase by c, so the
-    scaled problem's gradient and Hessian are c times the base ones and its
-    path is the base path shifted by ln c.  The scaled charts are tracked
-    again from q = 0, as one batch on the same path: an independent track
-    whose critical value is checked against c * u_sigma.
+    w -> c w and q -> c^2 q scale every monomial of the phase by c, so for a
+    quasi-homogeneous phase the scaled problem's gradient and Hessian are c
+    times the base ones and its critical point is s + ln c.  Newton solves
+    the scaled problem at (c lam, c^2 q), started from each record's
+    s + ln c with no path, and the critical value it reaches is checked
+    against c * u_sigma.  A sigma that does not scale with lam moves that
+    solution, and a rho that does not moves the value.
     """
     base = records[0]
     lanes = _Lanes([r.chart for r in records], [c * x for x in base.lam],
                    [c * c * x for x in base.q])
-    ends = lanes.track()
+    ends = lanes.track(np.stack([r.s for r in records]) + math.log(c))
     for r, error in zip(records, ends.errors):
         if error is not None:
             raise ContinuationError(

@@ -7,6 +7,8 @@ check name the mirror report carries, so a new check without a mutation row
 fails the suite.
 """
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -69,7 +71,7 @@ def _drop_last_gradient_term(monkeypatch):
 
 def _mutate_first_record(mutate):
     """Install a `_Lanes.records` that applies `mutate` to the first record of
-    every batch.  `scaling_residual` reads its re-tracked side through
+    every batch.  `scaling_residual` reads its re-solved side through
     `critical_values`, not `records`, so only the census records change."""
     def install(monkeypatch):
         records = cr._Lanes.records
@@ -92,6 +94,21 @@ def _nudge_critical_value(record):
     record.u_sigma *= 1 + 1e-6
 
 
+def _rho_1_not_linear_in_lambda(monkeypatch):
+    # rho enters the critical value, not the gradient, so the census points
+    # stay put; at q = (1, 1) the base value does not see rho either, and only
+    # the scaled solve at c^2 q does
+    phase = cr.phase_in_chart
+
+    def mutated(chart, lam):
+        ph = phase(chart, lam)
+        rho = ph.rho.copy()
+        rho[0] += 1e-4 * lam[0] ** 2
+        return dataclasses.replace(ph, rho=rho)
+
+    monkeypatch.setattr(cr, "phase_in_chart", mutated)
+
+
 def _shift_lam_0(monkeypatch):
     lam_poly = cr._lam_poly
     monkeypatch.setattr(cr, "_lam_poly", lambda k, n: lam_poly(k, n) + LP.constant(k == 0))
@@ -111,6 +128,8 @@ MUTATIONS = (
      _mutate_first_record(_nudge_first_edge)),
     ("critical", "scaling", "scale one critical value by 1 + 1e-6",
      _mutate_first_record(_nudge_critical_value)),
+    ("critical", "scaling", "add 1e-4 lambda_0^2 to rho_1 of every chart phase",
+     _rho_1_not_linear_in_lambda),
     ("critical", "uv_identity", "add 1 to lambda_0 in the symbolic identity", _shift_lam_0),
 )
 
@@ -142,8 +161,18 @@ def _run_critical():
 RUN = {"mirror": _run_mirror, "critical": _run_critical}
 
 
-@pytest.mark.parametrize("task, check, name, install", MUTATIONS,
-                         ids=[f"{row[0]}-{row[1]}" for row in MUTATIONS])
+def _ids(rows):
+    """task-check for each row; a further row of the same check gets -2, -3..."""
+    seen = Counter()
+    out = []
+    for task, check, _, _ in rows:
+        seen[task, check] += 1
+        count = seen[task, check]
+        out.append(f"{task}-{check}" + (f"-{count}" if count > 1 else ""))
+    return out
+
+
+@pytest.mark.parametrize("task, check, name, install", MUTATIONS, ids=_ids(MUTATIONS))
 def test_mutation_fails_exactly_its_check(monkeypatch, task, check, name, install):
     install(monkeypatch)
     checks, passed = RUN[task]()

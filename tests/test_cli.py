@@ -188,6 +188,27 @@ def test_scaling_failure_is_a_report(monkeypatch, capsys):
                        "error": "ContinuationError", "message": "forced failure"}
 
 
+def test_scaling_solver_failure_is_a_report(monkeypatch, capsys):
+    # the scaled solve enters at theta = 1 from given points; a non-finite
+    # start for chart (0, 1) fails its Newton solve in the lane kernel itself
+    import numpy as np
+    from todamirror import critical as cr
+    track = cr._Lanes.track
+
+    def nan_start(self, at=None):
+        if at is not None:
+            at = at.copy()
+            at[1] = np.nan
+        return track(self, at)
+
+    monkeypatch.setattr(cr._Lanes, "track", nan_start)
+    assert run_cli(["critical", "--n", "2"]) == 1
+    failure = json.loads(capsys.readouterr().out)["results"][0]["failure"]
+    assert failure["stage"] == "quasi_homogeneity" and failure["chart"] == [0, 1]
+    assert failure["error"] == "ContinuationError"
+    assert "non-finite" in failure["message"] and "(0, 1)" in failure["message"]
+
+
 def test_failure_exit_code(monkeypatch, capsys):
     def always_fail(cfg):
         return [{"forced": True}], [1.0], False, []
@@ -239,6 +260,19 @@ def test_unwritable_output_is_invalid_input(tmp_path, capsys):
     assert run_cli(["commute", "--n", "1", "--output", str(target)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "no-such-dir" in err
+
+
+def test_unwritable_output_exits_before_the_run(tmp_path, monkeypatch, capsys):
+    from todamirror import critical as cr
+
+    def never(*args, **kwargs):
+        raise AssertionError("census ran although --output cannot be written")
+
+    monkeypatch.setattr(cr, "census", never)
+    target = tmp_path / "no-such-dir" / "x.json"
+    assert run_cli(["critical", "--n", "3", "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_empty_results_vacuous_pass_flagged(monkeypatch, capsys):

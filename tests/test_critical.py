@@ -141,6 +141,39 @@ def test_scaling_check_fails_on_a_wrong_critical_value():
     assert cr.scaling_residual(records, 2.0) > 1e-8
 
 
+@pytest.mark.parametrize("n, lam, q", [
+    (2, (0.25, 0.125, -0.375), (1.0, 1.0)),
+    (3, (0.4, 0.1, -0.2, -0.3), (0.7, 1.1, 0.9)),
+], ids=["n2", "n3"])
+def test_scaling_check_sees_a_sigma_not_linear_in_lambda(n, lam, q, monkeypatch):
+    # sigma -> c sigma + c^2 eps moves the scaled critical point off s + ln c:
+    # the re-solve must find the point it moves to, not echo the start
+    phase = cr.phase_in_chart
+
+    def mutated(chart, lam):
+        ph = phase(chart, lam)
+        sigma = ph.sigma.copy()
+        sigma[0] += 1e-4 * lam[0] ** 2
+        return dataclasses.replace(ph, sigma=sigma)
+
+    monkeypatch.setattr(cr, "phase_in_chart", mutated)
+    records = cr.all_critical_points(n, lam, q)
+    solves, track = [], cr._Lanes.track
+
+    def recording(self, at=None):
+        ends = track(self, at)
+        solves.append((self, at, ends.s))
+        return ends
+
+    monkeypatch.setattr(cr._Lanes, "track", recording)
+    for c in (2.0, 1.0 / 3.0):
+        assert cr.scaling_residual(records, c) > 1e-8
+        # Newton left s + ln c for the point a track from q = 0 reaches
+        lanes, start, solved = solves[-1]
+        assert np.max(np.abs(solved - start)) > 1e-8
+        assert np.max(np.abs(solved - track(lanes).s)) < 1e-10
+
+
 def test_batched_lanes_match_single_tracks():
     # a lane's track must not depend on the other lanes of its batch
     n, lam, q = 3, (0.4, 0.1, -0.2, -0.3), (0.7, 1.1, 0.9)
