@@ -2,11 +2,13 @@
 
 Each chart contributes exactly one critical point, found by Newton
 continuation along one fixed path tau(theta) * q from the explicit tau = 0
-limit w_ij = -sigma(i, j); the charts of a fiber are tracked together, one
-lane of a lockstep batch each.  Continuation along a path that avoids the
-branch points is a bijection on sheets, so two charts landing on one point
-means the tracker jumped sheets: that, like a lane that does not arrive, is
-an error naming the charts, never a cue to re-run them on another path.
+limit w_ij = -sigma(i, j).  The charts of a fiber are tracked together, one
+lane each: a per-lane path loop (`_Lanes.track`) around one batched damped
+Newton (`_Lanes._newton`), which the quasi-homogeneity check also calls
+directly.  Continuation along a path that avoids the branch points is a
+bijection on sheets, so two charts landing on one point means the tracker
+jumped sheets: that, like a lane that does not arrive, is an error naming
+the charts, never a cue to re-run them on another path.
 
 Records carry the Hessian in log coordinates s = ln w (the volume form is
 translation-invariant in s, so it is the one entering stationary-phase
@@ -124,22 +126,14 @@ def _check_q(q: Sequence[float], n: int) -> Tuple[float, ...]:
     return q
 
 
-# ---------------------------------------------------------------------------
-# Lockstep continuation.  A lane is one chart's phase at one (lambda, q) on
-# the path tau(theta) * q.  All lanes of a batch share the dimension d and the
-# 2d monomials, so the phase data stack into (L, 2d, d) arrays.  Every tick
-# evaluates gradients on every running lane, and each lane then takes the next
-# move of exactly the control logic of a single track: predictor, step
-# halving, det-ratio and jump rejection, damped Newton line search.  Lanes
-# never wait for each other inside a Newton solve, so a batch costs about as
-# many ticks as its busiest lane takes Newton steps.
-# ---------------------------------------------------------------------------
-
-# A Newton solve takes at most _NEWTON_STEPS steps; its line search tries
-# t = 1, 1/2, ..., 2^-20 before it gives up.
+# Batched continuation: `_Lanes._newton` solves any set of lanes at fixed
+# exponents, and `_Lanes.track` is the path loop around it.  A solve takes at
+# most _NEWTON_STEPS steps, each capped at 0.5 in sup-norm, and its line
+# search tries t = 1, 1/2, ..., 2^-20 before it gives up.
 _NEWTON_STEPS = 100
 _TRIALS = 21
 _STEPS = 0.5 ** np.arange(_TRIALS)
+_EPS = np.finfo(float).eps
 
 
 def _solve(h: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,14 +141,11 @@ def _solve(h: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.solve(h, rhs[..., None])[..., 0], np.zeros(len(h), dtype=bool)
     except np.linalg.LinAlgError:
-        x = np.zeros_like(rhs)
-        singular = np.zeros(len(h), dtype=bool)
-        for k in range(len(h)):
-            try:
-                x[k] = np.linalg.solve(h[k], rhs[k])
-            except np.linalg.LinAlgError:
-                singular[k] = True
-        return x, singular
+        if len(h) == 1:
+            return np.zeros_like(rhs), np.ones(1, dtype=bool)
+        half = len(h) // 2   # bisect down to the singular lanes
+        parts = _solve(h[:half], rhs[:half]), _solve(h[half:], rhs[half:])
+        return tuple(np.concatenate(pair) for pair in zip(*parts))
 
 
 def _tau(theta: np.ndarray) -> np.ndarray:
@@ -163,9 +154,8 @@ def _tau(theta: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Endpoints:
-    """Per-lane result of `_Lanes.track`: the solution, its gradient norm and
-    log-Hessian, the continued log det of that Hessian, and None or the
-    reason the lane failed."""
+    """Per lane of `_Lanes.track`: the solution, its gradient norm and
+    log-Hessian, that Hessian's continued log det, and None or why it failed."""
 
     s: np.ndarray
     gnorm: np.ndarray
@@ -174,253 +164,130 @@ class _Endpoints:
     errors: List[Optional[str]]
 
 
-class _Running:
-    """State of the running lanes of one track, one row per lane; rows are
-    dropped as lanes finish."""
-
-    def __init__(self, **arrays: np.ndarray):
-        self.__dict__.update(arrays)
-
-    def keep(self, rows: np.ndarray) -> None:
-        for name, value in vars(self).items():
-            setattr(self, name, value[rows])
-
-
 class _Lanes:
-    """The phases of some charts at one (lambda, q), stacked as lanes.
-
-    Along the path ln q becomes ln q + ln tau, which adds ln tau times the
-    q-degree of each monomial to the exponents B ln q of the chart phase."""
+    """The phases of some charts at one (lambda, q), stacked as lanes: they
+    share d and the 2d monomials, so their phase data stack into (L, 2d, d)
+    arrays.  Along the path ln q becomes ln q + ln tau, which adds ln tau
+    times the q-degree of each monomial to the exponents B ln q."""
 
     def __init__(self, charts: Sequence[SigmaChart], lam: Sequence[float],
                  q: Sequence[float]):
         self.charts = list(charts)
-        n = self.charts[0].n
-        self.lam = _check_lambda(lam, n)
-        self.q = _check_q(q, n)
+        self.lam, self.q = _check_lambda(lam, charts[0].n), _check_q(q, charts[0].n)
         self.phases = [phase_in_chart(ch, self.lam) for ch in self.charts]
         self.start = np.stack([ph.start_point() for ph in self.phases])   # (L, d)
-        self.A = np.stack([ph.A for ph in self.phases])                  # (L, 2d, d)
+        A = np.stack([ph.A for ph in self.phases])                       # (L, 2d, d)
+        self.A, self.absA = A.astype(complex), np.abs(A)
+        self.At = np.ascontiguousarray(self.A.transpose(0, 2, 1))
         B = np.stack([ph.B for ph in self.phases])                       # (L, 2d, n)
         self.sigma = np.stack([ph.sigma for ph in self.phases])          # (L, d)
         self.lnq = np.log(np.array(self.q))
-        self.bq = B @ self.lnq
-        self.qdeg = B.sum(axis=2)
+        self.bq, self.qdeg = B @ self.lnq, B.sum(axis=2)
 
-    def track(self, at: Optional[np.ndarray] = None) -> _Endpoints:
-        """Track every lane along tau(theta) * q from the explicit q = 0 start
-        to the target q; or, given one point per lane `at`, enter at theta = 1
-        and run only the final Newton solve at the target q from those points.
+    @np.errstate(all="ignore")
+    def _newton(self, rows: np.ndarray, s: np.ndarray, c: np.ndarray):
+        """Damped Newton on the lanes `rows` at exponent offsets c from s, until
+        each lane converges or fails; per lane s, |grad f|_inf, the monomial
+        values, the Hessian, and None or why it failed.  A lane's first round
+        takes s itself; each later round takes the first of its next steps t,
+        t/2, ... that lowers |grad f| or meets the tolerance of its last point."""
+        count = len(rows)
+        s_end, gnorm_end, why = s.copy(), np.full(count, np.inf), [None] * count
+        vals_end = np.zeros((count, self.A.shape[1]), dtype=complex)
+        # one row per lane still searching; rows drop out as their lanes finish
+        lane, A, At, absA = np.arange(count), self.A[rows], self.At[rows], self.absA[rows]
+        sigma, s, dirn, gnorm = self.sigma[rows], s.copy(), np.zeros_like(s), np.full(count, np.inf)
+        tol, t, it, vals = np.zeros(count), np.ones(count), np.full(count, -1), vals_end.copy()
+        while lane.size:
+            width = min(_TRIALS, max(4, 64 // lane.size))
+            steps = t[:, None] * _STEPS[:width]
+            trial = dirn[:, None, :] * steps[:, :, None] + s[:, None, :]
+            v = np.exp(np.matmul(trial, At) + c[:, None, :])
+            g = np.matmul(v, A) + sigma[:, None, :]
+            norm = np.abs(g).max(axis=2)
+            # NaN compares false, so a non-finite trial point is never taken
+            ok = ((norm < gnorm[:, None]) | (norm <= tol[:, None])) & (steps >= _STEPS[-1])
+            ok[:, 0] |= it < 0
+            pick = ok.argmax(axis=1)
+            acc = ok[np.arange(lane.size), pick]
+            a, pick = acc.nonzero()[0], pick[acc]
+            s[a], gnorm[a], vals[a], ga = trial[a, pick], norm[a, pick], v[a, pick], g[a, pick]
+            s_end[lane[a]], gnorm_end[lane[a]], vals_end[lane[a]] = s[a], gnorm[a], vals[a]
+            it[a] += 1
+            t[~acc] *= 0.5 ** width
+            terms = np.matmul(np.abs(vals[a])[:, None, :], absA[a])[:, 0] + np.abs(sigma[a])
+            tol[a] = np.maximum(NEWTON_TOL, FLOOR_FACTOR * _EPS * terms.max(axis=1))
+            # a lane at a new point converged, failed, or takes a new direction
+            finite = np.isfinite(gnorm)
+            done = acc & (~finite | (gnorm <= tol) | (it >= _NEWTON_STEPS)) | (t < _STEPS[-1])
+            x, singular = _solve(np.matmul(At * vals[:, None, :], A)[a], -ga)
+            size = np.abs(x).max(axis=1)
+            dirn[a] = x * np.where(size > 0.5, 0.5 / size, 1.0)[:, None]
+            t[a], done[a[singular]] = 1.0, True
+            for k in done.nonzero()[0]:
+                why[lane[k]] = ("Newton line search failed" if not acc[k] else
+                                "Newton iterate escaped to non-finite values" if not finite[k] else
+                                f"Newton did not reach tol={tol[k]:.1e}" if it[k] >= _NEWTON_STEPS
+                                else "singular Hessian on the path" if gnorm[k] > tol[k] else None)
+            if done.any():
+                lane, A, At, absA, sigma, c, s, vals, dirn, gnorm, tol, t, it = (x[~done] for x in (
+                    lane, A, At, absA, sigma, c, s, vals, dirn, gnorm, tol, t, it))
+        h = np.matmul(self.At[rows] * vals_end[:, None, :], self.A[rows])
+        return s_end, gnorm_end, vals_end, h, why
 
-        Per lane: Euler predictor, damped Newton (each step backtracking on
-        the gradient norm), step halving on Newton failure
-        and on a jump of det(log-Hessian) or of the solution.  The log of that
-        determinant is continued along the path, so square roots stay on the
-        branch that is positive at a positive q = 0 limit; a solve from `at`
-        has no path, and its log det is only the log of the determinant.
-        """
-        start = self.start if at is None else np.asarray(at, dtype=complex)
-        count, dim = self.A.shape[0], self.A.shape[2]
-        ends = _Endpoints(np.zeros((count, dim), dtype=complex), np.full(count, np.inf),
-                          np.zeros((count, dim, dim), dtype=complex),
-                          np.zeros(count, dtype=complex), [None] * count)
-        A = self.A.astype(complex)
-        det0 = np.linalg.det(np.stack([np.diag(-x.astype(complex)) for x in self.sigma]))
-        run = _Running(
-            lane=np.arange(count), A=A, At=np.ascontiguousarray(A.transpose(0, 2, 1)),
-            absA=np.abs(self.A), abs_sigma=np.abs(self.sigma),
-            bq=self.bq, qdeg=self.qdeg, sigma=self.sigma,
-            # path: accepted point, its theta, next step, det tracking, predictor
-            path=start, theta=np.full(count, float(at is not None)),
-            step=np.full(count, FIRST_STEP),
-            prev_det=det0, log_det=np.log(det0), final=np.zeros(count, dtype=bool),
-            pred=np.zeros((count, dim), dtype=complex), pred_norm=np.full(count, np.inf),
-            # Newton solve at theta_next: start point y, iterate s, direction
-            # dirn, the next line-search step t and the tolerance at s
-            th_next=np.zeros(count), c=np.zeros(self.bq.shape, dtype=complex),
-            y=start.copy(), s=start.copy(), gnorm=np.full(count, np.inf),
-            dirn=np.zeros((count, dim), dtype=complex), t=np.ones(count),
-            tol=np.full(count, NEWTON_TOL),
-            it=np.zeros(count, dtype=int), fresh=np.zeros(count, dtype=bool))
-        if at is None:
-            self._attempt(run, np.ones(count, dtype=bool))
-        else:
-            self._polish(run, np.ones(count, dtype=bool))
-        with np.errstate(all="ignore"):
-            while run.lane.size:
-                finished = self._tick(run, ends)
-                if finished is not None and finished.any():
-                    run.keep(~finished)
-        return ends
-
-    @staticmethod
-    def _attempt(run: _Running, rows: np.ndarray) -> None:
-        """Start a Newton solve at theta + step from the predicted point."""
-        theta = run.theta[rows]
-        th_next = np.minimum(1.0, theta + run.step[rows])
-        dtheta = th_next - theta
-        use = run.pred_norm[rows] * dtheta <= 1.0
-        path = run.path[rows]
-        run.y[rows] = np.where(use[:, None], path + dtheta[:, None] * run.pred[rows], path)
-        run.th_next[rows] = th_next
-        run.c[rows] = run.bq[rows] + np.log(_tau(th_next))[:, None] * run.qdeg[rows]
-        run.fresh[rows] = True
-        run.it[rows] = -1   # taking the start point counts as step 0
-
-    @staticmethod
-    def _polish(run: _Running, rows: np.ndarray) -> None:
-        """Start the final Newton solve at the target q itself, from the
-        lane's path point."""
-        run.final[rows] = True
-        run.c[rows] = run.bq[rows]
-        run.y[rows] = run.path[rows]
-        run.fresh[rows] = True
-        run.it[rows] = -1
-
-    def _tick(self, run: _Running, ends: _Endpoints) -> Optional[np.ndarray]:
-        """One round of gradient evaluations on every running lane and the
-        move that follows; returns the rows whose lanes finished, or None.
-
-        A fresh Newton start evaluates its start point.  A lane in a line
-        search evaluates a window of its next trial steps t, t/2, t/4, ... at
-        once and moves to the first one that lowers the gradient norm: the
-        point a one-by-one backtracking search would accept.  The Newton
-        tolerance is the one taken at the lane's last accepted point."""
-        count = run.lane.size
-        width = min(_TRIALS, max(4, 64 // count))
-        fresh = run.fresh
-        any_fresh = fresh.any()
-        t = run.t[:, None] * _STEPS[:width]
-        trial = run.dirn[:, None, :] * t[:, :, None]
-        trial += run.s[:, None, :]
-        if any_fresh:
-            trial[fresh, 0] = run.y[fresh]
-        z = np.matmul(trial, run.At)
-        z += run.c[:, None, :]
-        vals = np.exp(z, out=z)
-        g = np.matmul(vals, run.A)
-        g += run.sigma[:, None, :]
-        norm = np.abs(g).max(axis=2)
-        # NaN compares false, so a non-finite trial point is never taken
-        ok = norm < run.gnorm[:, None]
-        ok |= norm <= run.tol[:, None]
-        ok &= t >= _STEPS[-1]
-        if any_fresh:
-            ok[fresh] = _STEPS[:width] == 1.0
-        rows = np.arange(count)
-        pick = ok.argmax(axis=1)
-        acc = ok[rows, pick]
-        vals, g, norm = vals[rows, pick], g[rows, pick], norm[rows, pick]
-        np.copyto(run.s, trial[rows, pick], where=acc[:, None])
-        np.copyto(run.gnorm, norm, where=acc)
-        terms = np.matmul(np.abs(vals)[:, None, :], run.absA)[:, 0] + run.abs_sigma
-        floor = FLOOR_FACTOR * np.finfo(float).eps * terms.max(axis=1)
-        np.copyto(run.tol, np.maximum(NEWTON_TOL, floor), where=acc)
-        run.it += acc
-        if any_fresh:
-            run.fresh = np.zeros(count, dtype=bool)
-        # no step in the window lowered the norm: move the window on
-        miss = ~acc
-        np.multiply(run.t, 0.5 ** width, out=run.t, where=miss)
-        stalled = miss & (run.t < _STEPS[-1])
-        bad = (run.it >= _NEWTON_STEPS) | (acc & ~np.isfinite(norm))
-        conv = acc & (norm <= run.tol) & ~bad
-        more = acc & ~conv & ~bad
-
-        # one stacked solve: next Newton directions, and the Euler predictor
-        # ds/dtheta = -H^{-1} d(grad f)/dtheta at every converged path point
-        h = np.matmul(run.At * vals[:, None, :], run.A)
-        newton = more.nonzero()[0]
-        conv_path = (conv & ~run.final).nonzero()[0]
-        singular = None
-        if conv_path.size:
-            theta = run.th_next[conv_path]
-            dtau = 1.0 + 1j * PATH_LIFT * np.pi * np.cos(np.pi * theta)
-            dg = np.matmul((vals[conv_path] * run.qdeg[conv_path])[:, None, :],
-                           run.A[conv_path])[:, 0] * (dtau / _tau(theta))[:, None]
-            x, sing = _solve(h[np.concatenate((newton, conv_path))],
-                             -np.concatenate((g[newton], dg)))
-            dirn, ds, singular = x[:newton.size], x[newton.size:], sing[:newton.size]
-            ds_ok = ~sing[newton.size:] & np.isfinite(ds).all(axis=1)
-        elif newton.size:
-            dirn, singular = _solve(h[newton], -g[newton])
-        if newton.size:
-            size = np.abs(dirn).max(axis=1)
-            run.dirn[newton] = dirn * np.where(size > 0.5, 0.5 / size, 1.0)[:, None]
-            run.t[newton] = 1.0
-            if singular.any():
-                bad[newton[singular]] = True
-
-        if not (conv.any() or bad.any() or stalled.any()):
-            return None
-        finished = np.zeros(count, dtype=bool)
-        restart = np.zeros(count, dtype=bool)
-
-        # Newton failures: halve the path step, or give up at the target
-        for r in (bad | stalled).nonzero()[0]:
-            kseq = self.charts[run.lane[r]].kseq
-            if run.final[r]:
-                if stalled[r]:
-                    why = "Newton line search failed"
-                elif not np.isfinite(norm[r]):
-                    why = "Newton iterate escaped to non-finite values"
-                elif run.it[r] >= _NEWTON_STEPS:
-                    why = f"Newton did not reach tol={run.tol[r]:.1e}"
-                else:
-                    why = "singular Hessian on the path"
-                ends.errors[run.lane[r]] = f"{why} at the target q for chart {kseq}"
-                finished[r] = True
-                continue
-            run.step[r] /= 2
-            if run.step[r] < 1e-13:
-                ends.errors[run.lane[r]] = (f"step halving exhausted at theta={run.theta[r]} "
-                                            f"for chart {kseq}")
-                finished[r] = True
-            else:
-                restart[r] = True
-
-        # converged at the target q: the lane is done
-        done = (conv & run.final).nonzero()[0]
-        if done.size:
-            lane = run.lane[done]
-            ends.s[lane], ends.gnorm[lane], ends.h[lane] = run.s[done], run.gnorm[done], h[done]
-            ends.log_det[lane] = run.log_det[done] + np.log(np.linalg.det(h[done])
-                                                            / run.prev_det[done])
-            finished[done] = True
-
-        if conv_path.size:
-            # converged on the path: accept theta_next unless det(H) or s jumped
-            rows = conv_path
-            det = np.linalg.det(h[rows])
-            for r, at in zip(rows[det == 0], run.th_next[rows[det == 0]]):
-                kseq = self.charts[run.lane[r]].kseq
-                ends.errors[run.lane[r]] = (f"Hessian singular at theta={at} (caustic) "
-                                            f"for chart {kseq}")
-                finished[r] = True
-            ratio = det / run.prev_det[rows]
-            jump = np.abs(run.s[rows] - run.path[rows]).max(axis=1)
-            reject = ((np.abs(np.log(ratio)) > DET_JUMP_BOUND) | (jump > JUMP_BOUND))
-            reject &= run.step[rows] > 1e-11
-            reject &= det != 0
-            run.step[rows[reject]] /= 2
-            restart[rows[reject]] = True
-            take = ~reject & (det != 0)
-            rows, ds, ds_ok = rows[take], ds[take], ds_ok[take]
-            run.log_det[rows] += np.log(ratio[take])
-            run.prev_det[rows] = det[take]
-            run.path[rows] = run.s[rows]
-            run.theta[rows] = run.th_next[rows]
-            inner = run.theta[rows] < 1.0
-            grow = rows[inner]
-            run.step[grow] = np.minimum(run.step[grow] * 1.5, 1.0 - run.theta[grow])
-            run.pred[grow] = np.where(ds_ok[inner, None], ds[inner], 0.0)
-            run.pred_norm[grow] = np.where(ds_ok[inner], np.abs(ds[inner]).max(axis=1), np.inf)
-            restart[grow] = True
-            # theta = 1: polish at the target q itself, from the point reached
-            self._polish(run, rows[~inner])
-        if restart.any():
-            self._attempt(run, restart)
-        return finished
+    @np.errstate(all="ignore")
+    def track(self) -> _Endpoints:
+        """Track every lane along tau(theta) * q from q = 0, then solve once at
+        q itself: each round moves every unfinished lane by its Euler predictor
+        in one `_newton` call, and halves a step that fails or jumps in s or in
+        log det H.  That log starts at log prod(-sigma) with imaginary part 0
+        or pi, so its square root starts at +sqrt or +i sqrt|prod(-sigma)|."""
+        count, dim = self.start.shape
+        path, theta, step = self.start.copy(), np.zeros(count), np.full(count, FIRST_STEP)
+        det = np.prod(-self.sigma, axis=1).astype(complex)
+        log_det, gnorm, errors = np.log(det), np.full(count, np.inf), [None] * count
+        pred, h = np.full_like(path, np.nan), np.zeros((count, dim, dim), complex)
+        live = np.arange(count)
+        while live.size:
+            # a step on along the path; at theta = 1, the target q itself
+            final = theta[live] >= 1.0
+            th = np.minimum(1.0, theta[live] + step[live])
+            dth = th - theta[live]
+            use = (np.abs(pred[live]).max(axis=1) * dth <= 1.0)[:, None]  # NaN: no predictor
+            y = np.where(use, path[live] + dth[:, None] * pred[live], path[live])
+            ln_tau = np.where(final, 0.0, np.log(_tau(th)))
+            s, gn, vals, hs, why = self._newton(
+                live, y, self.bq[live] + ln_tau[:, None] * self.qdeg[live])
+            new_det = np.linalg.det(hs)
+            log_ratio = np.log(new_det / det[live])
+            failed = np.array([w is not None for w in why])
+            caustic = ~failed & ~final & (new_det == 0)
+            # on the path, a jump of det(H) or of s rejects the step
+            reject = (np.abs(log_ratio) > DET_JUMP_BOUND) | (
+                np.abs(s - path[live]).max(axis=1) > JUMP_BOUND)
+            reject &= ~failed & ~final & ~caustic & (step[live] > 1e-11)
+            step[live[(failed & ~final) | reject]] /= 2
+            out = (failed & (final | (step[live] < 1e-13))) | caustic
+            for r in out.nonzero()[0]:
+                errors[live[r]] = (f"{why[r]} at the target q" if final[r] else
+                                   f"Hessian singular at theta={th[r]} (caustic)" if caustic[r]
+                                   else f"step halving exhausted at theta={theta[live[r]]}"
+                                   ) + f" for chart {self.charts[live[r]].kseq}"
+            take = ~failed & ~caustic & ~reject
+            k = live[take]
+            det[k], path[k], theta[k], gnorm[k], h[k], log_det[k] = (
+                new_det[take], s[take], th[take], gn[take], hs[take], log_det[k] + log_ratio[take])
+            # ds/dtheta = -H^{-1} d(grad f)/dtheta predicts the next point
+            inner = take & (th < 1.0)
+            k, at = live[inner], th[inner]
+            step[k] = np.minimum(step[k] * 1.5, 1.0 - at)
+            dtau = 1.0 + 1j * PATH_LIFT * np.pi * np.cos(np.pi * at)
+            dg = np.matmul((vals[inner] * self.qdeg[k])[:, None, :],
+                           self.A[k])[:, 0] * (dtau / _tau(at))[:, None]
+            ds, singular = _solve(hs[inner], -dg)
+            pred[k] = np.where(singular[:, None], np.nan, ds)
+            live = live[~(final | out)]
+        return _Endpoints(path, gnorm, h, log_det, errors)
 
     def critical_values(self, s: np.ndarray) -> np.ndarray:
         """u_sigma = f(s) + rho . ln q per lane."""
@@ -463,8 +330,8 @@ def continue_to(chart: SigmaChart, lam: Sequence[float],
     one lane on the path of `all_critical_points`.
 
     The square root of the log-Hessian determinant is continued along the
-    same path, with the positive root at the real q = 0 limit when that
-    determinant is positive and the principal root otherwise.
+    same path from its q = 0 value prod(-sigma): the positive root when that
+    product is positive, and +i times the root of its modulus when negative.
     """
     lanes = _Lanes([chart], lam, q_target)
     ends = lanes.track()
@@ -614,12 +481,14 @@ def scaling_residual(records: Sequence[CriticalPointRecord], c: float) -> float:
     base = records[0]
     lanes = _Lanes([r.chart for r in records], [c * x for x in base.lam],
                    [c * c * x for x in base.q])
-    ends = lanes.track(np.stack([r.s for r in records]) + math.log(c))
-    for r, error in zip(records, ends.errors):
+    s, _, _, _, why = lanes._newton(np.arange(len(records)),
+                                    np.stack([r.s for r in records]) + math.log(c),
+                                    lanes.bq.astype(complex))
+    for r, error in zip(records, why):
         if error is not None:
-            raise ContinuationError(
-                f"scaling check failed for chart {r.chart.kseq}: {error}", r.chart.kseq)
-    scaled = lanes.critical_values(ends.s)
+            raise ContinuationError(f"scaling check failed for chart {r.chart.kseq}: "
+                                    f"{error} at the target q", r.chart.kseq)
+    scaled = lanes.critical_values(s)
     expect = c * np.array([r.u_sigma for r in records])
     return float(np.max(np.abs(scaled - expect) / np.maximum(1.0, np.abs(expect))))
 

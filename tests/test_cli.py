@@ -189,19 +189,24 @@ def test_scaling_failure_is_a_report(monkeypatch, capsys):
 
 
 def test_scaling_solver_failure_is_a_report(monkeypatch, capsys):
-    # the scaled solve enters at theta = 1 from given points; a non-finite
-    # start for chart (0, 1) fails its Newton solve in the lane kernel itself
+    # the scaled solve is one Newton solve from given points; once the census
+    # is in, a non-finite start for chart (0, 1) fails that solve in the lane
+    # kernel itself
     import numpy as np
     from todamirror import critical as cr
-    track = cr._Lanes.track
+    census, newton = cr.census, cr._Lanes._newton
 
-    def nan_start(self, at=None):
-        if at is not None:
-            at = at.copy()
-            at[1] = np.nan
-        return track(self, at)
+    def nan_start(self, rows, s, c):
+        s = s.copy()
+        s[1] = np.nan
+        return newton(self, rows, s, c)
 
-    monkeypatch.setattr(cr._Lanes, "track", nan_start)
+    def census_then_nan_starts(*args):
+        result = census(*args)
+        monkeypatch.setattr(cr._Lanes, "_newton", nan_start)
+        return result
+
+    monkeypatch.setattr(cr, "census", census_then_nan_starts)
     assert run_cli(["critical", "--n", "2"]) == 1
     failure = json.loads(capsys.readouterr().out)["results"][0]["failure"]
     assert failure["stage"] == "quasi_homogeneity" and failure["chart"] == [0, 1]

@@ -158,20 +158,21 @@ def test_scaling_check_sees_a_sigma_not_linear_in_lambda(n, lam, q, monkeypatch)
 
     monkeypatch.setattr(cr, "phase_in_chart", mutated)
     records = cr.all_critical_points(n, lam, q)
-    solves, track = [], cr._Lanes.track
+    solves, newton = [], cr._Lanes._newton
 
-    def recording(self, at=None):
-        ends = track(self, at)
-        solves.append((self, at, ends.s))
-        return ends
+    def recording(self, rows, s, c):
+        out = newton(self, rows, s, c)
+        solves.append((self, s, out[0]))
+        return out
 
-    monkeypatch.setattr(cr._Lanes, "track", recording)
+    monkeypatch.setattr(cr._Lanes, "_newton", recording)
     for c in (2.0, 1.0 / 3.0):
+        solves.clear()
         assert cr.scaling_residual(records, c) > 1e-8
-        # Newton left s + ln c for the point a track from q = 0 reaches
-        lanes, start, solved = solves[-1]
+        # one Newton solve left s + ln c for the point a track from q = 0 reaches
+        [(lanes, start, solved)] = solves
         assert np.max(np.abs(solved - start)) > 1e-8
-        assert np.max(np.abs(solved - track(lanes).s)) < 1e-10
+        assert np.max(np.abs(solved - lanes.track().s)) < 1e-10
 
 
 def test_batched_lanes_match_single_tracks():
@@ -187,6 +188,31 @@ def test_batched_lanes_match_single_tracks():
         assert abs(rec.u_sigma - single.u_sigma) < 1e-10
         assert np.max(np.abs(rec.s - single.s)) < 1e-10
         assert abs(rec.sqrt_log_hessian_det - single.sqrt_log_hessian_det) < 1e-10
+
+
+def fractions(text):
+    return [float(Fraction(x)) for x in text.split(",")]
+
+
+@pytest.mark.parametrize("lam", ["4/15,3/16,-2/5,-13/240", "3/5,-5/11,-2/5,14/55"])
+def test_sqrt_hessian_det_starts_on_the_stated_branch(lam):
+    # at q -> 0 the log-Hessian is diag(-sigma): its continued square root is
+    # +sqrt(prod(-sigma)), or +i sqrt|prod(-sigma)| when the product is negative
+    for rec in cr.all_critical_points(3, fractions(lam), (1e-9,) * 3):
+        prod = np.prod(-mi.phase_in_chart(rec.chart, fractions(lam)).sigma)
+        want = math.sqrt(prod) if prod > 0 else 1j * math.sqrt(-prod)
+        assert abs(rec.sqrt_log_hessian_det - want) < 1e-5 * abs(want), rec.chart.kseq
+
+
+@pytest.mark.parametrize("lam, q, kseq, root", [
+    ("4/15,3/16,-2/5,-13/240", "1/4,1/8,15/16", (1, 0, 1), 0.9413 + 0.4199j),
+    ("3/5,-5/11,-2/5,14/55", "3/16,1/8,3/4", (1, 2, 1), 0.5558j),
+])
+def test_sqrt_hessian_det_on_a_negative_start(lam, q, kseq, root):
+    # prod(-sigma) < 0 for these charts; a continuation of log det in 20,000
+    # equal steps of theta along the census path reaches the same root
+    rec = cr.continue_to(chart(3, kseq), fractions(lam), fractions(q))
+    assert abs(rec.sqrt_log_hessian_det - root) < 1e-4
 
 
 def default_draw(n, seed):
