@@ -266,6 +266,7 @@ def run_critical(cfg: RunConfig):
                     "degenerate_charts": degenerate, "failed": failed})
     results.append({"check": "quasi_homogeneity", "residual": scaling})
     results.append({"check": "uv_identity", "pass": uv})
+    results.append({"check": "continuation", **census.continuation})
     residuals = [census.max_spectral_residual, scaling]
     return results, residuals, not failed, []
 

@@ -127,10 +127,21 @@ def _check_q(q: Sequence[float], n: int) -> Tuple[float, ...]:
 
 
 # Batched continuation: `_Lanes._newton` solves any set of lanes at fixed
-# exponents, and `_Lanes.track` is the path loop around it.  A solve takes at
-# most _NEWTON_STEPS steps, each capped at 0.5 in sup-norm, and its line
-# search tries t = 1, 1/2, ..., 2^-20 before it gives up.
+# exponents, and `_Lanes.track` is the path loop around it.  Each Newton step
+# is capped at 0.5 in sup-norm, and its line search tries t = 1, 1/2, ...,
+# 2^-20 before it gives up.  A lane's solve fails when its step count reaches
+# its limit: _NEWTON_STEPS for the solve at the target q and the scaling
+# re-solve, _PATH_NEWTON_STEPS for the corrector of a path step, where failing
+# only halves the step.  Every lane of a round waits for its slowest solve.
+# Measured with the limit 100 on every solve, over the draws of n = 3 seeds
+# 0-39, n = 4 seeds 0-9 and the census benchmark: accepted correctors took a
+# median of 4 steps and 7 at the 99th percentile; 97 of 39,468 took more than
+# 12 (at most 93), while 1,362 failing correctors ran all 100.  With the cap
+# at 12 the path rounds of those draws grow by 8% (3,355 to 3,607) and the
+# batched Newton steps halve (56,979 to 28,169); 16 gives 3,375 and 28,129,
+# 10 gives 6,026 and 45,385, and 8 gives 10,120 rounds.
 _NEWTON_STEPS = 100
+_PATH_NEWTON_STEPS = 12
 _TRIALS = 21
 _STEPS = 0.5 ** np.arange(_TRIALS)
 _EPS = np.finfo(float).eps
@@ -155,13 +166,18 @@ def _tau(theta: np.ndarray) -> np.ndarray:
 @dataclass
 class _Endpoints:
     """Per lane of `_Lanes.track`: the solution, its gradient norm and
-    log-Hessian, that Hessian's continued log det, and None or why it failed."""
+    log-Hessian, that Hessian's continued log det, and None or why it failed;
+    for the whole batch, its path rounds, batched Newton steps and step
+    halvings."""
 
     s: np.ndarray
     gnorm: np.ndarray
     h: np.ndarray
     log_det: np.ndarray
     errors: List[Optional[str]]
+    rounds: int
+    solves: int
+    halvings: int
 
 
 class _Lanes:
@@ -183,15 +199,17 @@ class _Lanes:
         self.sigma = np.stack([ph.sigma for ph in self.phases])          # (L, d)
         self.lnq = np.log(np.array(self.q))
         self.bq, self.qdeg = B @ self.lnq, B.sum(axis=2)
+        self.solves = 0   # batched Newton steps `_newton` has taken
 
     @np.errstate(all="ignore")
-    def _newton(self, rows: np.ndarray, s: np.ndarray, c: np.ndarray):
+    def _newton(self, rows: np.ndarray, s: np.ndarray, c: np.ndarray, limit):
         """Damped Newton on the lanes `rows` at exponent offsets c from s, until
-        each lane converges or fails; per lane s, |grad f|_inf, the monomial
-        values, the Hessian, and None or why it failed.  A lane's first round
-        takes s itself; each later round takes the first of its next steps t,
-        t/2, ... that lowers |grad f| or meets the tolerance of its last point."""
-        count = len(rows)
+        each lane converges or fails, a lane failing after `limit` (per lane)
+        steps; per lane s, |grad f|_inf, the monomial values, the Hessian, and
+        None or why it failed.  A lane's first round takes s itself; each later
+        round takes the first of its next steps t, t/2, ... that lowers
+        |grad f| or meets the tolerance of its last point."""
+        count, limit = len(rows), np.full(len(rows), limit)
         s_end, gnorm_end, why = s.copy(), np.full(count, np.inf), [None] * count
         vals_end = np.zeros((count, self.A.shape[1]), dtype=complex)
         # one row per lane still searching; rows drop out as their lanes finish
@@ -199,6 +217,7 @@ class _Lanes:
         sigma, s, dirn, gnorm = self.sigma[rows], s.copy(), np.zeros_like(s), np.full(count, np.inf)
         tol, t, it, vals = np.zeros(count), np.ones(count), np.full(count, -1), vals_end.copy()
         while lane.size:
+            self.solves += 1
             width = min(_TRIALS, max(4, 64 // lane.size))
             steps = t[:, None] * _STEPS[:width]
             trial = dirn[:, None, :] * steps[:, :, None] + s[:, None, :]
@@ -219,7 +238,7 @@ class _Lanes:
             tol[a] = np.maximum(NEWTON_TOL, FLOOR_FACTOR * _EPS * terms.max(axis=1))
             # a lane at a new point converged, failed, or takes a new direction
             finite = np.isfinite(gnorm)
-            done = acc & (~finite | (gnorm <= tol) | (it >= _NEWTON_STEPS)) | (t < _STEPS[-1])
+            done = acc & (~finite | (gnorm <= tol) | (it >= limit)) | (t < _STEPS[-1])
             x, singular = _solve(np.matmul(At * vals[:, None, :], A)[a], -ga)
             size = np.abs(x).max(axis=1)
             dirn[a] = x * np.where(size > 0.5, 0.5 / size, 1.0)[:, None]
@@ -227,11 +246,12 @@ class _Lanes:
             for k in done.nonzero()[0]:
                 why[lane[k]] = ("Newton line search failed" if not acc[k] else
                                 "Newton iterate escaped to non-finite values" if not finite[k] else
-                                f"Newton did not reach tol={tol[k]:.1e}" if it[k] >= _NEWTON_STEPS
+                                f"Newton did not reach tol={tol[k]:.1e}" if it[k] >= limit[k]
                                 else "singular Hessian on the path" if gnorm[k] > tol[k] else None)
             if done.any():
-                lane, A, At, absA, sigma, c, s, vals, dirn, gnorm, tol, t, it = (x[~done] for x in (
-                    lane, A, At, absA, sigma, c, s, vals, dirn, gnorm, tol, t, it))
+                lane, A, At, absA, sigma, c, s, vals, dirn, gnorm, tol, t, it, limit = (
+                    x[~done] for x in (lane, A, At, absA, sigma, c, s, vals, dirn, gnorm,
+                                       tol, t, it, limit))
         h = np.matmul(self.At[rows] * vals_end[:, None, :], self.A[rows])
         return s_end, gnorm_end, vals_end, h, why
 
@@ -241,14 +261,20 @@ class _Lanes:
         q itself: each round moves every unfinished lane by its Euler predictor
         in one `_newton` call, and halves a step that fails or jumps in s or in
         log det H.  That log starts at log prod(-sigma) with imaginary part 0
-        or pi, so its square root starts at +sqrt or +i sqrt|prod(-sigma)|."""
+        or pi, so its square root starts at +sqrt or +i sqrt|prod(-sigma)|.
+        A path step's corrector fails after _PATH_NEWTON_STEPS Newton steps
+        (12; accepted correctors take a median of 4 and 7 at the 99th
+        percentile), so a slow corrector costs its lane a halved step instead
+        of holding the round for _NEWTON_STEPS; the solve at q keeps
+        _NEWTON_STEPS."""
         count, dim = self.start.shape
         path, theta, step = self.start.copy(), np.zeros(count), np.full(count, FIRST_STEP)
         det = np.prod(-self.sigma, axis=1).astype(complex)
         log_det, gnorm, errors = np.log(det), np.full(count, np.inf), [None] * count
         pred, h = np.full_like(path, np.nan), np.zeros((count, dim, dim), complex)
-        live = np.arange(count)
+        live, rounds, halvings, solves = np.arange(count), 0, 0, self.solves
         while live.size:
+            rounds += 1
             # a step on along the path; at theta = 1, the target q itself
             final = theta[live] >= 1.0
             th = np.minimum(1.0, theta[live] + step[live])
@@ -257,7 +283,8 @@ class _Lanes:
             y = np.where(use, path[live] + dth[:, None] * pred[live], path[live])
             ln_tau = np.where(final, 0.0, np.log(_tau(th)))
             s, gn, vals, hs, why = self._newton(
-                live, y, self.bq[live] + ln_tau[:, None] * self.qdeg[live])
+                live, y, self.bq[live] + ln_tau[:, None] * self.qdeg[live],
+                np.where(final, _NEWTON_STEPS, _PATH_NEWTON_STEPS))
             new_det = np.linalg.det(hs)
             log_ratio = np.log(new_det / det[live])
             failed = np.array([w is not None for w in why])
@@ -266,7 +293,9 @@ class _Lanes:
             reject = (np.abs(log_ratio) > DET_JUMP_BOUND) | (
                 np.abs(s - path[live]).max(axis=1) > JUMP_BOUND)
             reject &= ~failed & ~final & ~caustic & (step[live] > 1e-11)
-            step[live[(failed & ~final) | reject]] /= 2
+            halve = (failed & ~final) | reject
+            step[live[halve]] /= 2
+            halvings += int(halve.sum())
             out = (failed & (final | (step[live] < 1e-13))) | caustic
             for r in out.nonzero()[0]:
                 errors[live[r]] = (f"{why[r]} at the target q" if final[r] else
@@ -287,7 +316,7 @@ class _Lanes:
             ds, singular = _solve(hs[inner], -dg)
             pred[k] = np.where(singular[:, None], np.nan, ds)
             live = live[~(final | out)]
-        return _Endpoints(path, gnorm, h, log_det, errors)
+        return _Endpoints(path, gnorm, h, log_det, errors, rounds, self.solves - solves, halvings)
 
     def critical_values(self, s: np.ndarray) -> np.ndarray:
         """u_sigma = f(s) + rho . ln q per lane."""
@@ -369,9 +398,10 @@ def all_critical_points(n: int, lam: Sequence[float],
 
 
 def _distinct_critical_points(n: int, lam: Sequence[float], q: Sequence[float]
-                              ) -> Tuple[List[CriticalPointRecord], float]:
+                              ) -> Tuple[List[CriticalPointRecord], float, _Endpoints]:
     """`all_critical_points` with the least sup-distance of its records,
-    which the collision check has already computed."""
+    which the collision check has already computed, and the track's
+    endpoints."""
     graph = MirrorGraph(n)
     kseqs = all_k_sequences(n)
     lanes = _Lanes([make_chart(graph, k) for k in kseqs], lam, q)
@@ -388,7 +418,7 @@ def _distinct_critical_points(n: int, lam: Sequence[float], q: Sequence[float]
         pairs = ", ".join(f"{kseqs[a]} and {kseqs[b]}" for a, b in close.tolist())
         raise CriticalPointError(f"charts land on one point (a sheet jump): {pairs}",
                                  kseqs[close[0][0]])
-    return records, float(np.min(dist, initial=math.inf))
+    return records, float(np.min(dist, initial=math.inf)), ends
 
 
 @dataclass
@@ -399,6 +429,7 @@ class CensusResult:
     points: List[LagrangianPoint]      # to_lagrangian of each record
     min_pairwise_distance: float
     max_spectral_residual: float
+    continuation: Dict[str, int]       # path rounds, batched Newton steps, halvings
 
 
 def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
@@ -407,13 +438,15 @@ def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
     The spectral identity and the Toda relations are one identity, read in
     edge and in (p, q) coordinates, so one maximum over those points is the
     residual of both."""
-    records, min_distance = _distinct_critical_points(n, lam, q)
+    records, min_distance, ends = _distinct_critical_points(n, lam, q)
     points = [to_lagrangian(r) for r in records]
     return CensusResult(
         records=records,
         points=points,
         min_pairwise_distance=min_distance,
         max_spectral_residual=max(pt.max_residual for pt in points),
+        continuation={"rounds": ends.rounds, "solves": ends.solves,
+                      "halvings": ends.halvings},
     )
 
 
@@ -483,7 +516,7 @@ def scaling_residual(records: Sequence[CriticalPointRecord], c: float) -> float:
                    [c * c * x for x in base.q])
     s, _, _, _, why = lanes._newton(np.arange(len(records)),
                                     np.stack([r.s for r in records]) + math.log(c),
-                                    lanes.bq.astype(complex))
+                                    lanes.bq.astype(complex), _NEWTON_STEPS)
     for r, error in zip(records, why):
         if error is not None:
             raise ContinuationError(f"scaling check failed for chart {r.chart.kseq}: "

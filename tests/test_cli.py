@@ -196,10 +196,10 @@ def test_scaling_solver_failure_is_a_report(monkeypatch, capsys):
     from todamirror import critical as cr
     census, newton = cr.census, cr._Lanes._newton
 
-    def nan_start(self, rows, s, c):
+    def nan_start(self, rows, s, c, *rest):
         s = s.copy()
         s[1] = np.nan
-        return newton(self, rows, s, c)
+        return newton(self, rows, s, c, *rest)
 
     def census_then_nan_starts(*args):
         result = census(*args)
@@ -237,6 +237,19 @@ def test_determinism_same_seed(capsys):
     b = json.loads(capsys.readouterr().out)
     a["runtime_ms"] = b["runtime_ms"] = 0
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_continuation_counters_repeat():
+    # path rounds, batched Newton steps and step halvings of one seed's census
+    def counters():
+        doc = cli.run(cli.RunConfig(task="critical", n=3, seed=2)).to_dict()
+        [row] = [r for r in doc["results"] if r.get("check") == "continuation"]
+        return row
+
+    first = counters()
+    assert set(first) == {"check", "rounds", "solves", "halvings"}
+    assert 0 < first["rounds"] <= first["solves"] and first["halvings"] > 0
+    assert counters() == first
 
 
 def test_report_is_one_line_of_json(monkeypatch, capsys):

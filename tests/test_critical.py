@@ -2,8 +2,10 @@
 
 import cmath
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,8 +162,8 @@ def test_scaling_check_sees_a_sigma_not_linear_in_lambda(n, lam, q, monkeypatch)
     records = cr.all_critical_points(n, lam, q)
     solves, newton = [], cr._Lanes._newton
 
-    def recording(self, rows, s, c):
-        out = newton(self, rows, s, c)
+    def recording(self, rows, s, c, *rest):
+        out = newton(self, rows, s, c, *rest)
         solves.append((self, s, out[0]))
         return out
 
@@ -219,6 +221,53 @@ def default_draw(n, seed):
     """The CLI's default (lambda, q) of a critical run for a seed, as floats."""
     cfg = cli.resolve_defaults(cli.RunConfig("critical", n=n, seed=seed))
     return [float(x) for x in cfg.lam], [float(x) for x in cfg.q]
+
+
+def test_path_correctors_are_capped_and_the_solve_at_q_is_not(monkeypatch):
+    # a path step's corrector gets _PATH_NEWTON_STEPS steps; the solve at the
+    # target q and the scaling re-solve get _NEWTON_STEPS.  On this draw some
+    # correctors run into the cap, and their halved steps still arrive.
+    calls, newton = [], cr._Lanes._newton
+
+    def recording(self, rows, s, c, limit):
+        out = newton(self, rows, s, c, limit)
+        calls.append((rows.copy(), np.broadcast_to(limit, len(rows)).copy(), out[4]))
+        return out
+
+    monkeypatch.setattr(cr._Lanes, "_newton", recording)
+    n, (lam, q) = 3, default_draw(3, 2)
+    lanes = cr._Lanes([chart(n, k) for k in mi.all_k_sequences(n)], lam, q)
+    ends = lanes.track()
+    assert ends.errors == [None] * len(lanes.charts)
+    assert ends.rounds == len(calls) and ends.solves == lanes.solves
+    for lane in range(len(lanes.charts)):
+        limits = [int(lim[rows == lane][0]) for rows, lim, _ in calls if lane in rows]
+        assert limits[:-1] == [cr._PATH_NEWTON_STEPS] * (len(limits) - 1)
+        assert limits[-1] == cr._NEWTON_STEPS
+    capped = [why for _, lim, whys in calls for cap, why in zip(lim, whys)
+              if cap == cr._PATH_NEWTON_STEPS and why and why.startswith("Newton did not reach")]
+    assert capped and ends.halvings >= len(capped)
+    calls.clear()
+    cr.scaling_residual(lanes.records(ends), 2.0)
+    [(_, limits, _)] = calls
+    assert np.all(limits == cr._NEWTON_STEPS)
+
+
+# u_sigma labels a critical point by the chart whose lane reaches it, so the
+# labels depend on the path and on the step control that follows it.  The
+# values were computed with every Newton solve allowed 100 steps.
+CENSUS_LABELS = json.loads((Path(__file__).parent / "data" / "census_labels.json").read_text())
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (3, 2), (4, 0)],
+                         ids=["n3-seed0", "n3-seed1", "n3-seed2", "n4-seed0"])
+def test_census_labels_are_pinned(n, seed):
+    labels = CENSUS_LABELS[f"n{n}-seed{seed}"]
+    records = cr.all_critical_points(n, *default_draw(n, seed))
+    assert sorted(labels) == sorted(",".join(map(str, r.chart.kseq)) for r in records)
+    for r in records:
+        expect = complex(*labels[",".join(map(str, r.chart.kseq))])
+        assert abs(r.u_sigma - expect) <= 1e-9 * abs(expect), r.chart.kseq
 
 
 # The seed-11 draw of the census benchmark: chart (3,1,0) has |w| ~ 4e3,
