@@ -15,12 +15,12 @@ from .exact import (
     LaurentPolynomial,
     Rational,
     bernoulli,
+    char_coeffs,
     elementary_symmetric_sigma,
 )
 from .operators import (
     DifferentialOperator,
     build_hamiltonian,
-    build_toda_matrix,
     commutator,
     compose,
     toda_operators,

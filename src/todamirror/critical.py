@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import LaurentPolynomial
+from .exact import LaurentPolynomial, char_coeffs, elementary_symmetric_sigma
 from .mirror import (
     ChartFailure,
     DegenerateParameterError,
@@ -130,9 +130,10 @@ def _check_q(q: Sequence[float], n: int) -> Tuple[float, ...]:
 # exponents, and `_Lanes.track` is the path loop around it.  Each Newton step
 # is capped at 0.5 in sup-norm, and its line search tries t = 1, 1/2, ...,
 # 2^-20 before it gives up.  A lane's solve fails when its step count reaches
-# its limit: _NEWTON_STEPS for the solve at the target q and the scaling
-# re-solve, _PATH_NEWTON_STEPS for the corrector of a path step, where failing
-# only halves the step.  Every lane of a round waits for its slowest solve.
+# its limit short of the tolerance: _NEWTON_STEPS for the solve at the target
+# q and the scaling re-solve, _PATH_NEWTON_STEPS for the corrector of a path
+# step, where failing only halves the step.  Every lane of a round waits for
+# its slowest solve.
 # Measured with the limit 100 on every solve, over the draws of n = 3 seeds
 # 0-39, n = 4 seeds 0-9 and the census benchmark: accepted correctors took a
 # median of 4 steps and 7 at the 99th percentile; 97 of 39,468 took more than
@@ -204,11 +205,12 @@ class _Lanes:
     @np.errstate(all="ignore")
     def _newton(self, rows: np.ndarray, s: np.ndarray, c: np.ndarray, limit):
         """Damped Newton on the lanes `rows` at exponent offsets c from s, until
-        each lane converges or fails, a lane failing after `limit` (per lane)
-        steps; per lane s, |grad f|_inf, the monomial values, the Hessian, and
-        None or why it failed.  A lane's first round takes s itself; each later
-        round takes the first of its next steps t, t/2, ... that lowers
-        |grad f| or meets the tolerance of its last point."""
+        each lane converges or fails, a lane failing when its `limit`-th (per
+        lane) step does not meet the tolerance; per lane s, |grad f|_inf, the
+        monomial values, the Hessian, and None or why it failed.  A lane's
+        first round takes s itself; each later round takes the first of its
+        next steps t, t/2, ... that lowers |grad f| or meets the tolerance of
+        its last point."""
         count, limit = len(rows), np.full(len(rows), limit)
         s_end, gnorm_end, why = s.copy(), np.full(count, np.inf), [None] * count
         vals_end = np.zeros((count, self.A.shape[1]), dtype=complex)
@@ -246,8 +248,9 @@ class _Lanes:
             for k in done.nonzero()[0]:
                 why[lane[k]] = ("Newton line search failed" if not acc[k] else
                                 "Newton iterate escaped to non-finite values" if not finite[k] else
+                                None if gnorm[k] <= tol[k] else
                                 f"Newton did not reach tol={tol[k]:.1e}" if it[k] >= limit[k]
-                                else "singular Hessian on the path" if gnorm[k] > tol[k] else None)
+                                else "singular Hessian on the path")
             if done.any():
                 lane, A, At, absA, sigma, c, s, vals, dirn, gnorm, tol, t, it, limit = (
                     x[~done] for x in (lane, A, At, absA, sigma, c, s, vals, dirn, gnorm,
@@ -454,28 +457,22 @@ def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
 # Spectral identity and the map to the Lagrangian variety.
 # ---------------------------------------------------------------------------
 
-def _a_matrix(n: int, k: int, sub: Callable[[str], ops.T],
-              const: Callable[[int], ops.T] = LaurentPolynomial.constant) -> List[List[ops.T]]:
-    """The (n-k+2)-square row matrix A_k over the ring of the edge values
-    `sub` returns: diagonal (-u_{k0}, v_{k0} - u_{k1}, ..., v_{k,n-k}),
-    superdiagonal u_{kj} v_{kj}, subdiagonal -1.  A_{n+1} is the 1x1 zero
-    matrix."""
-    if k == n + 1:
-        return ops.tridiagonal([const(0)], [], const)
+def _row_entries(n: int, k: int, sub: Callable[[str], object]) -> Tuple[list, list]:
+    """The diagonal (-u_{k0}, v_{k0} - u_{k1}, ..., v_{k,n-k}) and the
+    superdiagonal u_{kj} v_{kj} of the (n-k+2)-square row matrix A_k, over
+    the ring of the edge values `sub` returns; A_k has -1 below its diagonal."""
     u = [sub(Edge("u", k, j).name) for j in range(n - k + 1)]
     v = [sub(Edge("v", k, j).name) for j in range(n - k + 1)]
     diag = [-u[0]] + [v[j] - u[j + 1] for j in range(n - k)] + [v[n - k]]
-    return ops.tridiagonal(diag, [a * b for a, b in zip(u, v)], const)
+    return diag, [a * b for a, b in zip(u, v)]
 
 
-def row_matrix(record: CriticalPointRecord, k: int = 1) -> np.ndarray:
-    """A_k at the record's edge values."""
-    return np.array(_a_matrix(record.chart.n, k, record.edge_values.__getitem__, complex))
-
-
-def _char_coeffs(m: np.ndarray) -> np.ndarray:
-    """Coefficients c_1..c_size with det(M + xI) = x^size + sum c_i x^{size-i}."""
-    return np.poly(-m)[1:]
+def _a_matrix(n: int, k: int, sub: Callable[[str], LaurentPolynomial]) -> ops.Matrix:
+    """The row matrix A_k over Laurent polynomials; A_{n+1} is the 1x1 zero
+    matrix."""
+    if k == n + 1:
+        return [[LaurentPolynomial.zero()]]
+    return ops.tridiagonal(*_row_entries(n, k, sub))
 
 
 def spectral_check(record: CriticalPointRecord) -> float:
@@ -492,11 +489,11 @@ def to_lagrangian(record: CriticalPointRecord) -> LagrangianPoint:
     residuals are those of det(A_1 - lam_0 I + xI) = prod (x - lam_i),
     coefficient by coefficient.
     """
-    m = row_matrix(record, 1) - record.lam[0] * np.eye(record.chart.n + 1)
-    target = np.poly(np.array(record.lam))[1:]
-    residuals = [float(abs(a - b)) for a, b in zip(_char_coeffs(m), target)]
-    return LagrangianPoint(p=[complex(x) for x in np.diag(m)],
-                           q=[complex(x) for x in np.diag(m, 1)], residuals=residuals)
+    diag, q = _row_entries(record.chart.n, 1, record.edge_values.__getitem__)
+    p = [d - record.lam[0] for d in diag]
+    residuals = [float(abs(a - b)) for a, b in
+                 zip(char_coeffs(p, q), elementary_symmetric_sigma(record.lam))]
+    return LagrangianPoint(p=p, q=q, residuals=residuals)
 
 
 def scaling_residual(records: Sequence[CriticalPointRecord], c: float) -> float:

@@ -477,21 +477,30 @@ def _as_series(x, order: int) -> HbarSeries:
 # Small exact utilities used throughout.
 # ---------------------------------------------------------------------------
 
+def char_coeffs(diag: Sequence, upper: Sequence) -> List:
+    """c_1..c_m with det(M + xI) = x^m + c_1 x^{m-1} + ... + c_m, for the
+    m-square M with `diag` on its diagonal, `upper` above it and -1 below,
+    over Fractions, Laurent polynomials or complex numbers: the continuant
+    det_k = (x + d_k) det_{k-1} + u_{k-1} det_{k-2} of its leading blocks,
+    each kept as its coefficients below the leading 1.  d_k det_{k-1} comes
+    first in each sum, which fixes the order of Laurent terms and so the float
+    summation order of `integrals.eigen_residual`."""
+    older, old = [], []
+    for d, u in zip(diag, [0, *upper]):
+        new = [d * b + a for a, b in zip(old + [0], [1] + old)]
+        new[1:] = [a + u * b for a, b in zip(new[1:], [1] + older)]
+        older, old = old, new
+    return old
+
+
 def elementary_symmetric_sigma(lams: Sequence) -> List:
     """Signed elementary symmetric values sigma_1..sigma_{n+1}.
 
-    Defined by  x^{n+1} + sigma_1 x^n + ... + sigma_{n+1} = prod_i (x - lam_i).
+    Defined by  x^{n+1} + sigma_1 x^n + ... + sigma_{n+1} = prod_i (x - lam_i),
+    the characteristic coefficients of diag(-lam).
     Accepts Fractions or ring elements (e.g. LaurentPolynomial).
     """
-    coeffs = [1]  # coeffs[j] = coefficient of x^j, ascending
-    for lam in lams:
-        new = [0] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            new[j + 1] = new[j + 1] + c
-            new[j] = new[j] - lam * c
-        coeffs = new
-    deg = len(coeffs) - 1
-    return [coeffs[deg - i] for i in range(1, deg + 1)]
+    return char_coeffs([-lam for lam in lams], [0] * (len(lams) - 1))
 
 
 _BERNOULLI_CACHE: List[Fraction] = [Fraction(1)]

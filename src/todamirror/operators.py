@@ -33,12 +33,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, TypeVar
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .exact import ExactAlgebraError, LaurentPolynomial, variable_order
+from .exact import ExactAlgebraError, LaurentPolynomial, char_coeffs, variable_order
 
 HBAR = "hbar"
-T = TypeVar("T")
 
 
 def q_name(i: int) -> str:
@@ -232,68 +231,29 @@ def commutator(a: DifferentialOperator, b: DifferentialOperator) -> Differential
 
 
 # ---------------------------------------------------------------------------
-# The Toda matrix, its characteristic coefficients, and the operators D_i.
+# The characteristic coefficients of the Toda matrix: the operators D_i.
 # ---------------------------------------------------------------------------
 
-def tridiagonal(diag: Sequence[T], upper: Sequence[T], const: Callable[[int], T]) -> List[List[T]]:
-    """The Toda shape over any ring: `diag` on the diagonal, `upper` on the
-    superdiagonal, -1 on the subdiagonal and 0 elsewhere, with `const`
-    making the ring's integers."""
-    zero, minus_one = const(0), const(-1)
-    mat = [[zero] * len(diag) for _ in diag]
-    for i, d in enumerate(diag):
-        mat[i][i] = d
-    for i, e in enumerate(upper):
-        mat[i][i + 1] = e
-        mat[i + 1][i] = minus_one
-    return mat
-
-
-def build_toda_matrix(n: int) -> List[List[LaurentPolynomial]]:
-    """Tridiagonal matrix with p_i diagonal, q_i superdiagonal, -1 subdiagonal."""
-    if n < 1:
-        raise ExactAlgebraError("n must be >= 1")
-    return tridiagonal([LaurentPolynomial.variable(p_name(i)) for i in range(n + 1)],
-                       [LaurentPolynomial.variable(q_name(i)) for i in range(1, n + 1)],
-                       LaurentPolynomial.constant)
-
-
-def charpoly_det(n: int) -> LaurentPolynomial:
-    """det(A + xI) as a polynomial in p, q and x (tridiagonal recurrence)."""
-    x = LaurentPolynomial.variable("x")
-    d_prev = LaurentPolynomial.constant(1)
-    d_cur = LaurentPolynomial.variable(p_name(0)) + x
-    for k in range(2, n + 2):
-        diag = LaurentPolynomial.variable(p_name(k - 1)) + x
-        q = LaurentPolynomial.variable(q_name(k - 1))
-        d_next = diag * d_cur + q * d_prev
-        d_prev, d_cur = d_cur, d_next
-    return d_cur
-
-
 def toda_polynomials(n: int) -> List[Dict[Tuple[int, ...], LaurentPolynomial]]:
-    """The commutative polynomials D_1..D_{n+1}.
+    """The commutative polynomials D_1..D_{n+1}: det(A + xI) = x^{n+1} +
+    sum_i D_i x^{n+1-i} for the Toda matrix A with p_0..p_n on the diagonal,
+    q_1..q_n above it and -1 below.
 
     Each entry maps a p-exponent vector (always 0/1 here) to its coefficient,
     a polynomial in q_1..q_n.
     """
-    det = charpoly_det(n)
     pvars = [p_name(i) for i in range(n + 1)]
-    by_i: List[Dict[Tuple[int, ...], LaurentPolynomial]] = [dict() for _ in range(n + 1)]
-    var_index = {v: i for i, v in enumerate(det.variables)}
-    x_pos = var_index.get("x")
-    p_pos = [var_index.get(v) for v in pvars]
-    for e, c in det.terms.items():
-        xdeg = e[x_pos] if x_pos is not None else 0
-        i = (n + 1) - xdeg  # D_i multiplies x^{n+1-i}
-        if i == 0:
-            continue  # leading x^{n+1}
-        kappa = tuple(e[pos] if pos is not None else 0 for pos in p_pos)
-        qexps = {det.variables[j]: e[j] for j in range(len(e))
-                 if det.variables[j].startswith("q") and e[j] != 0}
-        mono = LaurentPolynomial.monomial(qexps, c) if qexps else LaurentPolynomial.constant(c)
-        bucket = by_i[i - 1]
-        bucket[kappa] = bucket.get(kappa, LaurentPolynomial.zero()) + mono
+    by_i: List[Dict[Tuple[int, ...], LaurentPolynomial]] = []
+    for det in char_coeffs([LaurentPolynomial.variable(p) for p in pvars],
+                           [LaurentPolynomial.variable(q_name(i)) for i in range(1, n + 1)]):
+        bucket: Dict[Tuple[int, ...], LaurentPolynomial] = {}
+        for e, c in det.terms.items():
+            exps = dict(zip(det.variables, e))
+            kappa = tuple(exps.get(p, 0) for p in pvars)
+            qexps = {v: x for v, x in exps.items() if v.startswith("q") and x}
+            mono = LaurentPolynomial.monomial(qexps, c)
+            bucket[kappa] = bucket.get(kappa, LaurentPolynomial.zero()) + mono
+        by_i.append(bucket)
     return by_i
 
 
@@ -315,10 +275,23 @@ def build_hamiltonian(n: int) -> DifferentialOperator:
 
 
 # ---------------------------------------------------------------------------
-# Generic exact matrix helpers (used by the UV identity check).
+# Exact matrix helpers (used by the UV identity check).
 # ---------------------------------------------------------------------------
 
 Matrix = List[List[LaurentPolynomial]]
+
+
+def tridiagonal(diag: Sequence[LaurentPolynomial], upper: Sequence[LaurentPolynomial]) -> Matrix:
+    """The Toda shape: `diag` on the diagonal, `upper` on the superdiagonal,
+    -1 on the subdiagonal and 0 elsewhere."""
+    zero, minus_one = LaurentPolynomial.zero(), LaurentPolynomial.constant(-1)
+    mat = [[zero] * len(diag) for _ in diag]
+    for i, d in enumerate(diag):
+        mat[i][i] = d
+    for i, e in enumerate(upper):
+        mat[i][i + 1] = e
+        mat[i + 1][i] = minus_one
+    return mat
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

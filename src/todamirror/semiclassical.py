@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -58,12 +59,6 @@ class FixedPointData:
         return sum((LaurentPolynomial.monomial({f"chi{k}": -l}) for k in range(len(self.weights))),
                    LaurentPolynomial.zero())
 
-    def n_l_numeric(self, l: int, lam: Sequence[Fraction]) -> Fraction:
-        vals = [w.evaluate(lam) for w in self.weights]
-        if any(v == 0 for v in vals):
-            raise SemiclassicalError("repeated lambda values: zero weight")
-        return sum(Fraction(1) / Fraction(v) ** l for v in vals)
-
 
 # ---------------------------------------------------------------------------
 # Stirling tail and the Bernoulli diagonal series.
@@ -96,22 +91,14 @@ def stirling_tail_series(weights: Sequence[LaurentPolynomial], K: int) -> HbarSe
     return HbarSeries(1, odd[:-1], 2 * K - 1)
 
 
-def classical_limit_b(fp: FixedPointData, K: int,
-                      lam: Optional[Sequence[Fraction]] = None) -> HbarSeries:
-    """The diagonal entry b(hbar) = sum_k N_{2k-1} (B_{2k}/2k) hbar^{2k-1}/(2k-1).
-
-    Symbolic over the weight symbols when lam is None, exact rational
-    otherwise; in both cases computed through hbar^{2K-1}.
-    """
+def classical_limit_b(fp: FixedPointData, K: int) -> HbarSeries:
+    """The diagonal entry b(hbar) = sum_k N_{2k-1} (B_{2k}/2k) hbar^{2k-1}/(2k-1)
+    over the weight symbols, through hbar^{2K-1}."""
     order = 2 * K - 1
     out = HbarSeries.zero(order)
     for k in range(1, K + 1):
         factor = bernoulli(2 * k) / Fraction(2 * k) / Fraction(2 * k - 1)
-        if lam is None:
-            n_l = fp.n_l_symbolic(2 * k - 1)
-        else:
-            n_l = LaurentPolynomial.constant(fp.n_l_numeric(2 * k - 1, lam))
-        out = out + HbarSeries.hbar_term(n_l * factor, 2 * k - 1, order)
+        out = out + HbarSeries.hbar_term(fp.n_l_symbolic(2 * k - 1) * factor, 2 * k - 1, order)
     return out
 
 
@@ -145,18 +132,33 @@ def verify_classical_limit(n: int, permutation: Sequence[int], K: int) -> Classi
                                 first_mismatch=first)
 
 
-def stirling_numeric_residual(K: int, z: float) -> Tuple[float, float]:
-    """|ln Gamma(z) - truncated Stirling sum| and the next-term bound, at a
-    positive integer z, where ln Gamma(z) = ln (z - 1)! is correctly rounded
-    (math.lgamma is an ulp low at z = 10)."""
+# The numeric Stirling check runs in decimal: in float64 the rounding of
+# ln 9! (an ulp of 12.8 is 1.8e-15) exceeds the true remainder at z = 10
+# from order 5 on.  60 digits leave the remainder exact to far below its
+# smallest value, about 1e-22 at order 12.
+_DIGITS = 60
+_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974945")
+
+
+def stirling_numeric_residual(K: int, z: float) -> Tuple[float, float, bool]:
+    """|R_K(z)|, |t_{K+1}(z)| and whether 0 < R_K / t_{K+1} < 1, at a
+    positive integer z.
+
+    R_K is ln Gamma(z) = ln (z - 1)! minus the Stirling sum through
+    c_K z^{1-2K}, and t_{K+1} = c_{K+1} z^{-1-2K} is the first omitted term.
+    For real z > 0 the remainder has the sign of t_{K+1} and is smaller in
+    magnitude (DLMF 5.11(ii)); all of it is computed in 60-digit decimal."""
     if z != int(z) or z < 1:
         raise ValueError(f"z must be a positive integer, got {z}")
-    log_gamma = math.log(math.factorial(int(z) - 1))
-    coeffs = gamma_stirling_tail(K + 1)
-    partial = (z - 0.5) * math.log(z) - z + 0.5 * math.log(2 * math.pi)
-    partial += sum(float(c) * z ** (1 - 2 * i) for i, c in enumerate(coeffs[:K], start=1))
-    next_term = abs(float(coeffs[K])) * z ** (1 - 2 * (K + 1))
-    return abs(log_gamma - partial), next_term
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        x = Decimal(int(z))
+        terms = [Decimal(c.numerator) / c.denominator * x ** (1 - 2 * i)
+                 for i, c in enumerate(gamma_stirling_tail(K + 1), start=1)]
+        partial = (x - Decimal("0.5")) * x.ln() - x + (2 * _PI).ln() / 2 + sum(terms[:K])
+        remainder = Decimal(math.factorial(int(z) - 1)).ln() - partial
+        ratio = remainder / terms[K]
+        return abs(float(remainder)), abs(float(terms[K])), 0 < ratio < 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ import pytest
 from todamirror import cli
 from todamirror import critical as cr
 from todamirror import mirror as mi
+from todamirror import semiclassical as sc
 from todamirror.exact import LaurentPolynomial as LP
 
 MIRROR_N = 2
 CRITICAL_RUN = cli.RunConfig(task="critical", n=2,
                              lam=[Fraction(1, 4), Fraction(1, 8), Fraction(-3, 8)],
                              q=[Fraction(1), Fraction(1)])
+CLASSICAL_LIMIT_RUN = cli.RunConfig(task="classical-limit", n=2)
 
 
 def _mutate_charts(mutate):
@@ -114,6 +116,24 @@ def _shift_lam_0(monkeypatch):
     monkeypatch.setattr(cr, "_lam_poly", lambda k, n: lam_poly(k, n) + LP.constant(k == 0))
 
 
+def _nudge_numeric_stirling_coefficient(monkeypatch):
+    # gamma_stirling_tail also feeds the exact `match`, so the nudged first
+    # coefficient is seen by the numeric check's calls only
+    residual, tail = sc.stirling_numeric_residual, sc.gamma_stirling_tail
+
+    def nudged(K):
+        coeffs = tail(K)
+        coeffs[0] *= 1 + Fraction(1, 10 ** 6)
+        return coeffs
+
+    def mutated(K, z):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(sc, "gamma_stirling_tail", nudged)
+            return residual(K, z)
+
+    monkeypatch.setattr(sc, "stirling_numeric_residual", mutated)
+
+
 # (subcommand, check, mutation name, install(monkeypatch)).  `nondegenerate`
 # has no row: its only failing input today is the n = 4 default draw, a
 # spurious flag that ROADMAP item 4 replaces with a certificate.
@@ -131,6 +151,8 @@ MUTATIONS = (
     ("critical", "scaling", "add 1e-4 lambda_0^2 to rho_1 of every chart phase",
      _rho_1_not_linear_in_lambda),
     ("critical", "uv_identity", "add 1 to lambda_0 in the symbolic identity", _shift_lam_0),
+    ("classical-limit", "stirling_numeric", "first Stirling coefficient off by 1e-6, numeric "
+     "check only", _nudge_numeric_stirling_coefficient),
 )
 
 
@@ -158,7 +180,18 @@ def _run_critical():
     return dict.fromkeys(summary["failed"], False), passed
 
 
-RUN = {"mirror": _run_mirror, "critical": _run_critical}
+def _run_classical_limit():
+    results, _, passed, _ = cli.run_classical_limit(CLASSICAL_LIMIT_RUN)
+    checks = {}
+    for row in results:
+        pairs = ([(row["check"], row["pass"])] if "check" in row
+                 else [("match", row["match"]), ("orthogonal", row["orthogonal"])])
+        for name, ok in pairs:
+            checks[name] = checks.get(name, True) and ok
+    return checks, passed
+
+
+RUN = {"mirror": _run_mirror, "critical": _run_critical, "classical-limit": _run_classical_limit}
 
 
 def _ids(rows):

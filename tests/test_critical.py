@@ -62,21 +62,16 @@ def test_q_to_zero_limit_of_critical_value():
         assert abs(shifted - expect) < 5 * qs
 
 
-def test_spectral_identity_n1_hand_values():
+def test_lagrangian_hand_values():
+    # both n = 1 charts: A_1 - lam_0 I = [[p0, q], [-1, p1]] has trace
+    # sigma_1 = 0 and determinant sigma_2 = lam_0 lam_1 = -1/4
     for kseq in ((0,), (1,)):
         rec = cr.continue_to(chart(1, kseq), LAM1, (1.0,))
-        m = cr.row_matrix(rec, 1) - 0.5 * np.eye(2)
-        assert abs(np.trace(m)) < 1e-10
-        assert abs(np.linalg.det(m) - (-0.25)) < 1e-10
-        assert cr.spectral_check(rec) < 1e-10
-
-
-def test_lagrangian_hand_values():
-    rec = cr.continue_to(chart(1, (1,)), LAM1, (1.0,))
-    lp = cr.to_lagrangian(rec)
-    assert abs(lp.p[0] + lp.p[1]) < 1e-10
-    assert abs(lp.p[0] * lp.p[1] + lp.q[0] - (-0.25)) < 1e-10
-    assert lp.max_residual < 1e-10
+        lp = cr.to_lagrangian(rec)
+        assert abs(lp.p[0] + lp.p[1]) < 1e-10
+        assert abs(lp.p[0] * lp.p[1] + lp.q[0] - (-0.25)) < 1e-10
+        assert lp.max_residual < 1e-10
+        assert cr.spectral_check(rec) == lp.max_residual
 
 
 def test_census_counts():
@@ -251,6 +246,24 @@ def test_path_correctors_are_capped_and_the_solve_at_q_is_not(monkeypatch):
     cr.scaling_residual(lanes.records(ends), 2.0)
     [(_, limits, _)] = calls
     assert np.all(limits == cr._NEWTON_STEPS)
+
+
+def test_a_lane_meeting_tol_on_its_last_allowed_step_has_converged(monkeypatch):
+    # count the steps Newton takes from off a census point (one Hessian solve
+    # per accepted point, the start included), then allow exactly that many
+    lam, q = (0.25, 0.125, -0.375), (1.0, 1.0)
+    record = cr.all_critical_points(2, lam, q)[0]
+    lanes = cr._Lanes([record.chart], lam, q)
+    rows, start, c = np.arange(1), record.s[None, :] + 0.3, lanes.bq.astype(complex)
+    sizes, solve = [], cr._solve
+    monkeypatch.setattr(cr, "_solve", lambda h, rhs: sizes.append(len(h)) or solve(h, rhs))
+    s, gnorm, _, _, why = lanes._newton(rows, start, c, cr._NEWTON_STEPS)
+    steps = sum(sizes) - 1
+    assert why == [None] and steps >= 3
+    s_at, gnorm_at, _, _, why_at = lanes._newton(rows, start, c, steps)
+    assert why_at == [None] and np.array_equal(s_at, s) and np.array_equal(gnorm_at, gnorm)
+    _, _, _, _, why_short = lanes._newton(rows, start, c, steps - 1)
+    assert why_short[0].startswith("Newton did not reach tol")
 
 
 # u_sigma labels a critical point by the chart whose lane reaches it, so the

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from todamirror.exact import (
@@ -11,6 +12,7 @@ from todamirror.exact import (
     HbarSeries,
     LaurentPolynomial as LP,
     bernoulli,
+    char_coeffs,
     elementary_symmetric_sigma,
 )
 
@@ -73,6 +75,55 @@ def test_elementary_symmetric_defining_identity():
         lhs = x ** 4 + sum(sig[i - 1] * x ** (4 - i) for i in range(1, 5))
         rhs = math.prod((x - l for l in lams), start=F(1))
         assert lhs == rhs
+
+
+def _toda_shape(diag, upper, x):
+    """M + xI for M with `diag` on the diagonal, `upper` above it, -1 below."""
+    m = len(diag)
+    return [[diag[i] + x if j == i else upper[i] if j == i + 1 else F(-1) if j == i - 1 else F(0)
+             for j in range(m)] for i in range(m)]
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination over Fractions."""
+    a, det = [list(r) for r in rows], F(1)
+    for i in range(len(a)):
+        pivot = next((r for r in range(i, len(a)) if a[r][i] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != i:
+            a[i], a[pivot], det = a[pivot], a[i], -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return det
+
+
+def test_char_coeffs_against_fraction_determinants():
+    rng = random.Random(3)
+    for m in range(1, 8):
+        for _ in range(4):
+            diag = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(m)]
+            upper = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(m - 1)]
+            coeffs = char_coeffs(diag, upper)
+            assert len(coeffs) == m
+            for _ in range(3):
+                x = F(rng.randint(-5, 5), rng.randint(1, 4))
+                value = x ** m + sum(c * x ** (m - i) for i, c in enumerate(coeffs, start=1))
+                assert _fraction_det(_toda_shape(diag, upper, x)) == value
+
+
+def test_char_coeffs_against_eigenvalues():
+    # np.poly goes through the eigenvalues of -M: an independent numeric route
+    rng = np.random.default_rng(5)
+    for m in range(1, 8):
+        for _ in range(20):
+            diag = rng.normal(size=m) + 1j * rng.normal(size=m)
+            upper = rng.normal(size=m - 1) + 1j * rng.normal(size=m - 1)
+            expect = np.poly(-np.array(_toda_shape(diag, upper, 0), dtype=complex))[1:]
+            got = np.array(char_coeffs([complex(d) for d in diag], [complex(u) for u in upper]))
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 def random_poly(rng, nvars=4, nterms=4):

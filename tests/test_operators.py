@@ -1,28 +1,50 @@
 """Toda operators: matrix build, substitution, composition, commutativity."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from todamirror import operators as ops
-from todamirror.exact import LaurentPolynomial as LP
+from todamirror.exact import LaurentPolynomial as LP, char_coeffs
 
 
 def test_toda_matrix_small():
-    m = ops.build_toda_matrix(1)
-    assert m[0][0] == LP.variable("p0")
-    assert m[0][1] == LP.variable("q1")
-    assert m[1][0] == LP.constant(-1)
-    assert m[1][1] == LP.variable("p1")
-    m2 = ops.build_toda_matrix(2)
-    assert [m2[i][i] for i in range(3)] == [LP.variable(f"p{i}") for i in range(3)]
-    assert m2[0][1] == LP.variable("q1") and m2[1][2] == LP.variable("q2")
+    p0, p1, p2, q1, q2 = (LP.variable(v) for v in ("p0", "p1", "p2", "q1", "q2"))
+    m = ops.tridiagonal([p0, p1], [q1])
+    assert m == [[p0, q1], [LP.constant(-1), p1]]
+    m2 = ops.tridiagonal([p0, p1, p2], [q1, q2])
+    assert [m2[i][i] for i in range(3)] == [p0, p1, p2]
+    assert m2[0][1] == q1 and m2[1][2] == q2
     assert m2[1][0] == m2[2][1] == LP.constant(-1)
+    assert m2[0][2].is_zero() and m2[2][0].is_zero()
 
 
 def test_charpoly_n1_hand_expansion():
-    det = ops.charpoly_det(1)
-    p0, p1, q1, x = (LP.variable(v) for v in ("p0", "p1", "q1", "x"))
-    assert det == x ** 2 + (p0 + p1) * x + (p0 * p1 + q1)
+    # det [[p0 + x, q1], [-1, p1 + x]] = x^2 + (p0 + p1) x + (p0 p1 + q1)
+    p0, p1, q1 = (LP.variable(v) for v in ("p0", "p1", "q1"))
+    assert char_coeffs([p0, p1], [q1]) == [p0 + p1, p0 * p1 + q1]
+
+
+# sha256 of every D_i's canonical text, n = 1..6, as the former determinant
+# route (det(A + xI) over p, q and x, split by x-degree) gave them
+TODA_DIGESTS = {
+    1: "4e0ecf751bd8277347f0a850b986947612d902c95f4b9c3e82315e5da3529f07",
+    2: "ef99ea8b95e5971b433a4bbf211a49fbe072d2fc7fcfbe684d184f47f63998b1",
+    3: "31dabe31945e7e2f3397037c787b3d19946f538823d1e190b5f4d9ad03cc2d98",
+    4: "ee80d96578c635225d07d871063cc79dfacb1e98640d30aa716c39ea2ffb2a2f",
+    5: "780ca409c962f2af37b4d167b0f626c65c25c44ef4225eb2f07dc823e2c71655",
+    6: "e0b5bc8b39d808577f59a13a45d8294f09f36767bdfe5a8807bfa628472f0dfe",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TODA_DIGESTS))
+def test_toda_polynomials_are_pinned(n):
+    polys = ops.toda_polynomials(n)
+    text = "\n".join(f"D{i + 1} {k} {polys[i][k].canonical_str()}"
+                     for i in range(len(polys)) for k in sorted(polys[i]))
+    assert hashlib.sha256(text.encode()).hexdigest() == TODA_DIGESTS[n]
 
 
 def test_toda_operator_closed_forms():

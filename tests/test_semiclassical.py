@@ -57,29 +57,31 @@ def test_classical_limit_exact_all_permutations():
             assert rep.first_mismatch is None
 
 
-def test_numeric_n_l():
-    fp = sc.FixedPointData.from_permutation(1, (0, 1))
-    lam = [F(-1, 4), F(1, 4)]   # weight lam_1 - lam_0 = 1/2
-    assert fp.n_l_numeric(1, lam) == 2
-    assert fp.n_l_numeric(3, lam) == 8
-    with pytest.raises(sc.SemiclassicalError):
-        fp.n_l_numeric(1, [F(0), F(0)])
-
-
 def test_stirling_numeric_sanity():
+    # DLMF 5.11(ii): the remainder has the sign of the first omitted term and
+    # is smaller, at every order the CLI may be asked for
+    for K in range(1, 13):
+        for z in (2.0, 5.0, 10.0, 20.0, 50.0):
+            err, bound, ok = sc.stirling_numeric_residual(K, z)
+            assert ok and 0 < err < bound, (K, z)
     for z in (5.0, 10.0):
-        err, bound = sc.stirling_numeric_residual(4, z)
-        assert err <= bound
-        assert err < 1e-9
+        assert sc.stirling_numeric_residual(4, z)[0] < 1e-9
+
+
+# |ln Gamma(z) - Stirling sum through order K| from 50-digit mpmath.loggamma,
+# rounded once to float; the float64 formula misses them by up to 1.8e-15
+STIRLING_REMAINDERS = {
+    (4, 5): 3.961703985124012e-10, (4, 10): 8.23188716786779e-13,
+    (5, 10): 1.8562124964062774e-14, (6, 10): 6.131442112064015e-16,
+    (8, 10): 1.6692237755317325e-18, (12, 10): 1.888923361084913e-22,
+}
 
 
 def test_stirling_numeric_residual_is_exact_at_integers():
-    from scipy.special import gammaln
-    coeffs = sc.gamma_stirling_tail(5)[:4]
-    for z in (5.0, 10.0):
-        partial = (z - 0.5) * math.log(z) - z + 0.5 * math.log(2 * math.pi)
-        partial += sum(float(c) * z ** (1 - 2 * i) for i, c in enumerate(coeffs, start=1))
-        assert sc.stirling_numeric_residual(4, z)[0] == abs(float(gammaln(z)) - partial)
+    for (K, z), remainder in STIRLING_REMAINDERS.items():
+        err, bound, ok = sc.stirling_numeric_residual(K, float(z))
+        assert err == remainder and ok
+        assert bound == float(abs(sc.gamma_stirling_tail(K + 1)[K]) / F(z) ** (2 * K + 1))
     for z in (5.5, 0.0, -3.0):
         with pytest.raises(ValueError, match="positive integer"):
             sc.stirling_numeric_residual(4, z)
