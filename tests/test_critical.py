@@ -62,9 +62,19 @@ def test_q_to_zero_limit_of_critical_value():
         assert abs(shifted - expect) < 5 * qs
 
 
-def test_lagrangian_hand_values():
+def test_spectral_identity_n1_hand_values():
     # both n = 1 charts: A_1 - lam_0 I = [[p0, q], [-1, p1]] has trace
     # sigma_1 = 0 and determinant sigma_2 = lam_0 lam_1 = -1/4
+    for kseq in ((0,), (1,)):
+        rec = cr.continue_to(chart(1, kseq), LAM1, (1.0,))
+        lp = cr.to_lagrangian(rec)
+        m = np.array([[lp.p[0], lp.q[0]], [-1.0, lp.p[1]]])
+        assert abs(np.trace(m)) < 1e-10
+        assert abs(np.linalg.det(m) - (-0.25)) < 1e-10
+        assert cr.spectral_check(rec) < 1e-10
+
+
+def test_lagrangian_hand_values():
     for kseq in ((0,), (1,)):
         rec = cr.continue_to(chart(1, kseq), LAM1, (1.0,))
         lp = cr.to_lagrangian(rec)
