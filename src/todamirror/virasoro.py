@@ -154,12 +154,9 @@ def darboux_q(m: int, alpha: int) -> LoopElement:
     return {(alpha, m): Fraction(1)}
 
 
-def darboux_p(m: int, alpha: int,
-              eta_inv: Optional[Sequence[Sequence[Fraction]]] = None) -> LoopElement:
+def darboux_p(m: int, alpha: int, eta_inv: Sequence[Sequence[Fraction]]) -> LoopElement:
     """p_m^alpha sits on the eta-dual basis vector so that Omega(p, q) = delta."""
     sign = Fraction(-1) ** (m + 1)
-    if eta_inv is None:
-        return {(alpha, -1 - m): sign}
     return {(beta, -1 - m): sign * eta_inv[alpha][beta]
             for beta in range(len(eta_inv)) if eta_inv[alpha][beta] != 0}
 

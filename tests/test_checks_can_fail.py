@@ -2,9 +2,9 @@
 
 Each row of `MUTATIONS` names a check the CLI reports, a mutation of the
 program or its data, and the run it breaks.  Under the mutation that check,
-and no other, must fail.  A second test asserts that the table covers every
-check name the mirror report carries, so a new check without a mutation row
-fails the suite.
+and no other, must fail.  Two more tests assert that the table covers every
+check name the mirror and eigen reports carry, so a new check there without a
+mutation row fails the suite.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ import pytest
 
 from todamirror import cli
 from todamirror import critical as cr
+from todamirror import integrals as ig
 from todamirror import mirror as mi
 from todamirror import semiclassical as sc
 from todamirror.exact import LaurentPolynomial as LP
@@ -24,6 +25,9 @@ CRITICAL_RUN = cli.RunConfig(task="critical", n=2,
                              lam=[Fraction(1, 4), Fraction(1, 8), Fraction(-3, 8)],
                              q=[Fraction(1), Fraction(1)])
 CLASSICAL_LIMIT_RUN = cli.RunConfig(task="classical-limit", n=2)
+# n = 1 is the eigen run that reports all three of its checks
+EIGEN_RUN = cli.RunConfig(task="eigen", n=1, lam=[Fraction(1, 4), Fraction(-1, 4)],
+                          q=[Fraction(1)], hbar=-1.0)
 
 
 def _mutate_charts(mutate):
@@ -134,6 +138,23 @@ def _nudge_numeric_stirling_coefficient(monkeypatch):
     monkeypatch.setattr(sc, "stirling_numeric_residual", mutated)
 
 
+def _shift_eigenvalues(monkeypatch):
+    # integrals' own name for sigma_i: the oracle row never reads it
+    sigma = ig.elementary_symmetric_sigma
+    monkeypatch.setattr(ig, "elementary_symmetric_sigma",
+                        lambda lam: [s + 1e-6 for s in sigma(lam)])
+
+
+def _nudge_bessel_closed_form(monkeypatch):
+    closed_form = ig.whittaker_closed_form
+    monkeypatch.setattr(ig, "whittaker_closed_form",
+                        lambda *args: closed_form(*args) * (1 + 1e-6))
+
+
+def _one_doubling(monkeypatch):
+    monkeypatch.setattr(ig, "_MAX_DOUBLINGS", 1)
+
+
 # (subcommand, check, mutation name, install(monkeypatch)).  `nondegenerate`
 # has no row: its only failing input today is the n = 4 default draw, a
 # spurious flag that ROADMAP item 4 replaces with a certificate.
@@ -153,6 +174,9 @@ MUTATIONS = (
     ("critical", "uv_identity", "add 1 to lambda_0 in the symbolic identity", _shift_lam_0),
     ("classical-limit", "stirling_numeric", "first Stirling coefficient off by 1e-6, numeric "
      "check only", _nudge_numeric_stirling_coefficient),
+    ("eigen", "residual", "every sigma_i off by 1e-6 inside eigen_residual", _shift_eigenvalues),
+    ("eigen", "bessel_oracle", "n = 1 closed form off by 1e-6 relative", _nudge_bessel_closed_form),
+    ("eigen", "quadrature", "one doubling level allowed", _one_doubling),
 )
 
 
@@ -191,7 +215,24 @@ def _run_classical_limit():
     return checks, passed
 
 
-RUN = {"mirror": _run_mirror, "critical": _run_critical, "classical-limit": _run_classical_limit}
+def _run_eigen():
+    """An operator row at or above its tolerance fails `residual`; a failure
+    row fails its stage."""
+    results, _, passed, _ = cli.run_eigen(EIGEN_RUN)
+    checks = {}
+    for row in results:
+        if "operator" in row:
+            checks["residual"] = checks.get("residual", True) and \
+                row["residual"] < EIGEN_RUN.tol_eigen_n1
+        elif "check" in row:
+            checks[row["check"]] = row["relative_error"] < EIGEN_RUN.tol_oracle
+        elif "failure" in row:
+            checks[row["failure"]["stage"]] = False
+    return checks, passed
+
+
+RUN = {"mirror": _run_mirror, "critical": _run_critical, "classical-limit": _run_classical_limit,
+       "eigen": _run_eigen}
 
 
 def _ids(rows):
@@ -211,6 +252,14 @@ def test_mutation_fails_exactly_its_check(monkeypatch, task, check, name, instal
     checks, passed = RUN[task]()
     assert not passed, name
     assert {c for c, ok in checks.items() if not ok} == {check}, name
+
+
+def test_every_eigen_check_has_a_mutation():
+    checks, passed = _run_eigen()
+    assert passed and checks == {"residual": True, "bessel_oracle": True}
+    # `quadrature` is reported only as a failure row
+    assert set(checks) | {"quadrature"} == {check for task, check, _, _ in MUTATIONS
+                                            if task == "eigen"}
 
 
 def test_every_mirror_check_has_a_mutation():

@@ -127,6 +127,16 @@ def test_eigen_quadrature_block_is_deterministic(capsys):
     assert blocks[0]["error"] <= 1e-11          # the eigen doubling tolerance
 
 
+@pytest.mark.parametrize("q", ["1/4,1/2", "1/16,1/8"])
+def test_eigen_converges_on_the_whole_box(q, capsys):
+    # on a box probed along the axes only, the first left the D2 residual
+    # at 1.2e-8 and the second never converged
+    assert run_cli(["eigen", "--n", "2", "--seed", "0", "--q", q]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    block = next(r["quadrature"] for r in doc["results"] if "quadrature" in r)
+    assert block["nodes_per_axis"] <= 129
+
+
 def test_classical_limit_and_factorization_do_not_import_scipy():
     # scipy is a test and benchmark dependency only
     code = ("import sys\n"
@@ -384,7 +394,7 @@ def test_virasoro_runs_at_the_truncation_it_reports(capsys):
 @pytest.mark.parametrize("argv, stage", [
     # the n = 1 grid converges at 257 nodes; the closed form's integrand overflows
     (["eigen", "--n", "1", "--hbar", "-0.001"], "bessel_oracle"),
-    # never converges: the unpatched budget refuses its 1025^3 level
+    # converges at 257^3 unpatched; the patched budget refuses its 65^3 level
     (["eigen", "--n", "2", "--hbar", "-100"], "quadrature"),
 ])
 def test_eigen_solver_failure_is_a_report(argv, stage, monkeypatch, capsys):

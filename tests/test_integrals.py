@@ -70,11 +70,10 @@ def test_eigen_residuals_n1_grid():
             assert abs(rep.base_value - oracle) < 1e-8 * oracle
 
 
-def dense_weight_grid(phase, lnq, center, halfwidth, m, f_ref, hbar):
+def dense_weight_grid(phase, lnq, center, box, m, f_ref, hbar):
     """The trapezoid grid by full-size broadcasting: every monomial over every axis."""
     d = phase.dim
-    axes = [np.linspace(center[k] - halfwidth[k], center[k] + halfwidth[k], m)
-            for k in range(d)]
+    axes = box_axes(center, box, m)
     view = [(None,) * k + (slice(None),) + (None,) * (d - 1 - k) for k in range(d)]
     grid = np.zeros((m,) * d)
     for a, b in zip(phase.A, phase.B):
@@ -92,17 +91,18 @@ def dense_weight_grid(phase, lnq, center, halfwidth, m, f_ref, hbar):
 
 
 def grid_box(n, kseq, lam, q, hbar=-1.0):
-    """The phase, ln q and the peak-centred box that _converged_sums uses."""
+    """The phase, ln q, the peak and the box (lo, hi) around it that
+    _converged_sums uses."""
     phase = mi.phase_in_chart(chart(n, kseq), lam)
     lnq = np.log(np.array(q))
     s_star = ig._real_peak(phase, lnq)
     f_star = float(phase.value(s_star, lnq))
-    widths = ig._axis_halfwidths(phase, lnq, s_star, f_star, abs(hbar) * math.log(1e22))
-    return phase, lnq, s_star, widths, f_star
+    box = ig._sublevel_box(phase, lnq, s_star, f_star, abs(hbar) * math.log(1e22))
+    return phase, lnq, s_star, box, f_star
 
 
-def box_axes(center, halfwidth, m):
-    return [np.linspace(c - h, c + h, m) for c, h in zip(center, halfwidth)]
+def box_axes(center, box, m):
+    return [np.linspace(c - lo, c + hi, m) for c, lo, hi in zip(center, *box)]
 
 
 def moment_exps(phase, lnq, n, hbar=-1.0):
@@ -133,24 +133,25 @@ def test_trapezoid_sums_match_the_dense_grid():
     boxes = [(m, 1.0) for m in sizes] + [(17, 0.125)]
     cases = [(2, k, lam, q, m, scale) for k in mi.all_k_sequences(2) for m, scale in boxes]
     cases.append((1, (0,), (0.25, -0.25), (0.5,), 513, 1.0))
-    # the q = 1e-5 factorisation box, where most nodes lie below the kernel's
-    # exponent floor; the dense reference exponentiates them unfloored
+    # the q = 1e-5 factorisation box doubled, where most nodes lie below the
+    # kernel's exponent floor (28% on the box itself); the dense reference
+    # exponentiates them unfloored
     small_q = (1e-5, 1e-5)
-    cases += [(2, (0, 0), (1.2, 0.0, -1.2), small_q, m, 1.0) for m in (65, 129)]
+    cases += [(2, (0, 0), (1.2, 0.0, -1.2), small_q, m, 2.0) for m in (65, 129)]
     for n, kseq, lam_, q_, m, scale in cases:
-        phase, lnq, center, widths, f_ref = grid_box(n, kseq, lam_, q_)
-        widths = scale * widths
-        axes, exps = box_axes(center, widths, m), moment_exps(phase, lnq, n)
+        phase, lnq, center, box, f_ref = grid_box(n, kseq, lam_, q_)
+        box = tuple(scale * side for side in box)
+        axes, exps = box_axes(center, box, m), moment_exps(phase, lnq, n)
         sums = ig._trapezoid_sums(phase, lnq, axes, [True] * phase.dim, exps, f_ref, -1.0)
-        grid = dense_weight_grid(phase, lnq, center, widths, m, f_ref, -1.0)
+        grid = dense_weight_grid(phase, lnq, center, box, m, f_ref, -1.0)
         dense = dense_moments(grid, axes, exps)
         assert np.all(np.abs(sums - dense) <= 1e-14 * dense), (kseq, q_, m)
         if q_ == small_q:
             assert np.mean(grid < math.exp(ig._EXP_FLOOR)) > 0.5, m
     # spot nodes against the phase itself, each a one-node grid without end halves
-    phase, lnq, center, widths, f_ref = grid_box(2, (1, 0), lam, q)
+    phase, lnq, center, box, f_ref = grid_box(2, (1, 0), lam, q)
     m, c = 65, 32
-    axes = box_axes(center, widths, m)
+    axes = box_axes(center, box, m)
     for node in ((c, c, c), (c + 3, c - 2, c + 1), (c - 5, c, c + 4), (0, c, c), (c, m - 1, c)):
         s = np.array([axes[k][i] for k, i in enumerate(node)])
         got, = ig._trapezoid_sums(phase, lnq, [s[k:k + 1] for k in range(3)], [False] * 3,
@@ -160,18 +161,82 @@ def test_trapezoid_sums_match_the_dense_grid():
 
 
 def test_a_level_is_the_level_before_plus_its_new_nodes():
-    phase, lnq, center, widths, f_ref = grid_box(2, (0, 1), (0.25, 0.125, -0.375), (0.75, 1.25))
+    phase, lnq, center, box, f_ref = grid_box(2, (0, 1), (0.25, 0.125, -0.375), (0.75, 1.25))
     exps = moment_exps(phase, lnq, 2)
     for m in (17, 65):
-        fine = box_axes(center, widths, 2 * m - 1)
+        fine = box_axes(center, box, 2 * m - 1)
         parts = list(ig._new_nodes(fine))
         assert sum(math.prod(map(len, sub)) for sub, _ in parts) == (2 * m - 1) ** 3 - m ** 3
-        nested = ig._trapezoid_sums(phase, lnq, box_axes(center, widths, m), [True] * 3,
+        nested = ig._trapezoid_sums(phase, lnq, box_axes(center, box, m), [True] * 3,
                                     exps, f_ref, -1.0)
         for sub, halved in parts:
             nested = nested + ig._trapezoid_sums(phase, lnq, sub, halved, exps, f_ref, -1.0)
         full = ig._trapezoid_sums(phase, lnq, fine, [True] * 3, exps, f_ref, -1.0)
         assert np.all(np.abs(nested - full) <= 1e-14 * full), m
+
+
+def face_minimum(phase, lnq, k, c, start):
+    """The minimum of f on the plane s_k = c and f's gradient there, by Newton
+    over the other axes from start, damped (Armijo) until the gradient along
+    the plane is small."""
+    keep = np.arange(phase.dim) != k
+    b = phase.B @ lnq
+
+    def f(s):
+        return np.exp(np.minimum(phase.A @ s + b, 700.0)).sum() + phase.sigma @ s
+
+    s = start.copy()
+    s[k] = c
+    for _ in range(100):
+        g = phase.gradient(s, lnq)
+        if np.abs(g[keep]).max(initial=0.0) <= 1e-13 * abs(g[k]):
+            return s, g
+        step = np.zeros(phase.dim)
+        step[keep] = np.linalg.solve(phase.hessian(s, lnq)[np.ix_(keep, keep)], -g[keep])
+        t = 1.0
+        while (np.abs(g[keep]).max() > 1e-6 * abs(g[k])
+               and f(s + t * step) > f(s) + t * (g @ step) / 4 and t > 1e-12):
+            t /= 2
+        s = s + t * step
+    raise AssertionError(f"no minimum on the face s_{k} = {c}")
+
+
+@pytest.mark.parametrize("n, kseq, lam, q, hbar", [
+    (2, (0, 0), (0.25, 0.125, -0.375), (1.0, 1.0), -1.0),
+    (2, (2, 1), (0.25, 0.125, -0.375), (1.0, 1.0), -1.0),
+    (2, (0, 0), (0.25, 0.125, -0.375), (1.0, 1.0), -100.0),
+    (2, (0, 0), (1.2, 0.0, -1.2), (1e-4, 1e-4), -1.0),
+    (1, (0,), (0.25, -0.25), (1.0,), -1.0),
+])
+def test_box_bounds_the_sublevel_set(n, kseq, lam, q, hbar):
+    phase, lnq, s_star, (lo, hi), f_star = grid_box(n, kseq, lam, q, hbar)
+    T = abs(hbar) * math.log(1e22)
+    assert np.all(lo > 0) and np.all(hi > 0)
+    # along 200 random directions, where f - f* reaches T lies in the box
+    u = np.random.default_rng(3).standard_normal((200, phase.dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+
+    def excess(r):
+        s = s_star + r[:, None] * u
+        return np.exp(s @ phase.A.T + phase.B @ lnq).sum(axis=1) + s @ phase.sigma - f_star
+
+    low, high = np.zeros(200), np.ones(200)
+    while np.any(excess(high) < T):
+        high = np.where(excess(high) < T, 2 * high, high)
+    for _ in range(60):
+        mid = (low + high) / 2
+        below = excess(mid) < T
+        low, high = np.where(below, mid, low), np.where(below, high, mid)
+    reach = high[:, None] * u
+    assert np.all(reach <= hi + 1e-9) and np.all(-reach <= lo + 1e-9)
+    # each face touches the set: on its plane f - f* comes down to T exactly,
+    # at a point where grad f is normal to the face
+    for k in range(phase.dim):
+        for sign, c in ((1, s_star[k] + hi[k]), (-1, s_star[k] - lo[k])):
+            s, g = face_minimum(phase, lnq, k, c, s_star)
+            assert abs(float(phase.value(s, lnq)) - f_star - T) <= 1e-9 * (1 + T), (k, sign)
+            assert np.sign(g[k]) == sign
+            assert np.abs(np.delete(g, k)).max(initial=0.0) <= 1e-9 * abs(g[k]), (k, sign)
 
 
 def test_nodes_stay_off_the_subnormal_exp():
@@ -183,10 +248,10 @@ def test_nodes_stay_off_the_subnormal_exp():
 
 
 def test_trapezoid_sums_hold_no_grid():
-    phase, lnq, center, widths, f_ref = grid_box(2, (0, 0), (0.25, 0.125, -0.375), (1.0, 1.0))
+    phase, lnq, center, box, f_ref = grid_box(2, (0, 0), (0.25, 0.125, -0.375), (1.0, 1.0))
     exps = moment_exps(phase, lnq, 2)
     assert exps.shape == (15, 3)
-    axes = box_axes(center, widths, 129)           # a 129^3 grid would be 17.2 MB
+    axes = box_axes(center, box, 129)           # a 129^3 grid would be 17.2 MB
     tracemalloc.start()
     try:
         ig._trapezoid_sums(phase, lnq, axes, [True] * 3, exps, f_ref, -1.0)
@@ -199,13 +264,16 @@ def test_trapezoid_sums_hold_no_grid():
 def test_eigen_residuals_n2_generic_point():
     rep = ig.eigen_residual(task(2, (0.25, 0.125, -0.375), (1.0, 1.0)))
     assert all(r < 1e-8 for r in rep.residuals)
+    assert max(rep.residuals) < 1e-13       # no mass is cut off the box
     # the doubling loop from 17 nodes per axis evaluates each node once
     levels = [17]
     while levels[-1] < rep.nodes_per_axis:
         levels.append(2 * levels[-1] - 1)
     assert rep.evaluations == rep.nodes_per_axis ** 3
     assert rep.levels == len(levels)
-    assert 0 < rep.error <= 1e-11           # the eigen doubling tolerance
+    # the eigen doubling tolerance; the 65^3 and 129^3 integrals agree to the
+    # last bit here, so the difference can be exactly 0
+    assert rep.error <= 1e-11
 
 
 @pytest.mark.parametrize("n, lam", [(1, (0.25, -0.25)), (2, (0.25, 0.125, -0.375))])
@@ -323,8 +391,10 @@ def test_decay_check_reports_offending_face():
     # one exponential on axis 0 only; axis 1 has a runaway linear term
     phase = mi.ChartPhase(A=np.array([[1.0, 0.0]]), B=np.zeros((1, 0)),
                           sigma=np.array([0.5, -1.0]), rho=np.zeros(0))
-    with pytest.raises(ig.QuadratureError, match="boundary face"):
-        ig._decay_check(phase, np.zeros(0), np.zeros(2), 1.0)
+    # its Hessian is singular at s = 0, which names the flat axis
+    with pytest.raises(ig.QuadratureError, match="boundary face") as exc:
+        ig._sublevel_box(phase, np.zeros(0), np.zeros(2), 1.0, math.log(1e22))
+    assert "axis 1" in str(exc.value)
 
 
 def test_dimension_guards():
