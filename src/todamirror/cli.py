@@ -3,9 +3,11 @@
 Subcommands: commute | mirror | critical | eigen | classical-limit |
 virasoro | all, each taking the flags of the settings its task reads and
 `--output FILE`.  The report is one line of JSON with sorted keys, on stdout
-or in FILE.  Exit code 0 when every residual passes its tolerance (a
-`RunConfig` constant), 1 on failure (a solver failure in `critical` or
-`eigen` is a `failure` row), 2 on invalid input or an unwritable `--output`.
+or in FILE.  Its `checks` map each check name to whether it passed (a
+residual against its `RunConfig` tolerance, an exact identity, or a solver
+stage that raised, which also leaves one `failure` row), and `pass` is
+their conjunction.  Exit code 0 when every check passed, 1 when one failed,
+2 on invalid input or an unwritable `--output`.
 Reports serialize deterministically (same config and seed give the same
 content), rationals as "num/den" strings, complex numbers as [re, im] pairs.
 """
@@ -24,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .exact import format_rational, parse_rational
@@ -129,27 +131,23 @@ class VerificationReport:
     task: str
     params: dict
     results: List[dict]
-    residuals: List[float]
-    passed: bool
+    checks: Dict[str, bool]
     runtime_ms: int
     version: str
-    warnings: List[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        summary = {
-            "max": max(self.residuals) if self.residuals else None,
-            "median": (sorted(self.residuals)[len(self.residuals) // 2]
-                       if self.residuals else None),
-        }
         return {
             "task": self.task,
             "params": self.params,
             "results": self.results,
-            "residuals": {"values": self.residuals, **summary},
+            "checks": self.checks,
             "pass": self.passed,
             "runtime_ms": self.runtime_ms,
             "version": self.version,
-            "warnings": self.warnings,
         }
 
 
@@ -188,17 +186,18 @@ def _echo(cfg: RunConfig, names: Sequence[str]) -> dict:
 
 
 def _failure(stage: str, exc: Exception, **where):
-    """A runner's outcome when a solver stage raises: one `failure` row."""
+    """A runner's outcome when a solver stage raises: one `failure` row, and
+    the stage as the one failed check."""
     failure = {"stage": stage, **where, "error": type(exc).__name__, "message": str(exc)}
-    return [{"failure": failure}], [], False, []
+    return [{"failure": failure}], {stage: False}
 
 
 # ---------------------------------------------------------------------------
-# Task runners: each returns (results, residuals, passed, warnings).
+# Task runners: each returns (results, checks), checks = {check name: passed}.
 # ---------------------------------------------------------------------------
 
 def run_commute(cfg: RunConfig):
-    results, residuals = [], []
+    results = []
     for n in range(1, cfg.n + 1):
         d_ops = ops.toda_operators(n)
         ham = ops.build_hamiltonian(n)
@@ -206,19 +205,15 @@ def run_commute(cfg: RunConfig):
                  for i in range(len(d_ops)) for j in range(i + 1, len(d_ops))]
         pairs += [(f"H,D{i+1}", ham, d) for i, d in enumerate(d_ops)]
         for name, a, b in pairs:
-            comm = ops.commutator(a, b)
-            results.append({"n": n, "pair": name, "residual_terms": len(comm.terms)})
-            residuals.append(float(len(comm.terms)))
-    return results, residuals, all(r == 0 for r in residuals), []
+            results.append({"n": n, "pair": name,
+                            "residual_terms": len(ops.commutator(a, b).terms)})
+    return results, {"residual_terms": all(r["residual_terms"] == 0 for r in results)}
 
 
 def run_mirror(cfg: RunConfig):
-    results, residuals = [], []
     graph = mi.build_graph(cfg.n)
-    ok = mi.weight_balance_ok(graph)
-    results.append({"check": "weight_balance", "pass": ok})
-    residuals.append(0.0 if ok else 1.0)
-    perms = set()
+    checks = {"weight_balance": mi.weight_balance_ok(graph)}
+    charts, perms = [], set()
     for kseq in mi.all_k_sequences(cfg.n):
         chart = mi.make_chart(graph, kseq)
         flags = {
@@ -227,13 +222,14 @@ def run_mirror(cfg: RunConfig):
             "phase_consistency": mi.phase_consistency(chart),
         }
         perms.add(chart.permutation)
-        results.append({"chart": chart.report(), **flags})
-        residuals.append(0.0 if all(flags.values()) else 1.0)
-    bijection = len(perms) == math.factorial(cfg.n + 1)
-    results.append({"check": "permutation_bijection", "count": len(perms),
-                    "pass": bijection})
-    residuals.append(0.0 if bijection else 1.0)
-    return results, residuals, all(r == 0 for r in residuals), []
+        charts.append({"chart": chart.report(), **flags})
+    for name in ("multiset", "relations", "phase_consistency"):
+        checks[name] = all(row[name] for row in charts)
+    checks["permutation_bijection"] = len(perms) == math.factorial(cfg.n + 1)
+    results = [{"check": "weight_balance", "pass": checks["weight_balance"]}, *charts,
+               {"check": "permutation_bijection", "count": len(perms),
+                "pass": checks["permutation_bijection"]}]
+    return results, checks
 
 
 def run_critical(cfg: RunConfig):
@@ -252,23 +248,19 @@ def run_critical(cfg: RunConfig):
         row["spectral_residual"] = point.max_residual
         row["lagrangian_residuals"] = point.residuals
         results.append(row)
-    uv = cr.uv_identity_check(cfg.n)
     degenerate = [list(r.chart.kseq) for r in census.records if not r.nondegenerate]
     # (n+1)! distinct points hold once census returns: it raises otherwise
     checks = {
         "nondegenerate": not degenerate,
         "spectral": census.max_spectral_residual < cfg.tol_spectral,
         "scaling": scaling < cfg.tol_scaling,
-        "uv_identity": uv,
+        "uv_identity": cr.uv_identity_check(cfg.n),
     }
-    failed = [name for name, ok in checks.items() if not ok]
     results.append({"min_pairwise_distance": census.min_pairwise_distance,
-                    "degenerate_charts": degenerate, "failed": failed})
+                    "degenerate_charts": degenerate})
     results.append({"check": "quasi_homogeneity", "residual": scaling})
-    results.append({"check": "uv_identity", "pass": uv})
     results.append({"check": "continuation", **census.continuation})
-    residuals = [census.max_spectral_residual, scaling]
-    return results, residuals, not failed, []
+    return results, checks
 
 
 def run_eigen(cfg: RunConfig):
@@ -284,35 +276,34 @@ def run_eigen(cfg: RunConfig):
         return _failure(stage, exc)
     results = [{"operator": f"D{i+1}", "residual": float(r)}
                for i, r in enumerate(rep.residuals)]
-    residuals = [float(r) for r in rep.residuals]
     tol = cfg.tol_eigen_n1 if cfg.n == 1 else cfg.tol_eigen_n2
-    passed = all(r < tol for r in residuals)
+    checks = {"residual": all(r < tol for r in rep.residuals)}
     if cfg.n == 1:
         rel = float(abs(rep.base_value - oracle) / abs(oracle))
         results.append({"check": "bessel_oracle", "relative_error": rel})
-        residuals.append(rel)
-        passed = passed and rel < cfg.tol_oracle
+        checks["bessel_oracle"] = rel < cfg.tol_oracle
     results.append({"quadrature": {"nodes_per_axis": rep.nodes_per_axis,
                                    "evaluations": rep.evaluations,
                                    "levels": rep.levels, "error": rep.error}})
-    return results, residuals, passed, []
+    return results, checks
 
 
 def run_classical_limit(cfg: RunConfig):
-    results, residuals = [], []
+    fixed_points = []
     for n in range(1, cfg.n + 1):
         for perm in itertools.permutations(range(n + 1)):
             rep = sc.verify_classical_limit(n, perm, cfg.stirling_order)
-            results.append({"n": n, "permutation": list(perm), "match": rep.match,
-                            "orthogonal": rep.orthogonal,
-                            "first_mismatch": rep.first_mismatch})
-            residuals.append(0.0 if rep.ok else 1.0)
+            fixed_points.append({"n": n, "permutation": list(perm), "match": rep.match,
+                                 "orthogonal": rep.orthogonal,
+                                 "first_mismatch": rep.first_mismatch})
+    stirling = []
     for z in (5.0, 10.0):
         err, bound, ok = sc.stirling_numeric_residual(cfg.stirling_order, z)
-        results.append({"check": "stirling_numeric", "z": z, "error": err,
-                        "bound": bound, "pass": ok})
-        residuals.append(0.0 if ok else 1.0)
-    return results, residuals, all(r == 0 for r in residuals), []
+        stirling.append({"check": "stirling_numeric", "z": z, "error": err,
+                         "bound": bound, "pass": ok})
+    checks = {name: all(row[name] for row in fixed_points) for name in ("match", "orthogonal")}
+    checks["stirling_numeric"] = all(row["pass"] for row in stirling)
+    return fixed_points + stirling, checks
 
 
 # the mode pairs m < m' with m + m' >= -1 among -1..2
@@ -320,19 +311,17 @@ _MODE_PAIRS = [(m, mp) for m in range(-1, 3) for mp in range(-1, 3) if m < mp an
 
 
 def run_virasoro(cfg: RunConfig):
-    results, residuals = [], []
+    results = []
     for m in (-1, 0, 1, 2):
         same = (vi.quantize(vi.loop_d_operator(m), cfg.truncation)
                 == vi.point_virasoro(m, cfg.truncation))
         results.append({"check": "quantize_matches_table", "m": m, "pass": same})
-        residuals.append(0.0 if same else 1.0)
     for m, mp in _MODE_PAIRS:
         r = vi.commutation_check(m, mp, max_index=cfg.truncation)
         results.append({"check": "commutator", "pair": [m, mp], "window": r.window,
                         "scalar": format_rational(r.scalar),
                         "expected": format_rational(r.expected_scalar),
                         "leftover_terms": r.leftover_terms, "pass": r.ok})
-        residuals.append(0.0 if r.ok else 1.0)
     rng = random.Random(cfg.seed)
     for N in (1, 2, 3):
         mu = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(N)]
@@ -344,29 +333,26 @@ def run_virasoro(cfg: RunConfig):
             res = vi.family_bracket_check(mu, rho, m, mp, range(-6, 7))
             results.append({"check": "family_bracket", "N": N, "pair": [m, mp],
                             "coefficient": res.coefficient, "pass": res.exact})
-            residuals.append(0.0 if res.exact else 1.0)
-    return results, residuals, all(r == 0 for r in residuals), []
+    checks = {name: all(row["pass"] for row in results if row["check"] == name)
+              for name in ("quantize_matches_table", "commutator", "family_bracket")}
+    return results, checks
 
 
 def run_all(cfg: RunConfig):
-    results, residuals, warnings = [], [], []
-    passed = True
+    """One row per leg: the leg's checks and the n, lambda and q it ran at."""
+    results, checks = [], {}
     shared = {name: getattr(cfg, name) for name in SETTINGS["all"]}
     for task in TASKS[:-1]:
         sub_cfg = RunConfig(task=task, **shared)
         if task == "eigen" and cfg.n > ig.MAX_N:
             # the quadrature engine is desk scale; cap the suite's eigen leg
             sub_cfg = dataclasses.replace(sub_cfg, n=ig.MAX_N, lam=None, q=None)
-            warnings.append(f"eigen subtask capped at n = {ig.MAX_N} (quadrature scale)")
         sub_cfg = resolve_defaults(sub_cfg)
-        r, res, ok, warn = RUNNERS[task](sub_cfg)
-        drawn = _echo(sub_cfg, ("lam", "q")) if "lam" in SETTINGS[task] else {}
-        results.append({"task": task, "pass": bool(ok),
-                        "max_residual": float(max(res)) if res else None, **drawn})
-        residuals.extend(res)
-        warnings.extend(warn)
-        passed = passed and ok
-    return results, residuals, passed, warnings
+        _, leg = RUNNERS[task](sub_cfg)
+        checks[task] = all(leg.values())
+        echoed = [name for name in ("n", "lam", "q") if name in SETTINGS[task]]
+        results.append({"task": task, "checks": leg, **_echo(sub_cfg, echoed)})
+    return results, checks
 
 
 RUNNERS = {
@@ -384,17 +370,12 @@ def run(cfg: RunConfig) -> VerificationReport:
     cfg.validate()
     t0 = time.monotonic()
     cfg = resolve_defaults(cfg)
-    results, residuals, passed, warnings = RUNNERS[cfg.task](cfg)
-    if not results:
-        warnings = warnings + ["no results produced; pass is vacuous"]
-        passed = True
+    results, checks = RUNNERS[cfg.task](cfg)
     params = {**_echo(cfg, SETTINGS[cfg.task]),
               "command": " ".join(shlex.quote(a) for a in cfg.argv)}
     return VerificationReport(
-        task=cfg.task, params=params, results=results,
-        residuals=[float(r) for r in residuals], passed=bool(passed),
-        runtime_ms=int((time.monotonic() - t0) * 1000),
-        version=__version__, warnings=warnings)
+        task=cfg.task, params=params, results=results, checks=checks,
+        runtime_ms=int((time.monotonic() - t0) * 1000), version=__version__)
 
 
 def build_parser() -> argparse.ArgumentParser:

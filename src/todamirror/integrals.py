@@ -382,7 +382,10 @@ def eigen_residual(task: IntegralTask) -> EigenReport:
     moments = {k: float(total) * math.exp(float(ka @ phase.B @ x))
                for k, ka, total in zip(keys, kas, conv.sums)}
     base = moments[zero]
-    residuals = [abs(sum(c * moments[k] for k, c in amp.items()) - sigma * base) / abs(base)
+    # fsum: a residual is rounding in a cancellation, so it must not depend
+    # on the order of the amplitude's terms
+    residuals = [abs(math.fsum([*(c * moments[k] for k, c in amp.items()), -sigma * base]))
+                 / abs(base)
                  for amp, sigma in zip(amplitudes, elementary_symmetric_sigma(task.lam))]
     base_value = math.exp((conv.f_ref + float(phase.rho @ x)) / task.hbar) * base * conv.cell
     return EigenReport(n=task.n, residuals=residuals, base_value=base_value,

@@ -85,18 +85,10 @@ def multiplication_by_hbar_power(N: int, power: int) -> LoopOperator:
     return LoopOperator(N, lambda a, k: {(a, k + power): Fraction(1)})
 
 
-def loop_d_operator(m: int, N: int = 1) -> LoopOperator:
-    """D_m = hbar^{-1/2} D^{m+1} hbar^{-1/2}: hbar^k -> prod_r (k+1/2+r) hbar^{k+m}."""
-    if m < -1:
-        raise VirasoroError("m >= -1 required")
-
-    def act(alpha: int, k: int) -> LoopElement:
-        c = Fraction(1)
-        for r in range(m + 1):
-            c *= Fraction(2 * k + 1, 2) + r
-        return {(alpha, k + m): c}
-
-    return LoopOperator(N, act)
+def loop_d_operator(m: int) -> LoopOperator:
+    """D_m = hbar^{-1/2} D^{m+1} hbar^{-1/2}: hbar^k -> prod_r (k+1/2+r) hbar^{k+m},
+    the point (mu = rho = 0) member of `family_operator`."""
+    return family_operator([0], [[0]], m)
 
 
 def family_operator(mu: Sequence[Fraction], rho: Sequence[Sequence[Fraction]],

@@ -73,23 +73,24 @@ def test_critical_reports_six_points(capsys):
     doc = json.loads(capsys.readouterr().out)
     records = [r for r in doc["results"] if "k_sequence" in r]
     assert len(records) == 6 and all(r["nondegenerate"] for r in records)
-    summary = [r for r in doc["results"] if "failed" in r][0]
-    assert summary["failed"] == [] and summary["degenerate_charts"] == []
-    assert summary["min_pairwise_distance"] > 1e-6
-    assert len(doc["residuals"]["values"]) == 2 and doc["residuals"]["max"] < 1e-8
+    summary = [r for r in doc["results"] if "min_pairwise_distance" in r][0]
+    assert summary["degenerate_charts"] == [] and summary["min_pairwise_distance"] > 1e-6
+    assert doc["checks"] == dict.fromkeys(("nondegenerate", "spectral", "scaling",
+                                           "uv_identity"), True)
 
 
 def test_critical_names_each_check_that_fails(monkeypatch, capsys):
     # the census guarantees (n+1)! distinct points; the other checks can each
-    # fail for their own reason, and the summary names exactly those: here
+    # fail for their own reason, and the checks name exactly those: here
     # every critical mutation of tests/test_checks_can_fail.py at once
     from test_checks_can_fail import MUTATIONS
     for task, _, _, install in MUTATIONS:
         if task == "critical":
             install(monkeypatch)
     assert run_cli(["critical", "--n", "2", "--lambda", "1/4,1/8,-3/8", "--q", "1,1"]) == 1
-    summary = [r for r in json.loads(capsys.readouterr().out)["results"] if "failed" in r][0]
-    assert summary["failed"] == ["spectral", "scaling", "uv_identity"]
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == {"nondegenerate": True, "spectral": False, "scaling": False,
+                      "uv_identity": False}
 
 
 def test_critical_failure_names_the_failed_check(capsys):
@@ -97,8 +98,8 @@ def test_critical_failure_names_the_failed_check(capsys):
     # nondegeneracy flag is what fails, and the report says so
     assert run_cli(["critical", "--n", "4"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    summary = [r for r in doc["results"] if "failed" in r][0]
-    assert summary["failed"] == ["nondegenerate"]
+    assert [name for name, ok in doc["checks"].items() if not ok] == ["nondegenerate"]
+    summary = [r for r in doc["results"] if "degenerate_charts" in r][0]
     flagged = [r["k_sequence"] for r in doc["results"]
                if "k_sequence" in r and not r["nondegenerate"]]
     assert summary["degenerate_charts"] == flagged != []
@@ -113,7 +114,8 @@ def test_eigen_n1(capsys):
                     "--hbar", "-1"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["residuals"]["max"] < 1e-6
+    assert doc["checks"] == {"residual": True, "bessel_oracle": True}
+    assert max(r["residual"] for r in doc["results"] if "operator" in r) < 1e-6
 
 
 def test_eigen_quadrature_block_is_deterministic(capsys):
@@ -225,19 +227,27 @@ def test_scaling_solver_failure_is_a_report(monkeypatch, capsys):
 
 
 def test_failure_exit_code(monkeypatch, capsys):
-    def always_fail(cfg):
-        return [{"forced": True}], [1.0], False, []
-    monkeypatch.setitem(cli.RUNNERS, "commute", always_fail)
-    assert run_cli(["commute", "--n", "1"]) == 1
+    # pass is the conjunction of the checks, and the exit code follows it:
+    # 1 exactly when one check is false
+    for verdicts in [(True,), (True, True), (False,), (True, False, True)]:
+        checks = {f"check{i}": ok for i, ok in enumerate(verdicts)}
+        monkeypatch.setitem(cli.RUNNERS, "commute", lambda cfg: ([{"forced": True}], checks))
+        assert run_cli(["commute", "--n", "1"]) == (0 if all(verdicts) else 1), verdicts
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["checks"] == checks and doc["pass"] == all(verdicts), verdicts
 
 
 def test_report_schema_fields(capsys):
-    run_cli(["commute", "--n", "1"])
-    doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {"task", "params", "results", "residuals", "pass",
-                        "runtime_ms", "version", "warnings"}
-    assert doc["version"] == cli.__version__
-    assert doc["params"] == {"n": 1, "command": "todamirror commute --n 1"}
+    for argv in (["commute", "--n", "1"], ["mirror", "--n", "1"], ["critical", "--n", "1"],
+                 ["eigen", "--n", "1"], ["classical-limit", "--n", "1"],
+                 ["virasoro", "--truncation", "1"], ["all", "--n", "1"]):
+        assert run_cli(argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"task", "params", "results", "checks", "pass", "runtime_ms",
+                            "version"}, argv
+        assert doc["checks"] and all(doc["checks"].values()) and doc["pass"] is True, argv
+        assert doc["version"] == cli.__version__
+        assert doc["params"]["command"] == "todamirror " + " ".join(argv)
 
 
 def test_determinism_same_seed(capsys):
@@ -303,16 +313,6 @@ def test_unwritable_output_exits_before_the_run(tmp_path, monkeypatch, capsys):
     assert out == "" and err.startswith("error: ")
 
 
-def test_empty_results_vacuous_pass_flagged(monkeypatch, capsys):
-    def empty(cfg):
-        return [], [], True, []
-    monkeypatch.setitem(cli.RUNNERS, "commute", empty)
-    assert run_cli(["commute", "--n", "1"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["pass"] is True
-    assert any("vacuous" in w for w in doc["warnings"])
-
-
 def test_rationals_serialized_as_num_den(capsys):
     run_cli(["critical", "--n", "1", "--lambda", "1/2,-1/2", "--q", "1"])
     doc = json.loads(capsys.readouterr().out)
@@ -330,8 +330,11 @@ def test_installed_entry_point():
 def test_all_suite_caps_eigen_dimension(capsys):
     assert run_cli(["all", "--n", "3", "--seed", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["pass"] is True
-    assert any("capped" in w for w in doc["warnings"])
+    assert doc["checks"] == dict.fromkeys(cli.TASKS[:-1], True)
+    legs = {r["task"]: r for r in doc["results"]}
+    assert legs["eigen"]["n"] == ig.MAX_N == 2 and legs["critical"]["n"] == 3
+    assert "n" not in legs["virasoro"]        # virasoro reads no n
+    assert all(all(leg["checks"].values()) for leg in legs.values())
 
 
 SAMPLE = {"n": "1", "lam": "1/2,-1/2", "q": "1/2", "hbar": "-2", "truncation": "2",
@@ -349,7 +352,7 @@ def flag(name):
 
 @pytest.mark.parametrize("task", cli.TASKS)
 def test_each_subcommand_takes_exactly_the_settings_its_task_reads(task, monkeypatch, capsys):
-    monkeypatch.setitem(cli.RUNNERS, task, lambda cfg: ([{"ran": True}], [0.0], True, []))
+    monkeypatch.setitem(cli.RUNNERS, task, lambda cfg: ([{"ran": True}], {"ran": True}))
     own = cli.SETTINGS[task]
     assert run_cli([task] + [tok for name in own for tok in (flag(name), SAMPLE[name])]) == 0
     params = json.loads(capsys.readouterr().out)["params"]

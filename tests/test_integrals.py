@@ -277,6 +277,18 @@ def test_eigen_residuals_n2_generic_point():
 
 
 @pytest.mark.parametrize("n, lam", [(1, (0.25, -0.25)), (2, (0.25, 0.125, -0.375))])
+def test_eigen_residuals_do_not_depend_on_the_order_of_amplitude_terms(monkeypatch, n, lam):
+    # each residual is rounding in a cancellation: a plain sum of the moment
+    # terms moved the n = 2 residuals when the terms came in reverse order
+    forward = ig.eigen_residual(task(n, lam, (1.0,) * n)).residuals
+    amplitude = ig._operator_amplitude
+    monkeypatch.setattr(ig, "_operator_amplitude",
+                        lambda *args: dict(reversed(list(amplitude(*args).items()))))
+    assert ig.eigen_residual(task(n, lam, (1.0,) * n)).residuals == forward
+    assert forward[0] == 0.0                 # the D_1 row is 0 by construction
+
+
+@pytest.mark.parametrize("n, lam", [(1, (0.25, -0.25)), (2, (0.25, 0.125, -0.375))])
 def test_eigen_residual_detects_shifted_eigenvalues(monkeypatch, n, lam):
     delta = 1e-6
     exact_sigma = ig.elementary_symmetric_sigma
