@@ -54,7 +54,6 @@ from .integrals import (
     QuadratureResult,
     admissible,
     bessel_k_cosh,
-    cp1_example_check,
     eigen_residual,
     evaluate,
     q_to_zero_factorization,

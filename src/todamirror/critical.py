@@ -61,6 +61,10 @@ JUMP_BOUND = 0.5
 DET_JUMP_BOUND = 1.5
 # The first path step, as a fraction of the path.
 FIRST_STEP = 1.0 / 8
+# Every step is sized from its predictor: its predicted move |dtheta ds/dtheta|_inf
+# is at most PREDICTED_MOVE * JUMP_BOUND, so a step the predictor already sees
+# jumping is never tried.
+PREDICTED_MOVE = 0.8
 # Newton converges when |grad f|_inf is at most max(NEWTON_TOL, FLOOR_FACTOR *
 # eps * the largest sum of absolute gradient terms) at the accepted point: the
 # second term is the rounding floor of the gradient sum, which exceeds
@@ -131,18 +135,20 @@ def _check_q(q: Sequence[float], n: int) -> Tuple[float, ...]:
 # is capped at 0.5 in sup-norm, and its line search tries t = 1, 1/2, ...,
 # 2^-20 before it gives up.  A lane's solve fails when its step count reaches
 # its limit short of the tolerance: _NEWTON_STEPS for the solve at the target
-# q and the scaling re-solve, _PATH_NEWTON_STEPS for the corrector of a path
-# step, where failing only halves the step.  Every lane of a round waits for
-# its slowest solve.
-# Measured with the limit 100 on every solve, over the draws of n = 3 seeds
-# 0-39, n = 4 seeds 0-9 and the census benchmark: accepted correctors took a
-# median of 4 steps and 7 at the 99th percentile; 97 of 39,468 took more than
-# 12 (at most 93), while 1,362 failing correctors ran all 100.  With the cap
-# at 12 the path rounds of those draws grow by 8% (3,355 to 3,607) and the
-# batched Newton steps halve (56,979 to 28,169); 16 gives 3,375 and 28,129,
-# 10 gives 6,026 and 45,385, and 8 gives 10,120 rounds.
+# q, the scaling re-solve and the retry of a failed path corrector, and
+# _PATH_NEWTON_STEPS for any other path corrector, where failing only halves
+# the step.  Every lane of a round waits for its slowest solve.
+# Measured with predictor-sized steps and the limit 100 on every solve, over
+# n = 3 seeds 0-39, n = 4 seeds 0-9 and the census benchmark's batches 1-10:
+# accepted correctors took a median of 4 steps and 7 at the 99th percentile;
+# 197 of 73,982 took more than 8 (at most 55), and 28 failing ones ran all 100.
+# Rounds and batched Newton steps: limit 100, 4,037 and 26,666; 16, 4,059 and
+# 24,485; 10, 4,103 and 24,361; 8, 4,129 and 24,267.  Without the full-limit
+# retry, one lane of the large-w draw of census batch 11 creeps at 8 (3,473
+# rounds against 98): near its singular log-Hessian every capped corrector
+# stalls just above its tolerance.
 _NEWTON_STEPS = 100
-_PATH_NEWTON_STEPS = 12
+_PATH_NEWTON_STEPS = 8
 _TRIALS = 21
 _STEPS = 0.5 ** np.arange(_TRIALS)
 _EPS = np.finfo(float).eps
@@ -162,6 +168,10 @@ def _solve(h: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _tau(theta: np.ndarray) -> np.ndarray:
     return theta + 1j * (PATH_LIFT * np.sin(np.pi * theta))
+
+
+def _dtau(theta: np.ndarray) -> np.ndarray:
+    return 1.0 + 1j * PATH_LIFT * np.pi * np.cos(np.pi * theta)
 
 
 @dataclass
@@ -258,36 +268,51 @@ class _Lanes:
         h = np.matmul(self.At[rows] * vals_end[:, None, :], self.A[rows])
         return s_end, gnorm_end, vals_end, h, why
 
+    def start_tangent(self) -> np.ndarray:
+        """ds/dtheta at theta = 0 per lane: there the log-Hessian is diag(-sigma)
+        and only the q-degree-one monomials move the gradient, by tau'(0) times
+        their values at the start point."""
+        first = np.exp(np.matmul(self.start[:, None, :], self.At)[:, 0] + self.bq) * (self.qdeg == 1)
+        return np.matmul(first[:, None, :], self.A)[:, 0] * _dtau(0.0) / self.sigma
+
     @np.errstate(all="ignore")
     def track(self) -> _Endpoints:
         """Track every lane along tau(theta) * q from q = 0, then solve once at
         q itself: each round moves every unfinished lane by its Euler predictor
-        in one `_newton` call, and halves a step that fails or jumps in s or in
-        log det H.  That log starts at log prod(-sigma) with imaginary part 0
-        or pi, so its square root starts at +sqrt or +i sqrt|prod(-sigma)|.
-        A path step's corrector fails after _PATH_NEWTON_STEPS Newton steps
-        (12; accepted correctors take a median of 4 and 7 at the 99th
-        percentile), so a slow corrector costs its lane a halved step instead
-        of holding the round for _NEWTON_STEPS; the solve at q keeps
-        _NEWTON_STEPS."""
+        ds/dtheta in one `_newton` call, and halves a step that fails or jumps
+        in s or in log det H.  Each step is sized from its own predictor: after
+        an accepted step, step <- min(1.5 step, 1 - theta, PREDICTED_MOVE *
+        JUMP_BOUND / |ds/dtheta|_inf), so the predicted move stays inside the
+        jump bound the step is checked against.  At q = 0 the log-Hessian is
+        diag(-sigma) and only the q-degree-one monomials move the gradient, so
+        the first step has a predictor too.  log det H starts at
+        log prod(-sigma) with imaginary part 0 or pi, so its square root starts
+        at +sqrt or +i sqrt|prod(-sigma)|.  A path step's corrector fails after
+        _PATH_NEWTON_STEPS Newton steps, so a slow corrector costs its lane a
+        halved step instead of holding the round for _NEWTON_STEPS; the retry
+        of that halved step, like the solve at q, gets _NEWTON_STEPS, so a
+        corrector that stalls just above its tolerance cannot make its lane
+        creep."""
         count, dim = self.start.shape
-        path, theta, step = self.start.copy(), np.zeros(count), np.full(count, FIRST_STEP)
+        path, theta, cap = self.start.copy(), np.zeros(count), PREDICTED_MOVE * JUMP_BOUND
         det = np.prod(-self.sigma, axis=1).astype(complex)
         log_det, gnorm, errors = np.log(det), np.full(count, np.inf), [None] * count
-        pred, h = np.full_like(path, np.nan), np.zeros((count, dim, dim), complex)
+        h, pred = np.zeros((count, dim, dim), complex), self.start_tangent()
+        step = np.fmin(FIRST_STEP, cap / np.abs(pred).max(axis=1))
         live, rounds, halvings, solves = np.arange(count), 0, 0, self.solves
+        retry = np.zeros(count, dtype=bool)
         while live.size:
             rounds += 1
             # a step on along the path; at theta = 1, the target q itself
             final = theta[live] >= 1.0
             th = np.minimum(1.0, theta[live] + step[live])
             dth = th - theta[live]
-            use = (np.abs(pred[live]).max(axis=1) * dth <= 1.0)[:, None]  # NaN: no predictor
+            use = np.isfinite(pred[live]).all(axis=1)[:, None]  # NaN: no predictor
             y = np.where(use, path[live] + dth[:, None] * pred[live], path[live])
             ln_tau = np.where(final, 0.0, np.log(_tau(th)))
             s, gn, vals, hs, why = self._newton(
                 live, y, self.bq[live] + ln_tau[:, None] * self.qdeg[live],
-                np.where(final, _NEWTON_STEPS, _PATH_NEWTON_STEPS))
+                np.where(final | retry[live], _NEWTON_STEPS, _PATH_NEWTON_STEPS))
             new_det = np.linalg.det(hs)
             log_ratio = np.log(new_det / det[live])
             failed = np.array([w is not None for w in why])
@@ -297,6 +322,7 @@ class _Lanes:
                 np.abs(s - path[live]).max(axis=1) > JUMP_BOUND)
             reject &= ~failed & ~final & ~caustic & (step[live] > 1e-11)
             halve = (failed & ~final) | reject
+            retry[live] = failed & ~final
             step[live[halve]] /= 2
             halvings += int(halve.sum())
             out = (failed & (final | (step[live] < 1e-13))) | caustic
@@ -312,12 +338,12 @@ class _Lanes:
             # ds/dtheta = -H^{-1} d(grad f)/dtheta predicts the next point
             inner = take & (th < 1.0)
             k, at = live[inner], th[inner]
-            step[k] = np.minimum(step[k] * 1.5, 1.0 - at)
-            dtau = 1.0 + 1j * PATH_LIFT * np.pi * np.cos(np.pi * at)
             dg = np.matmul((vals[inner] * self.qdeg[k])[:, None, :],
-                           self.A[k])[:, 0] * (dtau / _tau(at))[:, None]
+                           self.A[k])[:, 0] * (_dtau(at) / _tau(at))[:, None]
             ds, singular = _solve(hs[inner], -dg)
-            pred[k] = np.where(singular[:, None], np.nan, ds)
+            pred[k] = np.where(singular[:, None] | ~np.isfinite(ds), np.nan, ds)
+            step[k] = np.fmin(np.minimum(step[k] * 1.5, 1.0 - at),
+                              cap / np.abs(pred[k]).max(axis=1))
             live = live[~(final | out)]
         return _Endpoints(path, gnorm, h, log_det, errors, rounds, self.solves - solves, halvings)
 

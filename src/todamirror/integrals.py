@@ -21,7 +21,6 @@ from .exact import LaurentPolynomial, elementary_symmetric_sigma
 # make_chart is looked up here by bench/tracing.py, which wraps it per module
 from .mirror import ChartPhase, SigmaChart, make_chart, phase_in_chart
 from . import operators as ops
-from . import critical as crit
 
 
 class QuadratureError(RuntimeError):
@@ -458,48 +457,3 @@ def q_to_zero_factorization(n: int, lam: Sequence[float], hbar: float,
     product = math.prod(one_variable_factor(s / hbar, hbar) for s in phase.sigma)
     return abs(value - product) / abs(product), value, product
 
-
-# ---------------------------------------------------------------------------
-# The projective-line worked example.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Cp1Report:
-    derivative_match: float   # max |d/dt (u_sigma - closed form)|
-    momentum_match: float     # max |du/dt - p|
-
-
-def _closed_form_derivative(lam0: float, p: float, q: float) -> complex:
-    """d/dt of 2p + lam0 ln(lam1 + p) + lam1 ln(lam0 + p) with lam1 = -lam0,
-    t = ln q and dp/dt = q/(2p), by the chain rule."""
-    lam1 = -lam0
-    return (2.0 + lam0 / complex(lam1 + p) + lam1 / complex(lam0 + p)) * q / (2.0 * p)
-
-
-def cp1_example_check(lam0: float, q_grid: Sequence[float]) -> Cp1Report:
-    """Critical values of the n = 1 phase against the closed form.
-
-    With p = +/- sqrt(lam0^2 + q) the closed form 2p + lam0 ln(lam1 + p)
-    + lam1 ln(lam0 + p) matches u_sigma up to a q-independent constant, and
-    du/dt = p (t = ln q).  By the envelope identity du_sigma/dt is dF/dt at
-    the critical point, sum_m B_m e_m + rho, so no difference quotient is
-    taken.
-    """
-    if lam0 == 0:
-        raise ValueError("lam0 must be nonzero")
-    lam = (lam0, -lam0)
-
-    derivative_match = momentum_match = 0.0
-    # both charts of each fiber in one batch; assign each chart the momentum
-    # branch that matches its du/dt
-    for q in q_grid:
-        lnq = np.array([math.log(q)])
-        root = math.sqrt(lam0 ** 2 + q)
-        for rec in crit.all_critical_points(1, lam, (q,)):
-            phase = phase_in_chart(rec.chart, lam)
-            du = complex((phase.B.T @ phase.exponentials(rec.s, lnq) + phase.rho)[0])
-            p = min((root, -root), key=lambda v: abs(du - v))
-            momentum_match = max(momentum_match, abs(du - p))
-            derivative_match = max(derivative_match,
-                                   abs(du - _closed_form_derivative(lam0, p, q)))
-    return Cp1Report(derivative_match=derivative_match, momentum_match=momentum_match)

@@ -229,9 +229,10 @@ def default_draw(n, seed):
 
 
 def test_path_correctors_are_capped_and_the_solve_at_q_is_not(monkeypatch):
-    # a path step's corrector gets _PATH_NEWTON_STEPS steps; the solve at the
-    # target q and the scaling re-solve get _NEWTON_STEPS.  On this draw some
-    # correctors run into the cap, and their halved steps still arrive.
+    # a path step's corrector gets _PATH_NEWTON_STEPS steps, unless it retries
+    # a failed corrector of its lane; the solve at the target q and the scaling
+    # re-solve get _NEWTON_STEPS.  On this draw some correctors run into the
+    # cap, and their halved steps still arrive.
     calls, newton = [], cr._Lanes._newton
 
     def recording(self, rows, s, c, limit):
@@ -240,14 +241,17 @@ def test_path_correctors_are_capped_and_the_solve_at_q_is_not(monkeypatch):
         return out
 
     monkeypatch.setattr(cr._Lanes, "_newton", recording)
-    n, (lam, q) = 3, default_draw(3, 2)
+    n, (lam, q) = 3, default_draw(3, 25)
     lanes = cr._Lanes([chart(n, k) for k in mi.all_k_sequences(n)], lam, q)
     ends = lanes.track()
     assert ends.errors == [None] * len(lanes.charts)
     assert ends.rounds == len(calls) and ends.solves == lanes.solves
     for lane in range(len(lanes.charts)):
-        limits = [int(lim[rows == lane][0]) for rows, lim, _ in calls if lane in rows]
-        assert limits[:-1] == [cr._PATH_NEWTON_STEPS] * (len(limits) - 1)
+        mine = [(int(lim[r]), whys[r]) for rows, lim, whys in calls
+                for r in (rows == lane).nonzero()[0]]
+        limits = [lim for lim, _ in mine]
+        assert limits[:-1] == [cr._NEWTON_STEPS if i and mine[i - 1][1] else cr._PATH_NEWTON_STEPS
+                               for i in range(len(mine) - 1)]
         assert limits[-1] == cr._NEWTON_STEPS
     capped = [why for _, lim, whys in calls for cap, why in zip(lim, whys)
               if cap == cr._PATH_NEWTON_STEPS and why and why.startswith("Newton did not reach")]
@@ -256,6 +260,51 @@ def test_path_correctors_are_capped_and_the_solve_at_q_is_not(monkeypatch):
     cr.scaling_residual(lanes.records(ends), 2.0)
     [(_, limits, _)] = calls
     assert np.all(limits == cr._NEWTON_STEPS)
+
+
+def test_start_tangent_matches_a_small_step():
+    # at q = 0 the predictor is explicit; a Newton solve a little way along
+    # the path, at theta = 1e-6, must move each lane by theta times it
+    n, (lam, q) = 3, default_draw(3, 0)
+    lanes = cr._Lanes([chart(n, k) for k in mi.all_k_sequences(n)], lam, q)
+    theta, count = 1e-6, len(lanes.charts)
+    s, _, _, _, why = lanes._newton(np.arange(count), lanes.start,
+                                    lanes.bq + np.log(cr._tau(theta)) * lanes.qdeg, cr._NEWTON_STEPS)
+    assert why == [None] * count
+    tangent = lanes.start_tangent()
+    error = np.abs((s - lanes.start) / theta - tangent).max(axis=1)
+    assert np.all(error <= 1e-4 * np.abs(tangent).max(axis=1))
+
+
+def test_proposed_path_steps_stay_inside_the_jump_bound(monkeypatch):
+    # every path corrector starts from a predicted point within
+    # PREDICTED_MOVE * JUMP_BOUND of its lane's last accepted point, which is
+    # the last earlier solve of the lane at a smaller theta (a rejected step
+    # is retried at a smaller theta than its own)
+    calls, newton = [], cr._Lanes._newton
+
+    def recording(self, rows, s, c, limit):
+        out = newton(self, rows, s, c, limit)
+        calls.append((rows.copy(), s.copy(), c.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(cr._Lanes, "_newton", recording)
+    n, (lam, q) = 3, default_draw(3, 25)
+    lanes = cr._Lanes([chart(n, k) for k in mi.all_k_sequences(n)], lam, q)
+    assert lanes.track().errors == [None] * len(lanes.charts)
+    one = (lanes.qdeg == 1).argmax(axis=1)   # a q-degree-one monomial per lane
+    moves = []
+    for lane, m in enumerate(one):
+        seen = [(0.0, lanes.start[lane])]
+        mine = [(y[r], c[r, m], s[r]) for rows, y, c, s in calls for r in (rows == lane).nonzero()[0]]
+        for y, c, s in mine[:-1]:   # the last is the solve at q itself
+            theta = np.exp(c - lanes.bq[lane, m]).real
+            base = next(point for th, point in reversed(seen) if th < theta)
+            moves.append(np.abs(y - base).max())
+            seen.append((theta, s))
+    # up to the rounding of the step as (theta + step) - theta
+    assert max(moves) <= cr.PREDICTED_MOVE * cr.JUMP_BOUND * (1 + 1e-12)
+    assert len(moves) > len(lanes.charts) and max(moves) > 0.9 * cr.PREDICTED_MOVE * cr.JUMP_BOUND
 
 
 def test_a_lane_meeting_tol_on_its_last_allowed_step_has_converged(monkeypatch):
@@ -329,12 +378,12 @@ def test_scaling_law_on_hard_draws(n, lam, q):
 
 
 def test_jump_bound_keeps_lanes_on_their_sheets(monkeypatch):
-    # with the looser bound of the former detour ladder, two lanes of this
-    # draw land on one sheet
+    # with the looser bound of the former detour ladder (which also loosens
+    # the predicted-move cap), two lanes of this draw land on one sheet
     monkeypatch.setattr(cr, "JUMP_BOUND", 1.5)
     with pytest.raises(cr.CriticalPointError) as err:
-        cr.all_critical_points(3, *default_draw(3, 3))
-    assert "(1, 1, 1)" in str(err.value) and "(3, 2, 1)" in str(err.value)
+        cr.all_critical_points(3, *default_draw(3, 30))
+    assert "(0, 0, 1)" in str(err.value) and "(2, 1, 1)" in str(err.value)
 
 
 def test_newton_floor_lets_large_w_lanes_converge(monkeypatch):
@@ -383,17 +432,17 @@ def test_census_counts_distinct_points(monkeypatch):
 # least pairwise sup-distance as a float hex: one distance matrix per census
 # must give the same value to the bit.
 CENSUS_SEED1 = [
-    ("-6/13,-1/6,-3/13,67/78", "3/8,5/8,3/16", "0x1.e92fd6e93b551p-2"),
-    ("-5/11,1/7,-1/2,125/154", "7/8,1/16,1/16", "0x1.0494b24266ae4p-2"),
-    ("-7/12,-5/11,1/16,515/528", "9/16,13/16,3/4", "0x1.47be08a4ee1f2p-1"),
+    ("-6/13,-1/6,-3/13,67/78", "3/8,5/8,3/16", "0x1.e92fd6e93b58bp-2"),
+    ("-5/11,1/7,-1/2,125/154", "7/8,1/16,1/16", "0x1.0494b24266af2p-2"),
+    ("-7/12,-5/11,1/16,515/528", "9/16,13/16,3/4", "0x1.47be08a4ee0f9p-1"),
     ("-5/16,1/6,1/3,-3/16", "13/16,15/16,7/16", "0x1.397ab5e89436ep+0"),
-    ("-3/11,4/11,5/16,-71/176", "3/8,11/16,5/16", "0x1.e2c8474b60be6p-1"),
-    ("4/15,3/16,-2/5,-13/240", "1/4,1/8,15/16", "0x1.1459bc6f6e70bp-1"),
-    ("2/5,6/13,5/16,-1221/1040", "3/8,1/2,7/8", "0x1.d79f0be2a5254p-1"),
-    ("3/5,-5/11,-2/5,14/55", "3/16,1/8,3/4", "0x1.614bcd9ad29fap-3"),
-    ("2/3,1/13,-3/7,-86/273", "13/16,1/4,11/16", "0x1.6126e11e72783p-1"),
-    ("1/4,1/2,5/16,-17/16", "5/8,5/16,1/16", "0x1.366399e262e58p-1"),
-    ("1/12,-1/3,-4/9,25/36", "1/16,7/16,7/16", "0x1.ed2139ce39510p-2"),
+    ("-3/11,4/11,5/16,-71/176", "3/8,11/16,5/16", "0x1.e2c8474b60a0ap-1"),
+    ("4/15,3/16,-2/5,-13/240", "1/4,1/8,15/16", "0x1.1459bc6f6e8d8p-1"),
+    ("2/5,6/13,5/16,-1221/1040", "3/8,1/2,7/8", "0x1.d79f0be2a524ep-1"),
+    ("3/5,-5/11,-2/5,14/55", "3/16,1/8,3/4", "0x1.614bcd9ad04cfp-3"),
+    ("2/3,1/13,-3/7,-86/273", "13/16,1/4,11/16", "0x1.6126e11e72ed6p-1"),
+    ("1/4,1/2,5/16,-17/16", "5/8,5/16,1/16", "0x1.366399e262e57p-1"),
+    ("1/12,-1/3,-4/9,25/36", "1/16,7/16,7/16", "0x1.ed2139ce39524p-2"),
 ]
 
 

@@ -344,12 +344,6 @@ def test_factorization_n2():
     assert m5 < m4
 
 
-def test_cp1_example():
-    rep = ig.cp1_example_check(0.5, (0.5, 1.0, 2.0))
-    assert rep.derivative_match < 1e-8
-    assert rep.momentum_match < 1e-8
-
-
 def test_cp1_momentum_branch_algebra():
     lam0, q = 0.5, 1.3
     p_plus = math.sqrt(lam0 ** 2 + q)
