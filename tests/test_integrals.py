@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from todamirror import critical as cr
 from todamirror import integrals as ig
 from todamirror import mirror as mi
 from todamirror import operators as ops
@@ -342,6 +343,24 @@ def test_factorization_n2():
     m5, _, _ = ig.q_to_zero_factorization(2, lam, -1.0, ch, 1e-5)
     assert m4 < 1e-3
     assert m5 < m4
+
+
+def test_cp1_example():
+    # n = 1, t = ln q: at each census record du/dt = sum_m B_m e_m + rho is the
+    # momentum p = +/-sqrt(lam0^2 + q) and the t-derivative of the closed form
+    # 2p + lam0 ln(lam1 + p) + lam1 ln(lam0 + p), lam1 = -lam0, dp/dt = q/(2p)
+    lam0 = 0.5
+    lam = (lam0, -lam0)
+    for q in (0.5, 1.0, 2.0):
+        root = math.sqrt(lam0 ** 2 + q)
+        for rec in cr.census(1, lam, (q,)).records:
+            phase = mi.phase_in_chart(rec.chart, lam)
+            du = sum(b * rec.edge_values[name]
+                     for b, name in zip(phase.B[:, 0], rec.chart.row_of)) + phase.rho[0]
+            p = min((root, -root), key=lambda v: abs(du - v))
+            closed = (2.0 + lam0 / complex(p - lam0) - lam0 / complex(lam0 + p)) * q / (2.0 * p)
+            assert abs(du - closed) < 1e-8
+            assert abs(du - p) < 1e-8
 
 
 def test_cp1_momentum_branch_algebra():
