@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .critical import FLOOR_FACTOR, NEWTON_TOL
 from .exact import LaurentPolynomial, elementary_symmetric_sigma
 # make_chart is looked up here by bench/tracing.py, which wraps it per module
 from .mirror import ChartPhase, SigmaChart, make_chart, phase_in_chart
@@ -41,14 +42,16 @@ _SLAB_NODES = 1 << 16
 # Largest n the tensor trapezoid reaches: n = 3 has 6 axes.
 MAX_N = 2
 # Most nodes one doubling level may evaluate, which bounds the time a level
-# that does not converge can take.  At about 1.3e8 nodes/s (n = 2 with the 15
-# eigen moments, one core of a 2-vCPU Xeon VM) a 513^3 level takes about 1 s;
-# 1025^3 (about 8 s) is refused.
+# that does not converge can take.  With the 15 eigen moments of n = 2 on one
+# core of a shared 2-vCPU Xeon VM, the kernel takes 7.5e7 nodes/s at 257^3 and
+# 5.5e7 at 513^3, so a 513^3 level takes about 2.4 s; 1025^3 (about 20 s) is
+# refused.
 _LEVEL_NODES = 1 << 28
 # Floor of the integrand's exponent (f - f_ref)/hbar before its exp: numpy's
 # exp is several times slower below about -708, and over a hundred times
 # slower where its result is subnormal.
 _EXP_FLOOR = -700.0
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -98,31 +101,41 @@ class QuadratureResult:
 
 
 def _real_peak(phase: ChartPhase, lnq: np.ndarray) -> np.ndarray:
-    """Unique real minimum of the convex phase f(s)."""
+    """Unique real minimum of the convex phase f(s), by damped Newton to the
+    census's tolerance: |grad f|_inf at most NEWTON_TOL or the rounding floor
+    FLOOR_FACTOR eps (largest sum of absolute gradient terms).  Each step is
+    halved until it lowers |grad f|_inf or meets the tolerance."""
+    absA = np.abs(phase.A)
+
+    def at(s: np.ndarray) -> Tuple[np.ndarray, float]:     # grad f and its tolerance
+        e = phase.exponentials(s, lnq)
+        terms = absA.T @ e + np.abs(phase.sigma)
+        return phase.A.T @ e + phase.sigma, max(NEWTON_TOL, FLOOR_FACTOR * _EPS * terms.max())
+
     s = np.zeros(phase.dim)
+    g, tol = at(s)
+    gnorm = np.abs(g).max()
     for _ in range(200):
-        g = phase.gradient(s, lnq)
-        if np.max(np.abs(g)) < 1e-12:
+        if gnorm <= tol:
             return s
         try:
             step = np.linalg.solve(phase.hessian(s, lnq), -g)
         except np.linalg.LinAlgError as exc:
             raise QuadratureError(f"singular Hessian at the peak search: {exc}") from exc
-        f0 = phase.value(s, lnq)
         t = 1.0
         while t > 1e-14:
-            s_try = s + t * step
-            f_try = phase.value(s_try, lnq)
-            if np.isfinite(f_try) and f_try < f0:
-                s = s_try
+            with np.errstate(over="ignore", invalid="ignore"):   # NaN is never taken
+                g_try, tol_try = at(s + t * step)
+            norm = np.abs(g_try).max()
+            if norm < gnorm or norm <= tol:
+                s, g, tol, gnorm = s + t * step, g_try, tol_try, norm
                 break
             t /= 2
         else:
-            # descent stalled at float resolution: a small gradient centres the box well enough
-            if np.max(np.abs(g)) < 1e-6:
-                return s
-            raise QuadratureError("peak line search stalled (no interior minimum?)")
-    raise QuadratureError("peak search did not converge")
+            raise QuadratureError(f"peak search stalled at |grad f|_inf = {gnorm:.1e} "
+                                  f"(tolerance {tol:.1e})")
+    raise QuadratureError(f"peak search did not converge: |grad f|_inf = {gnorm:.1e} "
+                          f"(tolerance {tol:.1e})")
 
 
 def _sublevel_box(phase: ChartPhase, lnq: np.ndarray, s_star: np.ndarray,
@@ -193,15 +206,20 @@ def _trapezoid_sums(phase: ChartPhase, lnq: np.ndarray, axes: Sequence[np.ndarra
 
     Every term of (f - f_ref)/hbar that depends on one axis only is summed
     once per call into that axis's line: l_k = (sum of the monomials e_m with
-    support {k} + sigma_k s_k, less f_ref on axis 0) / hbar.  A node's exponent
-    is the sum of its lines less exp(b_m - ln|hbar| + A_m . s) = e_m/|hbar| for
-    each monomial on two or more axes (one of six at n = 2, none at n = 1).
-    The exponent is floored at _EXP_FLOOR before its exp, which keeps numpy's
-    exp off its slow and subnormal paths: the box is cut where the integrand
-    falls to e^-50.7, so a node below e^-700, some 280 decades further down,
-    adds nothing any sum can see.  One reusable slab of whole axis-0 rows is
-    filled at a time and contracted at once with the vectors t_k exp(a_k s_k),
-    last axis first: nothing of grid size exists.
+    support {k} + sigma_k s_k, less f_ref on axis 0) / hbar.  A monomial on two
+    or more axes (one of six at n = 2, none at n = 1) is separable too: e_m/|hbar|
+    is exp(a_0 s_0), one value per axis-0 node, times one plane
+    exp(b_m - ln|hbar| + sum_{k>=1} a_k s_k), both taken once per call.  A
+    node's exponent is the sum of its lines less those products, so the only
+    exp per node is the exponent's own.  A factor that overflows on the
+    call's axes is refused (its product with 0 would be NaN); one that
+    underflows moves the product by at most 2^-1074 x 2^1024 = 2^-50.  The
+    exponent is floored at _EXP_FLOOR before its exp, which keeps numpy's exp
+    off its slow and subnormal paths: the box is cut where the integrand falls
+    to e^-50.7, so a node below e^-700, some 280 decades further down, adds
+    nothing any sum can see.  One reusable slab of whole axis-0 rows is filled
+    at a time and contracted at once with the vectors t_k exp(a_k s_k), last
+    axis first: nothing of grid size exists.
     """
     d = len(axes)
     vecs = [np.exp(np.outer(exps[:, k], ax)) for k, ax in enumerate(axes)]
@@ -220,12 +238,18 @@ def _trapezoid_sums(phase: ChartPhase, lnq: np.ndarray, axes: Sequence[np.ndarra
         return head
 
     lines = [np.zeros(len(ax)) for ax in axes]
-    multi = []      # (axis-0 part, plane) of b_m - ln|hbar| + A_m . s, per multi-axis monomial
-    for a, b in zip(phase.A, phase.B @ lnq):
+    multi = []      # (axis-0 factor, plane factor) of e_m/|hbar|, per multi-axis monomial
+    for m, (a, b) in enumerate(zip(phase.A, phase.B @ lnq)):
         support = np.flatnonzero(a)
         if len(support) > 1:
-            multi.append((a[0] * axes[0],
-                          plane(b - math.log(-hbar), [a[k] * ax for k, ax in enumerate(axes)])))
+            with np.errstate(over="ignore"):    # an overflow raises below
+                factors = (np.exp(a[0] * axes[0]),
+                           np.exp(plane(b - math.log(-hbar),
+                                        [a[k] * ax for k, ax in enumerate(axes)])))
+            if not all(np.isfinite(f).all() for f in factors):
+                raise QuadratureError(f"monomial {m} (exponents {a.tolist()}) overflows "
+                                      "in a separated factor on these axes")
+            multi.append(factors)
         else:
             k = support[0] if len(support) else 0
             lines[k] += np.exp(b + a[k] * axes[k])
@@ -243,8 +267,7 @@ def _trapezoid_sums(phase: ChartPhase, lnq: np.ndarray, axes: Sequence[np.ndarra
         size = len(lines[0][rows])
         slab = np.add(along(0, lines[0][rows]), line_plane, out=buf[:size])
         for axis0, m_plane in multi:
-            term = np.add(along(0, axis0[rows]), m_plane, out=term_buf[:size])
-            slab -= np.exp(term, out=term)
+            slab -= np.multiply(along(0, axis0[rows]), m_plane, out=term_buf[:size])
         np.maximum(slab, _EXP_FLOOR, out=slab)
         np.exp(slab, out=slab)
         slab_vecs = [vecs[0][:, rows]] + vecs[1:]

@@ -441,6 +441,12 @@ class SigmaChart:
         self.permutation = tuple(word)
         self.E = self._solve_eliminated()
 
+    def log_coefficients(self) -> Tuple[np.ndarray, int]:
+        """[sigma; rho_{1,.}] (sigma in position order, then rho_{1,0..n-1})
+        as integer rows over their common denominator: (M, den)."""
+        return _form_matrix([self.sigma[p] for p in self.positions]
+                            + [self.rho[(1, k)] for k in range(self.n)])
+
     def rho_multiset_ok(self) -> bool:
         """{rho_{i,j} - rho_{i,j-1}} must equal {lam_{i-1}, ..., lam_n} rowwise.
 
@@ -594,9 +600,11 @@ def phase_in_chart(chart: SigmaChart, lam: Sequence[float]) -> ChartPhase:
                                  f"{chart.positions[no_q[0]]} carries no q factor")
     A = chart.E[:, :dim].astype(float, order="C")
     B = chart.E[:, dim:].astype(float, order="C")
-    sigma = np.array([float(chart.sigma[p].evaluate(lam)) for p in chart.positions])
-    rho = np.array([float(chart.rho[(1, i)].evaluate(lam)) for i in range(chart.n)])
-    return ChartPhase(A, B, sigma, rho, chart, lam)
+    # each sigma is a two-term unit difference, so this is the rounded
+    # lam_a - lam_b itself
+    forms, den = chart.log_coefficients()
+    values = forms @ np.array(lam) / den
+    return ChartPhase(A, B, values[:dim], values[dim:], chart, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +623,7 @@ def phase_consistency(chart: SigmaChart) -> bool:
     graph = chart.graph
     weights, wden = graph.weight_matrix()
     weights = weights[chart.row_edges]
-    target, tden = _form_matrix([chart.sigma[p] for p in chart.positions]
-                                + [chart.rho[(1, k)] for k in range(chart.n)])
+    target, tden = chart.log_coefficients()
     lhs, rhs = chart.E.T @ weights * tden, target * wden
     return np.array_equal(lhs[:, :-1] - lhs[:, -1:], rhs[:, :-1] - rhs[:, -1:])
 

@@ -4,12 +4,14 @@ q -> 0 factorisation, and the projective-line example."""
 import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
+from todamirror import cli
 from todamirror import critical as cr
 from todamirror import integrals as ig
 from todamirror import mirror as mi
@@ -149,7 +151,8 @@ def test_trapezoid_sums_match_the_dense_grid():
         assert np.all(np.abs(sums - dense) <= 1e-14 * dense), (kseq, q_, m)
         if q_ == small_q:
             assert np.mean(grid < math.exp(ig._EXP_FLOOR)) > 0.5, m
-    # spot nodes against the phase itself, each a one-node grid without end halves
+    # spot nodes against the phase itself in 40 digits (a float reference
+    # rounds as a float kernel does), each a one-node grid without end halves
     phase, lnq, center, box, f_ref = grid_box(2, (1, 0), lam, q)
     m, c = 65, 32
     axes = box_axes(center, box, m)
@@ -157,8 +160,40 @@ def test_trapezoid_sums_match_the_dense_grid():
         s = np.array([axes[k][i] for k, i in enumerate(node)])
         got, = ig._trapezoid_sums(phase, lnq, [s[k:k + 1] for k in range(3)], [False] * 3,
                                   np.zeros((1, 3)), f_ref, -1.0)
-        expected = math.exp((float(phase.value(s, lnq)) - f_ref) / -1.0)
+        expected = decimal_weight(phase, s, lnq, f_ref, -1.0)
         assert abs(got - expected) <= 1e-13 * expected, node
+
+
+def decimal_weight(phase, s, lnq, f_ref, hbar):
+    """exp((f(s) - f_ref)/hbar) in 40-digit decimal from the float inputs,
+    each converted exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+
+        def dot(u, v):
+            return sum(Decimal(float(x)) * Decimal(float(y)) for x, y in zip(u, v))
+
+        f = (sum((dot(a, s) + dot(b, lnq)).exp() for a, b in zip(phase.A, phase.B))
+             + dot(phase.sigma, s))
+        return float(((f - Decimal(f_ref)) / Decimal(hbar)).exp())
+
+
+def test_a_separated_factor_that_overflows_is_refused():
+    # chart (0, 0)'s monomial 5 has exponents (1, -1, -1): the kernel keeps it
+    # as e^{s_0} times a plane e^{b - s_1 - s_2}, which overflows at s_1, s_2
+    # near -400 though e_5 itself is finite there
+    phase, lnq, center, box, f_ref = grid_box(2, (0, 0), (0.25, 0.125, -0.375), (1.0, 1.0))
+    assert phase.A[5].tolist() == [1.0, -1.0, -1.0]
+    near = [np.linspace(399.0, 401.0, 5), np.linspace(-401.0, -399.0, 5)]
+    zero = np.zeros((1, 3))
+    for axes in ([near[0], near[1], near[1]], [near[1], near[1], near[1]]):
+        with pytest.raises(ig.QuadratureError, match="monomial 5"):
+            ig._trapezoid_sums(phase, lnq, axes, [True] * 3, zero, f_ref, -1.0)
+    # where both factors stay finite (the plane underflows to 0) every sum is
+    # finite: no 0 * inf reaches it
+    for axes in ([near[0]] * 3, [near[1], near[0], near[0]]):
+        sums = ig._trapezoid_sums(phase, lnq, axes, [True] * 3, zero, f_ref, -1.0)
+        assert np.isfinite(sums).all()
 
 
 def test_a_level_is_the_level_before_plus_its_new_nodes():
@@ -200,6 +235,38 @@ def face_minimum(phase, lnq, k, c, start):
             t /= 2
         s = s + t * step
     raise AssertionError(f"no minimum on the face s_{k} = {c}")
+
+
+def test_every_peak_meets_the_census_tolerance():
+    # the peak search stops where the census's Newton does: |grad f|_inf at
+    # most NEWTON_TOL or the rounding floor of the gradient sum.  Every chart
+    # at the CLI's default draws for n = 1, 2 (seeds 0-7, their q, q = 1 and
+    # small q) and at the factorisation points.  A search that settled for
+    # |grad f|_inf < 1e-6 once its descent of f stalled left 96 of these 208
+    # peaks above it
+    points = [(1, (0.6, -0.6), (q,)) for q in (1e-4, 1e-6)]
+    points += [(2, (1.2, 0.0, -1.2), (q, q)) for q in (1e-4, 1e-5)]
+    for n in (1, 2):
+        for seed in range(8):
+            cfg = cli.resolve_defaults(cli.RunConfig(task="critical", n=n, seed=seed))
+            points += [(n, cfg.lam, q) for q in (cfg.q, (1.0,) * n, (1e-4,) * n)]
+    for n, lam, q in points:
+        lnq = np.log(np.array(q, dtype=float))
+        for kseq in mi.all_k_sequences(n):
+            phase = mi.phase_in_chart(chart(n, kseq), [float(x) for x in lam])
+            e = phase.exponentials(ig._real_peak(phase, lnq), lnq)
+            terms = np.abs(phase.A).T @ e + np.abs(phase.sigma)
+            tol = max(cr.NEWTON_TOL, cr.FLOOR_FACTOR * np.finfo(float).eps * terms.max())
+            assert np.abs(phase.A.T @ e + phase.sigma).max() <= tol, (n, lam, q, kseq)
+
+
+def test_a_stalled_peak_search_reports_its_gradient(monkeypatch):
+    # a step along +grad f never lowers |grad f|_inf of a convex f, so the
+    # line search stalls on its first step
+    phase = mi.phase_in_chart(chart(1, (0,)), (0.25, -0.25))
+    monkeypatch.setattr(ig.np.linalg, "solve", lambda h, g: -g)
+    with pytest.raises(ig.QuadratureError, match=r"stalled at \|grad f\|_inf = "):
+        ig._real_peak(phase, np.zeros(1))
 
 
 @pytest.mark.parametrize("n, kseq, lam, q, hbar", [

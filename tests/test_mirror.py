@@ -217,6 +217,24 @@ def test_phase_consistency_all_charts():
             assert mi.phase_consistency(mi.make_chart(g, k))
 
 
+def test_phase_sigma_is_the_lambda_form_value_bitwise():
+    # phase_in_chart evaluates [sigma; rho_1] as one integer product; each
+    # sigma is a unit difference, so it is the forms' own float value exactly
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        g = mi.build_graph(n)
+        lams = []
+        for _ in range(3):
+            lam = [rng.uniform(-2, 2) for _ in range(n)]
+            lams.append(tuple(lam + [-sum(lam)]))
+        for k in mi.all_k_sequences(n):
+            ch = mi.make_chart(g, k)
+            for lam in lams:
+                sigma = mi.phase_in_chart(ch, lam).sigma
+                ref = np.array([float(ch.sigma[p].evaluate(lam)) for p in ch.positions])
+                assert sigma.tobytes() == ref.tobytes(), (k, lam)
+
+
 def test_perturbed_edge_weight_fails_phase_consistency(monkeypatch):
     # a weight change off the trace direction shifts every chart's log part
     for n in (2, 3):
