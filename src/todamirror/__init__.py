@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .exact import (
     HbarSeries,
     LaurentPolynomial,
-    Rational,
     bernoulli,
     char_coeffs,
     elementary_symmetric_sigma,
@@ -41,7 +40,6 @@ from .mirror import (
 from .critical import (
     CriticalPointRecord,
     LagrangianPoint,
-    all_critical_points,
     census,
     continue_to,
     scaling_residual,

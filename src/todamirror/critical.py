@@ -32,6 +32,8 @@ from .mirror import (
     MirrorGraph,
     SigmaChart,
     all_k_sequences,
+    check_lambda,
+    check_q,
     make_chart,
     phase_in_chart,
 )
@@ -114,22 +116,6 @@ class CriticalPointRecord:
         }
 
 
-def _check_lambda(lam: Sequence[float], n: int) -> Tuple[float, ...]:
-    lam = tuple(float(x) for x in lam)
-    if len(lam) != n + 1:
-        raise DegenerateParameterError(f"lambda must have length {n + 1}")
-    if abs(sum(lam)) > 1e-12 * max(1.0, max(abs(x) for x in lam)):
-        raise DegenerateParameterError("lambda must sum to zero")
-    return lam
-
-
-def _check_q(q: Sequence[float], n: int) -> Tuple[float, ...]:
-    q = tuple(float(x) for x in q)
-    if len(q) != n or any(x <= 0 for x in q):
-        raise DegenerateParameterError("q must be a positive vector of length n")
-    return q
-
-
 # Batched continuation: `_Lanes._newton` solves any set of lanes at fixed
 # exponents, and `_Lanes.track` is the path loop around it.  Each Newton step
 # is capped at 0.5 in sup-norm, and its line search tries t = 1, 1/2, ...,
@@ -200,7 +186,7 @@ class _Lanes:
     def __init__(self, charts: Sequence[SigmaChart], lam: Sequence[float],
                  q: Sequence[float]):
         self.charts = list(charts)
-        self.lam, self.q = _check_lambda(lam, charts[0].n), _check_q(q, charts[0].n)
+        self.lam, self.q = check_lambda(lam, charts[0].n), check_q(q, charts[0].n)
         self.phases = [phase_in_chart(ch, self.lam) for ch in self.charts]
         self.start = np.stack([ph.start_point() for ph in self.phases])   # (L, d)
         A = np.stack([ph.A for ph in self.phases])                       # (L, 2d, d)
@@ -385,7 +371,7 @@ class _Lanes:
 def continue_to(chart: SigmaChart, lam: Sequence[float],
                 q_target: Sequence[float]) -> CriticalPointRecord:
     """Track one chart's critical point from q = 0 to q_target, as a batch of
-    one lane on the path of `all_critical_points`.
+    one lane on the path of `census`.
 
     The square root of the log-Hessian determinant is continued along the
     same path from its q = 0 value prod(-sigma): the positive root when that
@@ -414,26 +400,29 @@ def _sup_distances(records: Sequence[CriticalPointRecord]) -> np.ndarray:
     return dist
 
 
-def all_critical_points(n: int, lam: Sequence[float],
-                        q: Sequence[float]) -> List[CriticalPointRecord]:
-    """One record per chart, in k-sequence order.
+@dataclass
+class CensusResult:
+    """The (n+1)! distinct records of a fiber with their Lagrangian images."""
+    records: List[CriticalPointRecord]
+    points: List[LagrangianPoint]      # to_lagrangian of each record
+    min_pairwise_distance: float
+    max_spectral_residual: float
+    continuation: Dict[str, int]       # path rounds, batched Newton steps, halvings
+
+
+def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
+    """One record per chart, in k-sequence order, each with its point on the
+    Lagrangian variety.
 
     All charts are tracked as one batch on one path.  A lane that does not
     arrive, or two records that are one point of the mirror torus (a sheet
     jump: continuation off the branch points is a bijection on sheets),
-    raises CriticalPointError naming the charts.
+    raises CriticalPointError naming the charts.  The spectral identity and
+    the Toda relations are one identity, read in edge and in (p, q)
+    coordinates, so one maximum over those points is the residual of both.
     """
-    return _distinct_critical_points(n, lam, q)[0]
-
-
-def _distinct_critical_points(n: int, lam: Sequence[float], q: Sequence[float]
-                              ) -> Tuple[List[CriticalPointRecord], float, _Endpoints]:
-    """`all_critical_points` with the least sup-distance of its records,
-    which the collision check has already computed, and the track's
-    endpoints."""
-    graph = MirrorGraph(n)
     kseqs = all_k_sequences(n)
-    lanes = _Lanes([make_chart(graph, k) for k in kseqs], lam, q)
+    lanes = _Lanes([make_chart(MirrorGraph(n), k) for k in kseqs], lam, q)
     ends = lanes.track()
     failed = [k for k, error in enumerate(ends.errors) if error is not None]
     if failed:
@@ -447,32 +436,11 @@ def _distinct_critical_points(n: int, lam: Sequence[float], q: Sequence[float]
         pairs = ", ".join(f"{kseqs[a]} and {kseqs[b]}" for a, b in close.tolist())
         raise CriticalPointError(f"charts land on one point (a sheet jump): {pairs}",
                                  kseqs[close[0][0]])
-    return records, float(np.min(dist, initial=math.inf)), ends
-
-
-@dataclass
-class CensusResult:
-    """The records of a fiber, which `all_critical_points` has already
-    checked to be (n+1)! distinct points, with their Lagrangian images."""
-    records: List[CriticalPointRecord]
-    points: List[LagrangianPoint]      # to_lagrangian of each record
-    min_pairwise_distance: float
-    max_spectral_residual: float
-    continuation: Dict[str, int]       # path rounds, batched Newton steps, halvings
-
-
-def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
-    """Every record of the fiber with its point on the Lagrangian variety.
-
-    The spectral identity and the Toda relations are one identity, read in
-    edge and in (p, q) coordinates, so one maximum over those points is the
-    residual of both."""
-    records, min_distance, ends = _distinct_critical_points(n, lam, q)
     points = [to_lagrangian(r) for r in records]
     return CensusResult(
         records=records,
         points=points,
-        min_pairwise_distance=min_distance,
+        min_pairwise_distance=float(np.min(dist, initial=math.inf)),
         max_spectral_residual=max(pt.max_residual for pt in points),
         continuation={"rounds": ends.rounds, "solves": ends.solves,
                       "halvings": ends.halvings},
@@ -596,7 +564,7 @@ def uv_factorization_exact(n: int) -> bool:
     return True
 
 
-def uv_identity_check(n: int, kseq: Optional[Sequence[int]] = None) -> bool:
+def uv_identity_check(n: int) -> bool:
     """The factorisation step behind the eigenvalue equations, exactly.
 
     For every k: V_k U_k - lam_{k-1} I equals the bordered A_{k+1} block
@@ -613,8 +581,7 @@ def uv_identity_check(n: int, kseq: Optional[Sequence[int]] = None) -> bool:
     if not uv_factorization_exact(n):
         return False
     graph = MirrorGraph(n)
-    chart = make_chart(graph, kseq if kseq is not None else tuple(
-        n - i + 1 for i in range(1, n + 1)))
+    chart = make_chart(graph, tuple(n - i + 1 for i in range(1, n + 1)))
     table = _chart_substitution(chart)
     sub = lambda name: table[name]
 

@@ -13,8 +13,6 @@ import operator
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-Rational = Fraction
-
 ScalarLike = Union[int, Fraction]
 
 

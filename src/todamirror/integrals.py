@@ -20,7 +20,8 @@ import numpy as np
 from .critical import FLOOR_FACTOR, NEWTON_TOL
 from .exact import LaurentPolynomial, elementary_symmetric_sigma
 # make_chart is looked up here by bench/tracing.py, which wraps it per module
-from .mirror import ChartPhase, SigmaChart, make_chart, phase_in_chart
+from .mirror import (ChartPhase, SigmaChart, check_lambda, check_q, make_chart,
+                     phase_in_chart)
 from . import operators as ops
 
 
@@ -68,19 +69,12 @@ class IntegralTask:
     def __post_init__(self):
         if self.n > MAX_N:
             raise ValueError(f"iterated quadrature is desk scale; n <= {MAX_N}")
-        lam, q = tuple(float(x) for x in self.lam), tuple(float(x) for x in self.q)
-        if len(lam) != self.n + 1 or len(q) != self.n:
-            raise ValueError(f"n = {self.n} needs {self.n + 1} lambda and {self.n} q entries")
-        if abs(sum(lam)) > 1e-9:
-            raise ValueError("lambda must sum to zero")
+        object.__setattr__(self, "lam", check_lambda(self.lam, self.n))
+        object.__setattr__(self, "q", check_q(self.q, self.n))
         if not self.hbar < 0:
             raise ValueError("hbar must be negative")
-        if not all(x > 0 for x in q):
-            raise ValueError("q must be positive")
         if self.chart.n != self.n:
             raise ValueError(f"the chart is for n = {self.chart.n}, not {self.n}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "q", q)
 
 
 @dataclass

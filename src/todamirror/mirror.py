@@ -67,6 +67,24 @@ class DegenerateParameterError(ChartFailure, ValueError):
     """lambda is too degenerate for the requested construction."""
 
 
+def check_lambda(lam: Sequence[float], n: int) -> Tuple[float, ...]:
+    """lambda as n + 1 floats summing to zero, to rounding of its largest entry."""
+    lam = tuple(float(x) for x in lam)
+    if len(lam) != n + 1:
+        raise DegenerateParameterError(f"lambda must have length {n + 1}")
+    if abs(sum(lam)) > 1e-12 * max(1.0, max(abs(x) for x in lam)):
+        raise DegenerateParameterError("lambda must sum to zero")
+    return lam
+
+
+def check_q(q: Sequence[float], n: int) -> Tuple[float, ...]:
+    """q as n positive floats."""
+    q = tuple(float(x) for x in q)
+    if len(q) != n or any(x <= 0 for x in q):
+        raise DegenerateParameterError("q must be a positive vector of length n")
+    return q
+
+
 # ---------------------------------------------------------------------------
 # Linear forms in lam_0..lam_n.
 # ---------------------------------------------------------------------------
@@ -321,10 +339,6 @@ class MirrorGraph:
             raise MirrorModelError(f"no interior vertex ({k},{i})")
         return self._gradient([("u", k, i, +1), ("v", k, i, -1),
                                ("u", k + 1, i, -1), ("v", k + 1, i - 1, +1)])
-
-    def top_gradient(self, j: int) -> Tuple[Dict[str, int], LambdaForm]:
-        """d f / d t_j (top-row vertex (0, j)): only row-1 edges appear."""
-        return self._gradient([("u", 1, j, -1), ("v", 1, j - 1, +1)])
 
     def _gradient(self, combos) -> Tuple[Dict[str, int], LambdaForm]:
         """The signed edges among `combos` that exist, and their signed weights."""

@@ -10,7 +10,6 @@ checked exactly, with no rational-function arithmetic and no tolerance.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -189,13 +188,3 @@ def stationary_leading(record: crit.CriticalPointRecord, amplitude: Amplitude) -
     if not record.nondegenerate:
         raise SemiclassicalError("record is degenerate")
     return complex(amplitude(record)) / record.sqrt_log_hessian_det
-
-
-def laplace_consistency(record: crit.CriticalPointRecord, value: float, hbar: float,
-                        amplitude: Amplitude = amplitude_one) -> float:
-    """Relative gap between the quadrature value and the one-term expansion
-    leading * e^{u/hbar} * (2 pi |hbar|)^{d/2}."""
-    d = len(record.coordinates)
-    leading = stationary_leading(record, amplitude)
-    predicted = leading * cmath.exp(record.u_sigma / hbar) * (2 * math.pi * abs(hbar)) ** (d / 2)
-    return abs(predicted - value) / abs(value)

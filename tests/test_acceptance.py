@@ -134,7 +134,7 @@ def test_criterion_8_quasi_homogeneity():
     worst = 0.0
     for n, lam, q in ((1, (0.5, -0.5), (1.0,)),
                       (2, (0.25, 0.125, -0.375), (1.0, 1.0))):
-        records = cr.all_critical_points(n, lam, q)
+        records = cr.census(n, lam, q).records
         for c in (2.0, 1.0 / 3.0):
             worst = max(worst, cr.scaling_residual(records, c))
     _report("criterion 8: u(c^2 q, c lam) = c u(q, lam) to 1e-8, "

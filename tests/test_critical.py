@@ -99,7 +99,7 @@ def test_census_counts():
 
 def test_fiber_cardinality_matches_projection_degree():
     # distinct p-vectors over a fixed q: the fiber has (n+1)! points
-    records = cr.all_critical_points(2, (0.25, 0.125, -0.375), (0.8, 1.3))
+    records = cr.census(2, (0.25, 0.125, -0.375), (0.8, 1.3)).records
     ps = [tuple(np.round(cr.to_lagrangian(r).p, 8)) for r in records]
     assert len(set(ps)) == 6
 
@@ -125,7 +125,7 @@ def test_merged_residual_sees_a_perturbed_edge():
 
 def test_nonequivariant_point_satisfies_unshifted_relations():
     # at lam -> 0 the p-values satisfy D_i(p, q) = 0
-    records = cr.all_critical_points(1, (1e-7, -1e-7), (1.0,))
+    records = cr.census(1, (1e-7, -1e-7), (1.0,)).records
     for rec in records:
         lp = cr.to_lagrangian(rec)
         toda = np.array([[lp.p[0], lp.q[0]], [-1.0, lp.p[1]]])
@@ -134,15 +134,15 @@ def test_nonequivariant_point_satisfies_unshifted_relations():
 
 
 def test_scaling_law():
-    fiber1 = cr.all_critical_points(1, LAM1, (1.0,))
-    fiber2 = cr.all_critical_points(2, (0.25, 0.125, -0.375), (1.0, 1.0))
+    fiber1 = cr.census(1, LAM1, (1.0,)).records
+    fiber2 = cr.census(2, (0.25, 0.125, -0.375), (1.0, 1.0)).records
     for c in (2.0, 1.0 / 3.0):
         assert cr.scaling_residual(fiber1, c) < 1e-8
         assert cr.scaling_residual(fiber2, c) < 1e-8
 
 
 def test_scaling_check_fails_on_a_wrong_critical_value():
-    records = cr.all_critical_points(2, (0.25, 0.125, -0.375), (1.0, 1.0))
+    records = cr.census(2, (0.25, 0.125, -0.375), (1.0, 1.0)).records
     assert cr.scaling_residual(records, 2.0) < 1e-8
     records[3] = dataclasses.replace(records[3], u_sigma=records[3].u_sigma + 1e-6)
     assert cr.scaling_residual(records, 2.0) > 1e-8
@@ -164,7 +164,7 @@ def test_scaling_check_sees_a_sigma_not_linear_in_lambda(n, lam, q, monkeypatch)
         return dataclasses.replace(ph, sigma=sigma)
 
     monkeypatch.setattr(cr, "phase_in_chart", mutated)
-    records = cr.all_critical_points(n, lam, q)
+    records = cr.census(n, lam, q).records
     solves, newton = [], cr._Lanes._newton
 
     def recording(self, rows, s, c, *rest):
@@ -205,7 +205,7 @@ def fractions(text):
 def test_sqrt_hessian_det_starts_on_the_stated_branch(lam):
     # at q -> 0 the log-Hessian is diag(-sigma): its continued square root is
     # +sqrt(prod(-sigma)), or +i sqrt|prod(-sigma)| when the product is negative
-    for rec in cr.all_critical_points(3, fractions(lam), (1e-9,) * 3):
+    for rec in cr.census(3, fractions(lam), (1e-9,) * 3).records:
         prod = np.prod(-mi.phase_in_chart(rec.chart, fractions(lam)).sigma)
         want = math.sqrt(prod) if prod > 0 else 1j * math.sqrt(-prod)
         assert abs(rec.sqrt_log_hessian_det - want) < 1e-5 * abs(want), rec.chart.kseq
@@ -311,7 +311,7 @@ def test_a_lane_meeting_tol_on_its_last_allowed_step_has_converged(monkeypatch):
     # count the steps Newton takes from off a census point (one Hessian solve
     # per accepted point, the start included), then allow exactly that many
     lam, q = (0.25, 0.125, -0.375), (1.0, 1.0)
-    record = cr.all_critical_points(2, lam, q)[0]
+    record = cr.census(2, lam, q).records[0]
     lanes = cr._Lanes([record.chart], lam, q)
     rows, start, c = np.arange(1), record.s[None, :] + 0.3, lanes.bq.astype(complex)
     sizes, solve = [], cr._solve
@@ -335,7 +335,7 @@ CENSUS_LABELS = json.loads((Path(__file__).parent / "data" / "census_labels.json
                          ids=["n3-seed0", "n3-seed1", "n3-seed2", "n4-seed0"])
 def test_census_labels_are_pinned(n, seed):
     labels = CENSUS_LABELS[f"n{n}-seed{seed}"]
-    records = cr.all_critical_points(n, *default_draw(n, seed))
+    records = cr.census(n, *default_draw(n, seed)).records
     assert sorted(labels) == sorted(",".join(map(str, r.chart.kseq)) for r in records)
     for r in records:
         expect = complex(*labels[",".join(map(str, r.chart.kseq))])
@@ -372,7 +372,7 @@ def test_census_holds_across_seeds(n, seeds):
 ], ids=["n3-seed3", "n3-seed27", "n3-seed30", "n4-seed5", "n4-seed7", "n3-large-w"])
 def test_scaling_law_on_hard_draws(n, lam, q):
     # draws where the former detour ladder needed a repair or failed
-    records = cr.all_critical_points(n, lam, q)
+    records = cr.census(n, lam, q).records
     for c in (2.0, 1.0 / 3.0):
         assert cr.scaling_residual(records, c) < 1e-8
 
@@ -382,7 +382,7 @@ def test_jump_bound_keeps_lanes_on_their_sheets(monkeypatch):
     # the predicted-move cap), two lanes of this draw land on one sheet
     monkeypatch.setattr(cr, "JUMP_BOUND", 1.5)
     with pytest.raises(cr.CriticalPointError) as err:
-        cr.all_critical_points(3, *default_draw(3, 30))
+        cr.census(3, *default_draw(3, 30))
     assert "(0, 0, 1)" in str(err.value) and "(2, 1, 1)" in str(err.value)
 
 
@@ -391,7 +391,7 @@ def test_newton_floor_lets_large_w_lanes_converge(monkeypatch):
     # (3,1,0) and step halving runs out
     monkeypatch.setattr(cr, "FLOOR_FACTOR", 0)
     with pytest.raises(cr.CriticalPointError) as err:
-        cr.all_critical_points(3, LARGE_W_LAM, LARGE_W_Q)
+        cr.census(3, LARGE_W_LAM, LARGE_W_Q)
     assert err.value.chart == (3, 1, 0)
 
 
@@ -403,7 +403,7 @@ def test_lane_kernel_agrees_with_the_chart_phase(n, lam, q):
     # the lockstep kernel evaluates f, grad f and the Hessian with its own
     # stacked loops; at every record the shared chart phase must agree
     lnq = np.log(q)
-    for rec in cr.all_critical_points(n, lam, q):
+    for rec in cr.census(n, lam, q).records:
         phase = mi.phase_in_chart(rec.chart, lam)
         assert abs(phase.value(rec.s, lnq) + phase.rho @ lnq - rec.u_sigma) < 1e-12
         assert np.max(np.abs(phase.gradient(rec.s, lnq))) <= 1e-10
@@ -511,8 +511,12 @@ def test_uv_identity_fails_on_a_doubled_edge_monomial(n, monkeypatch):
     assert sorted(missed) == ["u[1,0]", f"v[1,{n - 1}]"]
 
 
-def test_uv_identity_alternate_chart():
-    assert cr.uv_identity_check(2, kseq=(0, 0))
+def test_uv_identity_alternate_chart(monkeypatch):
+    # the identity holds in every chart, not only the one the check picks
+    make = cr.make_chart
+    for kseq in cr.all_k_sequences(2):
+        monkeypatch.setattr(cr, "make_chart", lambda graph, _, kseq=kseq: make(graph, kseq))
+        assert cr.uv_identity_check(2), kseq
 
 
 def test_record_report_is_json_friendly():

@@ -260,6 +260,34 @@ def test_every_peak_meets_the_census_tolerance():
             assert np.abs(phase.A.T @ e + phase.sigma).max() <= tol, (n, lam, q, kseq)
 
 
+def test_the_peak_is_the_census_positive_point():
+    # f is strictly convex on the real cycle, so exactly one census record has
+    # every edge value in the right half-plane (real to rounding), and in every
+    # chart the quadrature's peak is that point: its edge values
+    # exp(A s* + B ln q) and its u = f(s*) + rho . ln q, to 1e-10 relative.
+    # CLI default draws, n = 1, 2, seeds 0-7
+    for n in (1, 2):
+        for seed in range(8):
+            cfg = cli.resolve_defaults(cli.RunConfig(task="critical", n=n, seed=seed))
+            lam, q = [float(x) for x in cfg.lam], [float(x) for x in cfg.q]
+            records = cr.census(n, lam, q).records
+            positive = [r for r in records
+                        if all(v.real > 0 for v in r.edge_values.values())]
+            assert len(positive) == 1, (n, seed)
+            point = positive[0]
+            assert all(abs(v.imag) <= 1e-14 * abs(v) for v in point.edge_values.values())
+            lnq = np.log(np.array(q))
+            for kseq in mi.all_k_sequences(n):
+                ch = chart(n, kseq)
+                phase = mi.phase_in_chart(ch, lam)
+                peak = ig._real_peak(phase, lnq)
+                for name, e in zip(ch.row_of, phase.exponentials(peak, lnq)):
+                    expect = point.edge_values[name]
+                    assert abs(e - expect) <= 1e-10 * abs(expect), (n, seed, kseq, name)
+                u = phase.value(peak, lnq) + phase.rho @ lnq
+                assert abs(u - point.u_sigma) <= 1e-10 * abs(point.u_sigma), (n, seed, kseq)
+
+
 def test_a_stalled_peak_search_reports_its_gradient(monkeypatch):
     # a step along +grad f never lowers |grad f|_inf of a convex f, so the
     # line search stalls on its first step
@@ -452,9 +480,12 @@ BAD_TASKS = [   # (overrides of a good n = 1 task, the refusal it must get)
     pytest.param(dict(n=2, lam=(0.25, 0.125, -0.375), q=(1.0, 1.0), hbar=1.0),
                  "hbar must be negative", id="hbar=1,n=2"),
     pytest.param(dict(lam=(0.5, -0.4)), "sum to zero", id="lambda-sum"),
-    pytest.param(dict(q=(1.0, 1.0)), "needs 2 lambda and 1 q", id="q-length"),
-    pytest.param(dict(q=(0.0,)), "q must be positive", id="q=0"),
-    pytest.param(dict(q=(-1.0,)), "q must be positive", id="q<0"),
+    # the census's rule: |sum| <= 1e-12 max(1, max |lambda|)
+    pytest.param(dict(lam=(0.5, -0.5 + 1e-10)), "sum to zero", id="lambda-sum-1e-10"),
+    pytest.param(dict(lam=(0.5, -0.25, -0.25)), "lambda must have length 2", id="lambda-length"),
+    pytest.param(dict(q=(1.0, 1.0)), "q must be a positive vector", id="q-length"),
+    pytest.param(dict(q=(0.0,)), "q must be a positive vector", id="q=0"),
+    pytest.param(dict(q=(-1.0,)), "q must be a positive vector", id="q<0"),
     pytest.param(dict(n=3, lam=(0.4, 0.1, -0.2, -0.3), q=(1.0,) * 3), "desk scale", id="n=3"),
     pytest.param(dict(kseq=(0, 0)), "chart is for n = 2", id="chart-n"),
 ]

@@ -106,14 +106,6 @@ def test_weight_balance_needs_trace_constraint_at_corner():
     assert lam.reduce_last() == target.reduce_last()
 
 
-def test_top_row_gradient_uses_row_one_edges_only():
-    g = mi.build_graph(2)
-    edges, _ = g.top_gradient(1)
-    assert edges == {"u[1,1]": -1, "v[1,0]": 1}
-    edges0, _ = g.top_gradient(0)
-    assert edges0 == {"u[1,0]": -1}
-
-
 def test_rho_table_reproduces_reference_chart():
     # n = 3, k-sequence (1, 2, 0)
     ch = mi.make_chart(mi.build_graph(3), (1, 2, 0))
