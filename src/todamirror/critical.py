@@ -123,16 +123,16 @@ class CriticalPointRecord:
 # its limit short of the tolerance: _NEWTON_STEPS for the solve at the target
 # q, the scaling re-solve and the retry of a failed path corrector, and
 # _PATH_NEWTON_STEPS for any other path corrector, where failing only halves
-# the step.  Every lane of a round waits for its slowest solve.
-# Measured with predictor-sized steps and the limit 100 on every solve, over
-# n = 3 seeds 0-39, n = 4 seeds 0-9 and the census benchmark's batches 1-10:
-# accepted correctors took a median of 4 steps and 7 at the 99th percentile;
-# 197 of 73,982 took more than 8 (at most 55), and 28 failing ones ran all 100.
-# Rounds and batched Newton steps: limit 100, 4,037 and 26,666; 16, 4,059 and
-# 24,485; 10, 4,103 and 24,361; 8, 4,129 and 24,267.  Without the full-limit
-# retry, one lane of the large-w draw of census batch 11 creeps at 8 (3,473
-# rounds against 98): near its singular log-Hessian every capped corrector
-# stalls just above its tolerance.
+# the step.  A lane that finishes at a point takes no Hessian solve there.
+# Every lane of a round waits for its slowest solve; a census's charts share
+# one MirrorGraph(n).  Measured with predictor-sized steps and the limit 100
+# on every solve, over n = 3 seeds 0-39, n = 4 seeds 0-9 and the census
+# benchmark's batches 1-10: accepted correctors took a median of 4 steps and
+# 7 at the 99th percentile; 197 of 73,982 took more than 8 (at most 55), and
+# 28 failing ones ran all 100.  Batched Newton steps: 26,666 at limit 100,
+# 24,267 at 8.  Without the full-limit retry, one lane of the large-w draw of
+# census batch 11 creeps at 8 (3,473 rounds against 98): near its singular
+# log-Hessian every capped corrector stalls just above its tolerance.
 _NEWTON_STEPS = 100
 _PATH_NEWTON_STEPS = 8
 _TRIALS = 21
@@ -164,8 +164,8 @@ def _dtau(theta: np.ndarray) -> np.ndarray:
 class _Endpoints:
     """Per lane of `_Lanes.track`: the solution, its gradient norm and
     log-Hessian, that Hessian's continued log det, and None or why it failed;
-    for the whole batch, its path rounds, batched Newton steps and step
-    halvings."""
+    for the whole batch, its path rounds, batched Newton steps, those steps
+    summed over the lanes each carried, and step halvings."""
 
     s: np.ndarray
     gnorm: np.ndarray
@@ -174,6 +174,7 @@ class _Endpoints:
     errors: List[Optional[str]]
     rounds: int
     solves: int
+    lane_steps: int
     halvings: int
 
 
@@ -196,7 +197,7 @@ class _Lanes:
         self.sigma = np.stack([ph.sigma for ph in self.phases])          # (L, d)
         self.lnq = np.log(np.array(self.q))
         self.bq, self.qdeg = B @ self.lnq, B.sum(axis=2)
-        self.solves = 0   # batched Newton steps `_newton` has taken
+        self.solves = self.lane_steps = 0   # `_newton`'s batched steps, and their lanes
 
     @np.errstate(all="ignore")
     def _newton(self, rows: np.ndarray, s: np.ndarray, c: np.ndarray, limit):
@@ -206,7 +207,7 @@ class _Lanes:
         monomial values, the Hessian, and None or why it failed.  A lane's
         first round takes s itself; each later round takes the first of its
         next steps t, t/2, ... that lowers |grad f| or meets the tolerance of
-        its last point."""
+        its last point.  Only a lane that steps on solves for its direction."""
         count, limit = len(rows), np.full(len(rows), limit)
         s_end, gnorm_end, why = s.copy(), np.full(count, np.inf), [None] * count
         vals_end = np.zeros((count, self.A.shape[1]), dtype=complex)
@@ -216,6 +217,7 @@ class _Lanes:
         tol, t, it, vals = np.zeros(count), np.ones(count), np.full(count, -1), vals_end.copy()
         while lane.size:
             self.solves += 1
+            self.lane_steps += lane.size
             width = min(_TRIALS, max(4, 64 // lane.size))
             steps = t[:, None] * _STEPS[:width]
             trial = dirn[:, None, :] * steps[:, :, None] + s[:, None, :]
@@ -227,9 +229,8 @@ class _Lanes:
             ok[:, 0] |= it < 0
             pick = ok.argmax(axis=1)
             acc = ok[np.arange(lane.size), pick]
-            a, pick = acc.nonzero()[0], pick[acc]
-            s[a], gnorm[a], vals[a], ga = trial[a, pick], norm[a, pick], v[a, pick], g[a, pick]
-            s_end[lane[a]], gnorm_end[lane[a]], vals_end[lane[a]] = s[a], gnorm[a], vals[a]
+            a = acc.nonzero()[0]
+            s[a], gnorm[a], vals[a] = trial[a, pick[a]], norm[a, pick[a]], v[a, pick[a]]
             it[a] += 1
             t[~acc] *= 0.5 ** width
             terms = np.matmul(np.abs(vals[a])[:, None, :], absA[a])[:, 0] + np.abs(sigma[a])
@@ -237,11 +238,13 @@ class _Lanes:
             # a lane at a new point converged, failed, or takes a new direction
             finite = np.isfinite(gnorm)
             done = acc & (~finite | (gnorm <= tol) | (it >= limit)) | (t < _STEPS[-1])
-            x, singular = _solve(np.matmul(At * vals[:, None, :], A)[a], -ga)
+            b = a[~done[a]]   # only a lane that steps on needs its Hessian solved
+            x, singular = _solve(np.matmul(At[b] * vals[b][:, None, :], A[b]), -g[b, pick[b]])
             size = np.abs(x).max(axis=1)
-            dirn[a] = x * np.where(size > 0.5, 0.5 / size, 1.0)[:, None]
-            t[a], done[a[singular]] = 1.0, True
+            dirn[b] = x * np.where(size > 0.5, 0.5 / size, 1.0)[:, None]
+            t[b], done[b[singular]] = 1.0, True
             for k in done.nonzero()[0]:
+                s_end[lane[k]], gnorm_end[lane[k]], vals_end[lane[k]] = s[k], gnorm[k], vals[k]
                 why[lane[k]] = ("Newton line search failed" if not acc[k] else
                                 "Newton iterate escaped to non-finite values" if not finite[k] else
                                 None if gnorm[k] <= tol[k] else
@@ -285,7 +288,8 @@ class _Lanes:
         log_det, gnorm, errors = np.log(det), np.full(count, np.inf), [None] * count
         h, pred = np.zeros((count, dim, dim), complex), self.start_tangent()
         step = np.fmin(FIRST_STEP, cap / np.abs(pred).max(axis=1))
-        live, rounds, halvings, solves = np.arange(count), 0, 0, self.solves
+        live, rounds, halvings = np.arange(count), 0, 0
+        solves, lane_steps = self.solves, self.lane_steps
         retry = np.zeros(count, dtype=bool)
         while live.size:
             rounds += 1
@@ -331,7 +335,8 @@ class _Lanes:
             step[k] = np.fmin(np.minimum(step[k] * 1.5, 1.0 - at),
                               cap / np.abs(pred[k]).max(axis=1))
             live = live[~(final | out)]
-        return _Endpoints(path, gnorm, h, log_det, errors, rounds, self.solves - solves, halvings)
+        return _Endpoints(path, gnorm, h, log_det, errors, rounds, self.solves - solves,
+                          self.lane_steps - lane_steps, halvings)
 
     def critical_values(self, s: np.ndarray) -> np.ndarray:
         """u_sigma = f(s) + rho . ln q per lane."""
@@ -407,7 +412,7 @@ class CensusResult:
     points: List[LagrangianPoint]      # to_lagrangian of each record
     min_pairwise_distance: float
     max_spectral_residual: float
-    continuation: Dict[str, int]       # path rounds, batched Newton steps, halvings
+    continuation: Dict[str, int]       # rounds, solves, halvings, lanes, lane_steps
 
 
 def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
@@ -421,8 +426,8 @@ def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
     the Toda relations are one identity, read in edge and in (p, q)
     coordinates, so one maximum over those points is the residual of both.
     """
-    kseqs = all_k_sequences(n)
-    lanes = _Lanes([make_chart(MirrorGraph(n), k) for k in kseqs], lam, q)
+    kseqs, graph = all_k_sequences(n), MirrorGraph(n)   # one graph for every chart
+    lanes = _Lanes([make_chart(graph, k) for k in kseqs], lam, q)
     ends = lanes.track()
     failed = [k for k, error in enumerate(ends.errors) if error is not None]
     if failed:
@@ -442,8 +447,8 @@ def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
         points=points,
         min_pairwise_distance=float(np.min(dist, initial=math.inf)),
         max_spectral_residual=max(pt.max_residual for pt in points),
-        continuation={"rounds": ends.rounds, "solves": ends.solves,
-                      "halvings": ends.halvings},
+        continuation={"rounds": ends.rounds, "solves": ends.solves, "halvings": ends.halvings,
+                      "lanes": len(kseqs), "lane_steps": ends.lane_steps},
     )
 
 

@@ -260,15 +260,18 @@ def test_determinism_same_seed(capsys):
 
 
 def test_continuation_counters_repeat():
-    # path rounds, batched Newton steps and step halvings of one seed's census
+    # path rounds, batched Newton steps, step halvings, lanes and Newton steps
+    # summed over lanes of one seed's census
     def counters():
         doc = cli.run(cli.RunConfig(task="critical", n=3, seed=2)).to_dict()
         [row] = [r for r in doc["results"] if r.get("check") == "continuation"]
         return row
 
     first = counters()
-    assert set(first) == {"check", "rounds", "solves", "halvings"}
+    assert set(first) == {"check", "rounds", "solves", "halvings", "lanes", "lane_steps"}
     assert 0 < first["rounds"] <= first["solves"] and first["halvings"] > 0
+    assert first["lanes"] == 24
+    assert first["solves"] <= first["lane_steps"] <= first["solves"] * first["lanes"]
     assert counters() == first
 
 

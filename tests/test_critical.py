@@ -309,7 +309,8 @@ def test_proposed_path_steps_stay_inside_the_jump_bound(monkeypatch):
 
 def test_a_lane_meeting_tol_on_its_last_allowed_step_has_converged(monkeypatch):
     # count the steps Newton takes from off a census point (one Hessian solve
-    # per accepted point, the start included), then allow exactly that many
+    # per accepted point it steps on from: the start, not the converged last
+    # one), then allow exactly that many
     lam, q = (0.25, 0.125, -0.375), (1.0, 1.0)
     record = cr.census(2, lam, q).records[0]
     lanes = cr._Lanes([record.chart], lam, q)
@@ -317,7 +318,7 @@ def test_a_lane_meeting_tol_on_its_last_allowed_step_has_converged(monkeypatch):
     sizes, solve = [], cr._solve
     monkeypatch.setattr(cr, "_solve", lambda h, rhs: sizes.append(len(h)) or solve(h, rhs))
     s, gnorm, _, _, why = lanes._newton(rows, start, c, cr._NEWTON_STEPS)
-    steps = sum(sizes) - 1
+    steps = sum(sizes)
     assert why == [None] and steps >= 3
     s_at, gnorm_at, _, _, why_at = lanes._newton(rows, start, c, steps)
     assert why_at == [None] and np.array_equal(s_at, s) and np.array_equal(gnorm_at, gnorm)
@@ -444,6 +445,12 @@ CENSUS_SEED1 = [
     ("1/4,1/2,5/16,-17/16", "5/8,5/16,1/16", "0x1.366399e262e57p-1"),
     ("1/12,-1/3,-4/9,25/36", "1/16,7/16,7/16", "0x1.ed2139ce39524p-2"),
 ]
+
+
+def test_census_charts_share_one_graph():
+    # the graph depends on n alone, so a fiber builds it once for all charts
+    records = cr.census(2, *default_draw(2, 0)).records
+    assert len(records) == 6 and len({id(r.chart.graph) for r in records}) == 1
 
 
 def test_census_builds_the_distance_matrix_once(monkeypatch):
