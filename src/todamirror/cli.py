@@ -284,7 +284,8 @@ def run_eigen(cfg: RunConfig):
         checks["bessel_oracle"] = rel < cfg.tol_oracle
     results.append({"quadrature": {"nodes_per_axis": rep.nodes_per_axis,
                                    "evaluations": rep.evaluations,
-                                   "levels": rep.levels, "error": rep.error}})
+                                   "levels": rep.levels, "error": rep.error,
+                                   "peak_steps": rep.peak_steps}})
     return results, checks
 
 

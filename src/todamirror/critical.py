@@ -4,8 +4,9 @@ Each chart contributes exactly one critical point, found by Newton
 continuation along one fixed path tau(theta) * q from the explicit tau = 0
 limit w_ij = -sigma(i, j).  The charts of a fiber are tracked together, one
 lane each: a per-lane path loop (`_Lanes.track`) around one batched damped
-Newton (`_Lanes._newton`), which the quasi-homogeneity check also calls
-directly.  Continuation along a path that avoids the branch points is a
+Newton (`_Lanes._newton`), which the quasi-homogeneity check and the
+quadrature's real peak (`integrals._real_peak`, one lane from s = 0) also
+call directly.  Continuation along a path that avoids the branch points is a
 bijection on sheets, so two charts landing on one point means the tracker
 jumped sheets: that, like a lane that does not arrive, is an error naming
 the charts, never a cue to re-run them on another path.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +29,7 @@ import numpy as np
 from .exact import LaurentPolynomial, char_coeffs, elementary_symmetric_sigma
 from .mirror import (
     ChartFailure,
+    ChartPhase,
     DegenerateParameterError,
     Edge,
     MirrorGraph,
@@ -117,25 +120,32 @@ class CriticalPointRecord:
 
 
 # Batched continuation: `_Lanes._newton` solves any set of lanes at fixed
-# exponents, and `_Lanes.track` is the path loop around it.  Each Newton step
-# is capped at 0.5 in sup-norm, and its line search tries t = 1, 1/2, ...,
-# 2^-20 before it gives up.  A lane's solve fails when its step count reaches
-# its limit short of the tolerance: _NEWTON_STEPS for the solve at the target
-# q, the scaling re-solve and the retry of a failed path corrector, and
-# _PATH_NEWTON_STEPS for any other path corrector, where failing only halves
-# the step.  A lane that finishes at a point takes no Hessian solve there.
-# Every lane of a round waits for its slowest solve; a census's charts share
-# one MirrorGraph(n).  Measured with predictor-sized steps and the limit 100
-# on every solve, over n = 3 seeds 0-39, n = 4 seeds 0-9 and the census
-# benchmark's batches 1-10: accepted correctors took a median of 4 steps and
-# 7 at the 99th percentile; 197 of 73,982 took more than 8 (at most 55), and
-# 28 failing ones ran all 100.  Batched Newton steps: 26,666 at limit 100,
-# 24,267 at 8.  Without the full-limit retry, one lane of the large-w draw of
-# census batch 11 creeps at 8 (3,473 rounds against 98): near its singular
+# exponents, and `_Lanes.track` is the path loop around it; the scaling
+# re-solve and the quadrature's peak call it directly.  A Newton step is
+# capped at 0.5 in sup-norm on every lane but the peak's, and its line search
+# tries t = 1, 1/2, ..., 2^-46 (about 1e-14) before it gives up.  The peak
+# lane starts from s = 0, and its peak may lie 70 away (n = 2, q = 1e-30): f
+# is convex on the real cycle, so full Newton steps get there, where 100 steps
+# capped at 0.5 cannot.  With the floor at 2^-20, the line search gives up on
+# 11 of 24 such n = 2 peaks (every chart, q = 1e-22 and 1e-30, two lambdas);
+# 2^-46 finds them all, and it moves no census record or counter (n = 3 seeds
+# 0-39, n = 4 seeds 0-9).  A lane's solve fails when its step count reaches
+# its limit short of the tolerance: _NEWTON_STEPS for the peak, the solve at
+# the target q, the scaling re-solve and the retry of a failed path corrector,
+# and _PATH_NEWTON_STEPS for any other path corrector, where failing only
+# halves the step.  A lane that finishes at a point takes no Hessian solve
+# there.  Every lane of a round waits for its slowest solve; a census's charts
+# share one MirrorGraph(n).  Measured with predictor-sized steps and the limit
+# 100 on every solve, over n = 3 seeds 0-39, n = 4 seeds 0-9 and the census
+# benchmark's batches 1-10: accepted correctors took a median of 4 steps and 7
+# at the 99th percentile; 197 of 73,982 took more than 8 (at most 55), and 28
+# failing ones ran all 100.  Batched Newton steps: 26,666 at limit 100, 24,267
+# at 8.  Without the full-limit retry, one lane of the large-w draw of census
+# batch 11 creeps at 8 (3,473 rounds against 98): near its singular
 # log-Hessian every capped corrector stalls just above its tolerance.
 _NEWTON_STEPS = 100
 _PATH_NEWTON_STEPS = 8
-_TRIALS = 21
+_TRIALS = 47
 _STEPS = 0.5 ** np.arange(_TRIALS)
 _EPS = np.finfo(float).eps
 
@@ -182,14 +192,12 @@ class _Lanes:
     """The phases of some charts at one (lambda, q), stacked as lanes: they
     share d and the 2d monomials, so their phase data stack into (L, 2d, d)
     arrays.  Along the path ln q becomes ln q + ln tau, which adds ln tau
-    times the q-degree of each monomial to the exponents B ln q."""
+    times the q-degree of each monomial to the exponents B ln q.  The caller
+    checks lambda and q and builds the phases."""
 
-    def __init__(self, charts: Sequence[SigmaChart], lam: Sequence[float],
-                 q: Sequence[float]):
-        self.charts = list(charts)
-        self.lam, self.q = check_lambda(lam, charts[0].n), check_q(q, charts[0].n)
-        self.phases = [phase_in_chart(ch, self.lam) for ch in self.charts]
-        self.start = np.stack([ph.start_point() for ph in self.phases])   # (L, d)
+    def __init__(self, phases: Sequence[ChartPhase], q: Sequence[float]):
+        self.phases, self.q = list(phases), q
+        self.charts, self.lam = [ph.chart for ph in self.phases], self.phases[0].lam
         A = np.stack([ph.A for ph in self.phases])                       # (L, 2d, d)
         self.A, self.absA = A.astype(complex), np.abs(A)
         self.At = np.ascontiguousarray(self.A.transpose(0, 2, 1))
@@ -199,16 +207,22 @@ class _Lanes:
         self.bq, self.qdeg = B @ self.lnq, B.sum(axis=2)
         self.solves = self.lane_steps = 0   # `_newton`'s batched steps, and their lanes
 
+    @cached_property
+    def start(self) -> np.ndarray:
+        """The q = 0 critical point of every lane, (L, d): the path's start."""
+        return np.stack([ph.start_point() for ph in self.phases])
+
     @np.errstate(all="ignore")
-    def _newton(self, rows: np.ndarray, s: np.ndarray, c: np.ndarray, limit):
+    def _newton(self, rows: np.ndarray, s: np.ndarray, c: np.ndarray, limit, cap=0.5):
         """Damped Newton on the lanes `rows` at exponent offsets c from s, until
         each lane converges or fails, a lane failing when its `limit`-th (per
         lane) step does not meet the tolerance; per lane s, |grad f|_inf, the
         monomial values, the Hessian, and None or why it failed.  A lane's
         first round takes s itself; each later round takes the first of its
         next steps t, t/2, ... that lowers |grad f| or meets the tolerance of
-        its last point.  Only a lane that steps on solves for its direction."""
-        count, limit = len(rows), np.full(len(rows), limit)
+        its last point, the step's sup-norm first cut to the lane's `cap`.
+        Only a lane that steps on solves for its direction."""
+        count, limit, cap = len(rows), np.full(len(rows), limit), np.full(len(rows), cap)
         s_end, gnorm_end, why = s.copy(), np.full(count, np.inf), [None] * count
         vals_end = np.zeros((count, self.A.shape[1]), dtype=complex)
         # one row per lane still searching; rows drop out as their lanes finish
@@ -241,7 +255,7 @@ class _Lanes:
             b = a[~done[a]]   # only a lane that steps on needs its Hessian solved
             x, singular = _solve(np.matmul(At[b] * vals[b][:, None, :], A[b]), -g[b, pick[b]])
             size = np.abs(x).max(axis=1)
-            dirn[b] = x * np.where(size > 0.5, 0.5 / size, 1.0)[:, None]
+            dirn[b] = x * np.where(size > cap[b], cap[b] / size, 1.0)[:, None]
             t[b], done[b[singular]] = 1.0, True
             for k in done.nonzero()[0]:
                 s_end[lane[k]], gnorm_end[lane[k]], vals_end[lane[k]] = s[k], gnorm[k], vals[k]
@@ -251,9 +265,9 @@ class _Lanes:
                                 f"Newton did not reach tol={tol[k]:.1e}" if it[k] >= limit[k]
                                 else "singular Hessian on the path")
             if done.any():
-                lane, A, At, absA, sigma, c, s, vals, dirn, gnorm, tol, t, it, limit = (
+                lane, A, At, absA, sigma, c, s, vals, dirn, gnorm, tol, t, it, limit, cap = (
                     x[~done] for x in (lane, A, At, absA, sigma, c, s, vals, dirn, gnorm,
-                                       tol, t, it, limit))
+                                       tol, t, it, limit, cap))
         h = np.matmul(self.At[rows] * vals_end[:, None, :], self.A[rows])
         return s_end, gnorm_end, vals_end, h, why
 
@@ -382,7 +396,8 @@ def continue_to(chart: SigmaChart, lam: Sequence[float],
     same path from its q = 0 value prod(-sigma): the positive root when that
     product is positive, and +i times the root of its modulus when negative.
     """
-    lanes = _Lanes([chart], lam, q_target)
+    lam, q = check_lambda(lam, chart.n), check_q(q_target, chart.n)
+    lanes = _Lanes([phase_in_chart(chart, lam)], q)
     ends = lanes.track()
     if ends.errors[0] is not None:
         raise ContinuationError(f"continuation failed for chart {chart.kseq}: "
@@ -427,7 +442,8 @@ def census(n: int, lam: Sequence[float], q: Sequence[float]) -> CensusResult:
     coordinates, so one maximum over those points is the residual of both.
     """
     kseqs, graph = all_k_sequences(n), MirrorGraph(n)   # one graph for every chart
-    lanes = _Lanes([make_chart(graph, k) for k in kseqs], lam, q)
+    lam, q = check_lambda(lam, n), check_q(q, n)
+    lanes = _Lanes([phase_in_chart(make_chart(graph, k), lam) for k in kseqs], q)
     ends = lanes.track()
     failed = [k for k, error in enumerate(ends.errors) if error is not None]
     if failed:
@@ -507,9 +523,9 @@ def scaling_residual(records: Sequence[CriticalPointRecord], c: float) -> float:
     against c * u_sigma.  A sigma that does not scale with lam moves that
     solution, and a rho that does not moves the value.
     """
-    base = records[0]
-    lanes = _Lanes([r.chart for r in records], [c * x for x in base.lam],
-                   [c * c * x for x in base.q])
+    base, n = records[0], records[0].chart.n
+    lam, q = check_lambda([c * x for x in base.lam], n), check_q([c * c * x for x in base.q], n)
+    lanes = _Lanes([phase_in_chart(r.chart, lam) for r in records], q)
     s, _, _, _, why = lanes._newton(np.arange(len(records)),
                                     np.stack([r.s for r in records]) + math.log(c),
                                     lanes.bq.astype(complex), _NEWTON_STEPS)

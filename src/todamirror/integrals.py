@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .critical import FLOOR_FACTOR, NEWTON_TOL
+from .critical import _NEWTON_STEPS, _Lanes
 from .exact import LaurentPolynomial, elementary_symmetric_sigma
 # make_chart is looked up here by bench/tracing.py, which wraps it per module
 from .mirror import (ChartPhase, SigmaChart, check_lambda, check_q, make_chart,
@@ -52,7 +52,6 @@ _LEVEL_NODES = 1 << 28
 # exp is several times slower below about -708, and over a hundred times
 # slower where its result is subnormal.
 _EXP_FLOOR = -700.0
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,9 @@ class IntegralTask:
 class QuadratureResult:
     """A converged doubling level: the integral of e^{f/hbar}, its last
     doubling difference relative to it, the nodes evaluated, the nodes per
-    axis and the levels built, and each moment row's trapezoid sum (row 0
-    the integrand) in units of e^{f_ref/hbar}, so value = e^{f_ref/hbar}
-    sums[0] cell."""
+    axis and the levels built, each moment row's trapezoid sum (row 0 the
+    integrand) in units of e^{f_ref/hbar}, so value = e^{f_ref/hbar} sums[0]
+    cell, and the batched Newton steps of the peak search."""
     value: float
     error: float
     evaluations: int
@@ -92,44 +91,18 @@ class QuadratureResult:
     sums: np.ndarray
     cell: float
     f_ref: float
+    peak_steps: int
 
 
-def _real_peak(phase: ChartPhase, lnq: np.ndarray) -> np.ndarray:
-    """Unique real minimum of the convex phase f(s), by damped Newton to the
-    census's tolerance: |grad f|_inf at most NEWTON_TOL or the rounding floor
-    FLOOR_FACTOR eps (largest sum of absolute gradient terms).  Each step is
-    halved until it lowers |grad f|_inf or meets the tolerance."""
-    absA = np.abs(phase.A)
-
-    def at(s: np.ndarray) -> Tuple[np.ndarray, float]:     # grad f and its tolerance
-        e = phase.exponentials(s, lnq)
-        terms = absA.T @ e + np.abs(phase.sigma)
-        return phase.A.T @ e + phase.sigma, max(NEWTON_TOL, FLOOR_FACTOR * _EPS * terms.max())
-
-    s = np.zeros(phase.dim)
-    g, tol = at(s)
-    gnorm = np.abs(g).max()
-    for _ in range(200):
-        if gnorm <= tol:
-            return s
-        try:
-            step = np.linalg.solve(phase.hessian(s, lnq), -g)
-        except np.linalg.LinAlgError as exc:
-            raise QuadratureError(f"singular Hessian at the peak search: {exc}") from exc
-        t = 1.0
-        while t > 1e-14:
-            with np.errstate(over="ignore", invalid="ignore"):   # NaN is never taken
-                g_try, tol_try = at(s + t * step)
-            norm = np.abs(g_try).max()
-            if norm < gnorm or norm <= tol:
-                s, g, tol, gnorm = s + t * step, g_try, tol_try, norm
-                break
-            t /= 2
-        else:
-            raise QuadratureError(f"peak search stalled at |grad f|_inf = {gnorm:.1e} "
-                                  f"(tolerance {tol:.1e})")
-    raise QuadratureError(f"peak search did not converge: |grad f|_inf = {gnorm:.1e} "
-                          f"(tolerance {tol:.1e})")
+def _real_peak(phase: ChartPhase, lnq: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The convex phase's real minimum and its Newton steps: one uncapped lane from s = 0."""
+    lanes = _Lanes([phase], np.exp(lnq))
+    s, gnorm, _, _, why = lanes._newton(np.arange(1), np.zeros((1, phase.dim), complex),
+                                        (phase.B @ lnq)[None], _NEWTON_STEPS, np.inf)
+    why = why[0] or ("the iterate left the real cycle" if s.imag.any() else None)
+    if why:
+        raise QuadratureError(f"peak search stalled at |grad f|_inf = {gnorm[0]:.1e}: {why}")
+    return s[0].real, lanes.solves
 
 
 def _sublevel_box(phase: ChartPhase, lnq: np.ndarray, s_star: np.ndarray,
@@ -287,7 +260,7 @@ def _converged_sums(phase: ChartPhase, lnq: np.ndarray, hbar: float, rel_tol: fl
     keeps the nodes and trapezoid weights of the one before and adds only its
     new nodes, so each node is evaluated once; a level over the node budget
     is refused before any of it is evaluated."""
-    s_star = _real_peak(phase, lnq)
+    s_star, peak_steps = _real_peak(phase, lnq)
     f_star = float(phase.value(s_star, lnq))
     # e^{(f - f*)/hbar} <= 1e-22 outside the box
     lo, hi = _sublevel_box(phase, lnq, s_star, f_star, abs(hbar) * math.log(1e22))
@@ -307,7 +280,7 @@ def _converged_sums(phase: ChartPhase, lnq: np.ndarray, hbar: float, rel_tol: fl
                 return QuadratureResult(
                     value=math.exp(f_star / hbar) * raw, error=err / abs(raw),
                     evaluations=nodes ** d, nodes_per_axis=nodes, levels=level,
-                    sums=sums, cell=cell, f_ref=f_star)
+                    sums=sums, cell=cell, f_ref=f_star, peak_steps=peak_steps)
         prev = raw
         nodes = 2 * (nodes - 1) + 1
     raise QuadratureError(f"quadrature did not converge within {_MAX_DOUBLINGS} doublings")
@@ -377,6 +350,7 @@ class EigenReport:
     nodes_per_axis: int
     levels: int      # trapezoid grids built by the doubling loop
     error: float     # its last doubling difference, relative to the base integral
+    peak_steps: int  # batched Newton steps of the peak search
 
 
 def eigen_residual(task: IntegralTask) -> EigenReport:
@@ -406,7 +380,7 @@ def eigen_residual(task: IntegralTask) -> EigenReport:
     base_value = math.exp((conv.f_ref + float(phase.rho @ x)) / task.hbar) * base * conv.cell
     return EigenReport(n=task.n, residuals=residuals, base_value=base_value,
                        evaluations=conv.evaluations, nodes_per_axis=conv.nodes_per_axis,
-                       levels=conv.levels, error=conv.error)
+                       levels=conv.levels, error=conv.error, peak_steps=conv.peak_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -229,10 +229,10 @@ MUTATIONS = (
 # removes it).  A check leaves BLIND only with its mutation row.
 BLIND = (
     ("critical", "nondegenerate", "its only failing input is the n = 4 default draw, a "
-     "spurious flag that a certified census replaces", 5),
-    ("classical-limit", "match", "sums the same terms in two orders", 9),
-    ("classical-limit", "orthogonal", "holds because b is odd", 9),
-    ("virasoro", "family_bracket", "holds for any mu and rho", 8),
+     "spurious flag that a certified census replaces", 8),
+    ("classical-limit", "match", "sums the same terms in two orders", 12),
+    ("classical-limit", "orthogonal", "holds because b is odd", 12),
+    ("virasoro", "family_bracket", "holds for any mu and rho", 11),
 )
 
 # stages a task reports only when they raise: eigen's quadrature

@@ -125,8 +125,19 @@ def test_eigen_quadrature_block_is_deterministic(capsys):
         doc = json.loads(capsys.readouterr().out)
         blocks.append(next(r["quadrature"] for r in doc["results"] if "quadrature" in r))
     assert blocks[0] == blocks[1]
-    assert set(blocks[0]) == {"nodes_per_axis", "evaluations", "levels", "error"}
+    assert set(blocks[0]) == {"nodes_per_axis", "evaluations", "levels", "error", "peak_steps"}
     assert blocks[0]["error"] <= 1e-11          # the eigen doubling tolerance
+
+
+def test_eigen_peak_steps_repeat_for_a_seed(capsys):
+    # the quadrature row counts the peak search's batched Newton steps: at
+    # least the one that evaluates s = 0, and the same on a rerun of the seed
+    steps = []
+    for _ in range(2):
+        assert run_cli(["eigen", "--n", "2", "--seed", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        steps.append(next(r["quadrature"]["peak_steps"] for r in doc["results"] if "quadrature" in r))
+    assert steps[0] == steps[1] >= 1
 
 
 @pytest.mark.parametrize("q", ["1/4,1/2", "1/16,1/8"])

@@ -22,6 +22,11 @@ def chart(n, kseq):
     return mi.make_chart(mi.build_graph(n), kseq)
 
 
+def lanes_of(charts, lam, q):
+    """The charts' lanes at (lam, q), their phases built as the census builds them."""
+    return cr._Lanes([mi.phase_in_chart(ch, lam) for ch in charts], q)
+
+
 def test_start_point_one_variable():
     # x + c ln x has its critical point at x = -c; c = -1 gives x = 1
     ch = chart(1, (0,))
@@ -187,7 +192,7 @@ def test_batched_lanes_match_single_tracks():
     n, lam, q = 3, (0.4, 0.1, -0.2, -0.3), (0.7, 1.1, 0.9)
     graph = mi.build_graph(n)
     charts = [mi.make_chart(graph, k) for k in mi.all_k_sequences(n)]
-    lanes = cr._Lanes(charts, lam, q)
+    lanes = lanes_of(charts, lam, q)
     ends = lanes.track()
     assert ends.errors == [None] * len(charts)
     for ch, rec in zip(charts, lanes.records(ends)):
@@ -242,7 +247,7 @@ def test_path_correctors_are_capped_and_the_solve_at_q_is_not(monkeypatch):
 
     monkeypatch.setattr(cr._Lanes, "_newton", recording)
     n, (lam, q) = 3, default_draw(3, 25)
-    lanes = cr._Lanes([chart(n, k) for k in mi.all_k_sequences(n)], lam, q)
+    lanes = lanes_of([chart(n, k) for k in mi.all_k_sequences(n)], lam, q)
     ends = lanes.track()
     assert ends.errors == [None] * len(lanes.charts)
     assert ends.rounds == len(calls) and ends.solves == lanes.solves
@@ -266,7 +271,7 @@ def test_start_tangent_matches_a_small_step():
     # at q = 0 the predictor is explicit; a Newton solve a little way along
     # the path, at theta = 1e-6, must move each lane by theta times it
     n, (lam, q) = 3, default_draw(3, 0)
-    lanes = cr._Lanes([chart(n, k) for k in mi.all_k_sequences(n)], lam, q)
+    lanes = lanes_of([chart(n, k) for k in mi.all_k_sequences(n)], lam, q)
     theta, count = 1e-6, len(lanes.charts)
     s, _, _, _, why = lanes._newton(np.arange(count), lanes.start,
                                     lanes.bq + np.log(cr._tau(theta)) * lanes.qdeg, cr._NEWTON_STEPS)
@@ -290,7 +295,7 @@ def test_proposed_path_steps_stay_inside_the_jump_bound(monkeypatch):
 
     monkeypatch.setattr(cr._Lanes, "_newton", recording)
     n, (lam, q) = 3, default_draw(3, 25)
-    lanes = cr._Lanes([chart(n, k) for k in mi.all_k_sequences(n)], lam, q)
+    lanes = lanes_of([chart(n, k) for k in mi.all_k_sequences(n)], lam, q)
     assert lanes.track().errors == [None] * len(lanes.charts)
     one = (lanes.qdeg == 1).argmax(axis=1)   # a q-degree-one monomial per lane
     moves = []
@@ -313,7 +318,7 @@ def test_a_lane_meeting_tol_on_its_last_allowed_step_has_converged(monkeypatch):
     # one), then allow exactly that many
     lam, q = (0.25, 0.125, -0.375), (1.0, 1.0)
     record = cr.census(2, lam, q).records[0]
-    lanes = cr._Lanes([record.chart], lam, q)
+    lanes = lanes_of([record.chart], lam, q)
     rows, start, c = np.arange(1), record.s[None, :] + 0.3, lanes.bq.astype(complex)
     sizes, solve = [], cr._solve
     monkeypatch.setattr(cr, "_solve", lambda h, rhs: sizes.append(len(h)) or solve(h, rhs))

@@ -98,7 +98,7 @@ def grid_box(n, kseq, lam, q, hbar=-1.0):
     _converged_sums uses."""
     phase = mi.phase_in_chart(chart(n, kseq), lam)
     lnq = np.log(np.array(q))
-    s_star = ig._real_peak(phase, lnq)
+    s_star, _ = ig._real_peak(phase, lnq)
     f_star = float(phase.value(s_star, lnq))
     box = ig._sublevel_box(phase, lnq, s_star, f_star, abs(hbar) * math.log(1e22))
     return phase, lnq, s_star, box, f_star
@@ -243,9 +243,14 @@ def test_every_peak_meets_the_census_tolerance():
     # at the CLI's default draws for n = 1, 2 (seeds 0-7, their q, q = 1 and
     # small q) and at the factorisation points.  A search that settled for
     # |grad f|_inf < 1e-6 once its descent of f stalled left 96 of these 208
-    # peaks above it
+    # peaks above it.  At n = 2 and q = 1e-22 or 1e-30 the peak lies up to 70
+    # from the search's start s = 0, which steps capped at 0.5 do not reach;
+    # chart (1, 0) at q = 1e-60 or 1e30 has no peak the search can find, and
+    # must say so as a QuadratureError
     points = [(1, (0.6, -0.6), (q,)) for q in (1e-4, 1e-6)]
     points += [(2, (1.2, 0.0, -1.2), (q, q)) for q in (1e-4, 1e-5)]
+    points += [(2, lam, (q, q)) for lam in ((0.25, 0.125, -0.375), (1.2, 0.0, -1.2))
+               for q in (1e-22, 1e-30)]
     for n in (1, 2):
         for seed in range(8):
             cfg = cli.resolve_defaults(cli.RunConfig(task="critical", n=n, seed=seed))
@@ -254,10 +259,14 @@ def test_every_peak_meets_the_census_tolerance():
         lnq = np.log(np.array(q, dtype=float))
         for kseq in mi.all_k_sequences(n):
             phase = mi.phase_in_chart(chart(n, kseq), [float(x) for x in lam])
-            e = phase.exponentials(ig._real_peak(phase, lnq), lnq)
+            e = phase.exponentials(ig._real_peak(phase, lnq)[0], lnq)
             terms = np.abs(phase.A).T @ e + np.abs(phase.sigma)
             tol = max(cr.NEWTON_TOL, cr.FLOOR_FACTOR * np.finfo(float).eps * terms.max())
             assert np.abs(phase.A.T @ e + phase.sigma).max() <= tol, (n, lam, q, kseq)
+    phase = mi.phase_in_chart(chart(2, (1, 0)), (0.25, 0.125, -0.375))
+    for q in (1e-60, 1e30):
+        with pytest.raises(ig.QuadratureError, match="peak search"):
+            ig._real_peak(phase, np.log(np.array([q, q])))
 
 
 def test_the_peak_is_the_census_positive_point():
@@ -280,7 +289,7 @@ def test_the_peak_is_the_census_positive_point():
             for kseq in mi.all_k_sequences(n):
                 ch = chart(n, kseq)
                 phase = mi.phase_in_chart(ch, lam)
-                peak = ig._real_peak(phase, lnq)
+                peak, _ = ig._real_peak(phase, lnq)
                 for name, e in zip(ch.row_of, phase.exponentials(peak, lnq)):
                     expect = point.edge_values[name]
                     assert abs(e - expect) <= 1e-10 * abs(expect), (n, seed, kseq, name)
